@@ -143,7 +143,8 @@ def _run_ens_cgp(config: RunConfig):
 
     def compute():
         stats = ens_mod.ensemble_stats(members, config.rank_tol)
-        posterior = ens_mod.ens_cgp(members, obs, y, config.rank_tol)
+        prior = GaussianLaw(stats.mean, stats.covariance_factor)
+        posterior = condition(prior, obs, y, config.rank_tol)
         pairs = [("command", "ens-cgp"), ("seed", config.seed),
                  ("rank_tol", _tol_value(config)), ("n", members.dim),
                  ("m", obs.n_obs), ("ensemble_size", members.size),

@@ -38,12 +38,7 @@ MEAN_PAIRS = tuple(itertools.combinations(MEAN_ROUTES, 2))
 
 
 def rel_vec_diff(a: np.ndarray, b: np.ndarray) -> float:
-    """Symmetric relative difference with a unit floor on the scale."""
-    scale = max(1.0, float(np.linalg.norm(a)), float(np.linalg.norm(b)))
-    return float(np.linalg.norm(a - b)) / scale
-
-
-def rel_mat_diff(a: np.ndarray, b: np.ndarray) -> float:
+    """Symmetric relative (Frobenius for matrices) difference with a unit floor."""
     scale = max(1.0, float(np.linalg.norm(a)), float(np.linalg.norm(b)))
     return float(np.linalg.norm(a - b)) / scale
 
@@ -88,7 +83,7 @@ def run_equivalence(prior: GaussianLaw, obs: ObservationModel, y,
                    "hessian": gaussian.posterior_cov_via_hessian(prior, obs)}
     mean_disc = {pair: rel_vec_diff(means[pair[0]], means[pair[1]])
                  for pair in MEAN_PAIRS}
-    cov_disc = rel_mat_diff(covariances["schur"], covariances["hessian"])
+    cov_disc = rel_vec_diff(covariances["schur"], covariances["hessian"])
     passed = max(mean_disc.values()) <= mean_tol and cov_disc <= cov_tol
     return EquivalenceReport(n=prior.dim, m=obs.n_obs, rank=prior.rank, seed=seed,
                              means=means, covariances=covariances,
@@ -213,7 +208,7 @@ def repeated_reuse(prior: GaussianLaw, obs: ObservationModel, y,
         law = gaussian.condition(law, obs, y)
         worst = max(worst,
                     rel_vec_diff(law.mean, means[k]),
-                    rel_mat_diff(law.covariance, covariances[k]))
+                    rel_vec_diff(law.covariance, covariances[k]))
     return CollapseTrace(ks=ks, covariances=covariances, means=means,
                          spectral_norms=spectral_norms,
                          recursive_max_discrepancy=worst)

@@ -7,18 +7,22 @@ on linear observations y = H f + noise follows the Schur-complement update
     mean_post = m + K H^T (H K H^T + R)^(-1) (y - H m)
     cov_post  = K - K H^T (H K H^T + R)^(-1) H K
 
-realized with a Cholesky factorization of the innovation covariance
-H K H^T + R, which is SPD whenever R is, even for singular K. The posterior
+realized with a Cholesky factorization L L^T of the innovation covariance
+H K H^T + R, which is SPD whenever R is, even for singular K. The
+covariance update never forms an n x n matrix: with the canonical prior
+factor A = U S and W = L^(-1) H A, it is the same Schur complement written
+in the prior's range basis, cov_post = U C U^T with the r x r core
+C = S (I - W^T W) S, and only C is eigendecomposed. The posterior
 covariance is also available through the inverse of the quadratic-form
 Hessian restricted to Range(K); the two must agree, and tests enforce it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor, cho_solve, cholesky, solve_triangular
 
 from . import psd
 from .errors import DegenerateModelError, DimensionError, NotSpdError
@@ -66,12 +70,13 @@ class ObservationModel:
     """Linear observation model y = H f + e with e ~ N(0, R), R SPD.
 
     R is symmetrized on construction and must admit a Cholesky
-    factorization. An empty model (zero observations) is allowed and acts
-    as "no data" throughout.
+    factorization, which is kept for every later solve with R. An empty
+    model (zero observations) is allowed and acts as "no data" throughout.
     """
 
     H: np.ndarray
     R: np.ndarray
+    _noise_chol: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         h = np.asarray(self.H, dtype=float)
@@ -82,13 +87,13 @@ class ObservationModel:
             raise DimensionError(
                 f"R is {r.shape[0]}x{r.shape[0]} but H has {h.shape[0]} rows"
             )
-        if r.shape[0] > 0:
-            try:
-                np.linalg.cholesky(r)
-            except np.linalg.LinAlgError:
-                raise NotSpdError("noise covariance R is not positive definite") from None
+        try:
+            chol = cholesky(r, lower=True, check_finite=False)
+        except np.linalg.LinAlgError:
+            raise NotSpdError("noise covariance R is not positive definite") from None
         object.__setattr__(self, "H", h)
         object.__setattr__(self, "R", r)
+        object.__setattr__(self, "_noise_chol", chol)
 
     @property
     def n_obs(self) -> int:
@@ -99,10 +104,10 @@ class ObservationModel:
         return self.H.shape[1]
 
     def noise_solve(self, b: np.ndarray) -> np.ndarray:
-        """R^(-1) b via Cholesky."""
+        """R^(-1) b via the Cholesky factor of R."""
         if self.n_obs == 0:
             return np.zeros_like(np.asarray(b, dtype=float))
-        return cho_solve(cho_factor(self.R, lower=True), np.asarray(b, dtype=float))
+        return cho_solve((self._noise_chol, True), np.asarray(b, dtype=float))
 
     def information(self) -> np.ndarray:
         """Observation information matrix H^T R^(-1) H."""
@@ -146,16 +151,11 @@ def build_joint(prior: GaussianLaw, obs: ObservationModel) -> JointGaussian:
                          cov_ff=k, cov_fy=cov_fy, cov_yy=cov_yy)
 
 
-def kalman_gain(prior: GaussianLaw, obs: ObservationModel) -> np.ndarray:
-    """Gain G = K H^T (H K H^T + R)^(-1), solved by Cholesky.
-
-    K H^T is assembled through the covariance factor, so every column of G
-    lies in Range(K) by construction.
-    """
-    _check_compatible(prior, obs)
+def _gain_and_innovation(prior: GaussianLaw, obs: ObservationModel):
+    """Gain G and the lower Cholesky factor of H K H^T + R (None when G = 0)."""
     n, m = prior.dim, obs.n_obs
     if m == 0 or prior.rank == 0:
-        return np.zeros((n, m))
+        return np.zeros((n, m)), None
     a = prior.cov_factor.factor
     kht = a @ (a.T @ obs.H.T)
     innovation_cov = symmetrize(obs.H @ kht) + obs.R
@@ -163,30 +163,51 @@ def kalman_gain(prior: GaussianLaw, obs: ObservationModel) -> np.ndarray:
         chol = cho_factor(innovation_cov, lower=True)
     except np.linalg.LinAlgError:
         raise NotSpdError("innovation covariance H K H^T + R is not SPD") from None
-    return cho_solve(chol, kht.T).T
+    return cho_solve(chol, kht.T).T, chol[0]
+
+
+def kalman_gain(prior: GaussianLaw, obs: ObservationModel) -> np.ndarray:
+    """Gain G = K H^T (H K H^T + R)^(-1), solved by Cholesky.
+
+    K H^T is assembled through the covariance factor, so every column of G
+    lies in Range(K) by construction.
+    """
+    _check_compatible(prior, obs)
+    return _gain_and_innovation(prior, obs)[0]
 
 
 def condition(prior: GaussianLaw, obs: ObservationModel, y,
               rank_tol: float | None = None) -> GaussianLaw:
     """Exact Gaussian conditioning on y = H f + e.
 
-    The posterior covariance K - G H K is re-symmetrized and re-factored so
-    the factored representation stays closed under conditioning; the
-    posterior rank never exceeds the prior rank. With zero observations the
-    prior is returned unchanged.
+    The mean is the gain-form update m + G (y - H m). The covariance
+    K - G H K is the r x r core C = S (I - W^T W) S in the prior's range
+    basis (see the module docstring), with W built from the innovation
+    Cholesky factor that the gain already computes. Only C is
+    eigendecomposed, so the covariance update costs
+    O(n r m + n r^2 + m^2 r + r^3), not O(n^3); the gain itself costs
+    O(n r m + n m^2 + m^3). The rank decision is the one the dense n x n
+    posterior would get: default cutoff from n, threshold floored at the
+    prior's largest eigenvalue. The factored form stays closed under
+    conditioning and the posterior rank never exceeds the prior rank. With
+    zero observations the prior is returned unchanged.
     """
     _check_compatible(prior, obs)
     y = _check_data(obs, y)
     if obs.n_obs == 0:
         return prior
-    gain = kalman_gain(prior, obs)
+    gain, chol = _gain_and_innovation(prior, obs)
     mean = prior.mean + gain @ (y - obs.H @ prior.mean)
-    k = prior.covariance
-    cov = symmetrize(k - gain @ (obs.H @ k))
+    core = np.diag(prior.cov_factor.eigenvalues)
+    if chol is not None:
+        ws = solve_triangular(chol, obs.H @ prior.cov_factor.factor, lower=True)
+        ws *= np.sqrt(prior.cov_factor.eigenvalues)  # W S
+        core -= ws.T @ ws
     # round-off in the update lives at the prior's scale, so the
     # re-factoring threshold is floored there
     scale = float(prior.cov_factor.eigenvalues[0]) if prior.rank else 0.0
-    return GaussianLaw(mean, psd.canonical_sqrt(cov, rank_tol, scale_floor=scale))
+    return GaussianLaw(mean, psd.canonical_sqrt_in_basis(
+        prior.cov_factor.basis(), core, rank_tol, scale_floor=scale))
 
 
 def posterior_cov_via_hessian(prior: GaussianLaw, obs: ObservationModel) -> np.ndarray:

@@ -142,6 +142,25 @@ def canonical_sqrt(matrix, rank_tol: float | None = None,
                      factor=factor, eigenvalues=values)
 
 
+def canonical_sqrt_in_basis(basis, core, rank_tol: float | None = None,
+                            scale_floor: float = 0.0) -> PsdFactor:
+    """Canonical square root of B C B^T without forming that n x n matrix.
+
+    ``basis`` B (n x r) has orthonormal columns and ``core`` C is r x r, so
+    B C B^T has the eigenvalues of C and the eigenvectors B Z. Only C is
+    eigendecomposed, but the rank rule is the one :func:`eig_psd` applies
+    to the n x n matrix (default ``rank_tol`` from n), and signs and ties
+    are fixed on the embedded n-vectors B Z.
+    """
+    b = np.asarray(basis, dtype=float)
+    if rank_tol is None:
+        rank_tol = default_rank_tol(b.shape[0])
+    values, vectors, rank = eig_psd(core, rank_tol, scale_floor)
+    values, vectors = _order_descending(values, b @ vectors)
+    return PsdFactor(dim=b.shape[0], rank=rank, factor=vectors * np.sqrt(values),
+                     eigenvalues=values)
+
+
 def canonicalize_factor(factor, rank_tol: float | None = None) -> PsdFactor:
     """Canonical form of an arbitrary n x p square-root factor.
 

@@ -11,13 +11,15 @@ Off the range the objective is infinite; evaluation there is rejected.
 The solver never touches K^+. Substituting x = A w through the canonical
 square root turns the prior penalty into |w|^2 exactly, and the normal
 equations become the SPD system (A^T H^T R^(-1) H A + I) w = A^T H^T R^(-1) d,
-solved by Cholesky. Q, q, c are still materialized for audits and for the
-objective/gradient/Hessian oracles.
+solved by Cholesky. q and c are materialized with the solver payload; the
+dense Q is built only on first access, for the objective/gradient/Hessian
+oracles and for audits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -33,7 +35,6 @@ FEASIBILITY_TOL = 1e-8
 class QuadraticObjective:
     """Convex quadratic whose minimizer is the posterior mean shift."""
 
-    Q: np.ndarray
     q: np.ndarray
     c: float
     range_basis: np.ndarray
@@ -41,6 +42,12 @@ class QuadraticObjective:
     data_shift: np.ndarray
     cov_factor: PsdFactor
     reduced_gram: np.ndarray  # A^T H^T R^(-1) H A, assembled without K^+
+    obs: ObservationModel
+
+    @cached_property
+    def Q(self) -> np.ndarray:
+        """Dense Hessian K^+ + H^T R^(-1) H, built on first access."""
+        return symmetrize(self.cov_factor.pinv() + self.obs.information())
 
     @property
     def dim(self) -> int:
@@ -52,7 +59,7 @@ class QuadraticObjective:
 
 
 def build_qp(prior: GaussianLaw, obs: ObservationModel, y) -> QuadraticObjective:
-    """Assemble (Q, q, c) plus the reduced solver payload."""
+    """Assemble (q, c) plus the reduced solver payload; Q is built lazily."""
     _check_compatible(prior, obs)
     y = _check_data(obs, y)
     d = y - obs.H @ prior.mean
@@ -63,18 +70,17 @@ def build_qp(prior: GaussianLaw, obs: ObservationModel, y) -> QuadraticObjective
     else:
         q = np.zeros(prior.dim)
         c = 0.0
-    quad = symmetrize(prior.cov_factor.pinv() + obs.information())
     a = prior.cov_factor.factor
     if obs.n_obs > 0 and prior.rank > 0:
         ha = obs.H @ a
         reduced_gram = symmetrize(ha.T @ obs.noise_solve(ha))
     else:
         reduced_gram = np.zeros((prior.rank, prior.rank))
-    return QuadraticObjective(Q=quad, q=q, c=c,
+    return QuadraticObjective(q=q, c=c,
                               range_basis=prior.cov_factor.basis(),
                               prior_mean=prior.mean.copy(), data_shift=d,
                               cov_factor=prior.cov_factor,
-                              reduced_gram=reduced_gram)
+                              reduced_gram=reduced_gram, obs=obs)
 
 
 def solve_qp(obj: QuadraticObjective):

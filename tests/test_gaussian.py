@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from enscgp import (DimensionError, GaussianLaw, NotSpdError, ObservationModel,
-                    build_joint, canonical_sqrt, condition, kalman_gain, marginal,
+from enscgp import (DimensionError, Ensemble, GaussianLaw, NotSpdError,
+                    ObservationModel, PsdFactor, build_joint, canonical_sqrt,
+                    canonicalize_factor, condition, default_rank_tol, eig_psd,
+                    enkf_mean_update, ens_cgp, ensemble_stats, kalman_gain, marginal,
                     posterior_cov_via_hessian, range_projector)
 from enscgp.experiments import make_instance
 
@@ -31,6 +33,24 @@ def brute_force_condition(prior, obs, y):
     mean = prior.mean + cov_fy @ solve @ (y - obs.H @ prior.mean)
     cov = k - cov_fy @ solve @ cov_fy.T
     return mean, (cov + cov.T) / 2
+
+
+def ensemble_instance(rng, n, members=40, m=50):
+    """Rank members-1 ensemble prior with m noisy point observations."""
+    truth = np.cumsum(rng.normal(size=n)) / np.sqrt(n)
+    ens = Ensemble(truth[:, None] + rng.normal(size=(n, members)))
+    h = np.zeros((m, n))
+    h[np.arange(m), rng.choice(n, size=m, replace=False)] = 1.0
+    obs = ObservationModel(h, 0.5 * np.eye(m))
+    return ens, obs, h @ truth + np.sqrt(0.5) * rng.normal(size=m)
+
+
+def dense_schur_cov(prior, obs):
+    """Dense oracle K - K H^T (H K H^T + R)^(-1) H K."""
+    k = prior.covariance
+    kht = k @ obs.H.T
+    cov = k - kht @ np.linalg.solve(obs.H @ kht + obs.R, kht.T)
+    return (cov + cov.T) / 2
 
 
 class TestObservationModel:
@@ -173,6 +193,57 @@ class TestCondition:
             assert np.linalg.norm(post.mean - mean_oracle) <= 1e-8 * scale
             assert np.linalg.norm(post.covariance - cov_oracle) <= 1e-8 * max(
                 1.0, np.linalg.norm(cov_oracle))
+
+
+class TestConditionInRangeBasis:
+    def test_low_rank_prior_needs_only_rank_sized_eigenwork(self, rng, monkeypatch):
+        ens, obs, y = ensemble_instance(rng, 2000)
+        stats = ensemble_stats(ens)
+        prior = GaussianLaw(stats.mean, stats.covariance_factor)
+        r = prior.rank
+        shapes = []
+        eigh = np.linalg.eigh
+
+        def spy_eigh(matrix, *args, **kwargs):
+            shapes.append(np.shape(matrix))
+            return eigh(matrix, *args, **kwargs)
+
+        def no_gram(self):
+            raise AssertionError("condition formed a dense n x n covariance")
+
+        monkeypatch.setattr(np.linalg, "eigh", spy_eigh)
+        monkeypatch.setattr(PsdFactor, "gram", no_gram)
+        post = condition(prior, obs, y)
+        assert r == 39 and post.rank == r
+        assert shapes and all(shape[0] <= r and shape[1] <= r for shape in shapes)
+
+    @pytest.mark.parametrize("n", [500, 2000])
+    def test_agrees_with_dense_schur(self, rng, n):
+        ens, obs, y = ensemble_instance(rng, n)
+        stats = ensemble_stats(ens)
+        prior = GaussianLaw(stats.mean, stats.covariance_factor)
+        oracle = dense_schur_cov(prior, obs)
+        cov = condition(prior, obs, y).covariance
+        assert np.linalg.norm(cov - oracle) <= 1e-12 * np.linalg.norm(oracle)
+
+    def test_rank_rule_is_that_of_the_dense_posterior(self, rng):
+        # one posterior eigenvalue ~1e-14 of the prior scale: above r*eps,
+        # below n*eps, so only the n-sized default cutoff drops it
+        n = 1000
+        basis = np.linalg.qr(rng.normal(size=(n, 2)))[0]
+        prior = GaussianLaw(np.zeros(n), canonicalize_factor(basis * np.sqrt([1.0, 0.5])))
+        obs = ObservationModel(basis[:, 1:].T, [[1e-14]])
+        post = condition(prior, obs, [0.3])
+        dense = dense_schur_cov(prior, obs)
+        lam_max = float(prior.cov_factor.eigenvalues[0])
+        small = eig_psd(basis.T @ dense @ basis, default_rank_tol(2), scale_floor=lam_max)[0]
+        assert 2 * default_rank_tol(2) < small[-1] / lam_max < default_rank_tol(n) / 2
+        assert post.rank == canonical_sqrt(dense, scale_floor=lam_max).rank == 1
+
+    def test_ens_cgp_mean_is_the_gain_form_mean_bitwise(self, rng):
+        ens, obs, y = ensemble_instance(rng, 300)
+        update = enkf_mean_update(ensemble_stats(ens), obs, y)
+        assert np.array_equal(ens_cgp(ens, obs, y).mean, update)
 
 
 class TestPosteriorCovViaHessian:
