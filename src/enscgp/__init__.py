@@ -15,14 +15,13 @@ from .errors import (DegenerateModelError, DimensionError, InfeasiblePointError,
                      MatrixParseError, NotPsdError, NotSpdError)
 from .experiments import (CollapseTrace, EquivalenceReport, equivalence_corpus,
                           make_instance, repeated_reuse, run_equivalence)
-from .gaussian import (GaussianLaw, JointGaussian, ObservationModel, build_joint,
-                       condition, kalman_gain, marginal, posterior_cov_via_hessian)
+from .gaussian import (GaussianLaw, ObservationModel, condition, kalman_gain, marginal,
+                       posterior_cov_via_hessian)
 from .kernels import KernelFamily, KernelSpec, KlModes, gram_matrix, kl_truncate, sample_kl
 from .psd import (PsdFactor, canonical_sqrt, canonicalize_factor, default_rank_tol,
-                  eig_psd, pseudoinverse, range_projector, symmetrize,
-                  weighted_norm_sq)
+                  eig_psd, range_projector, symmetrize)
 from .quadprog import QuadraticObjective, build_qp, gradient, hessian, objective, solve_qp
-from .rkhs import DiscreteRkhs, dual_gram, gram_from_features, rkhs_inner, rkhs_solve
+from .rkhs import DiscreteRkhs, rkhs_solve
 from .rng import NormalStream
 
 __version__ = "0.1.0"
@@ -30,15 +29,13 @@ __version__ = "0.1.0"
 __all__ = [
     "CollapseTrace", "DegenerateModelError", "DimensionError", "DiscreteRkhs",
     "Ensemble", "EnsembleStats", "EquivalenceReport", "GaussianLaw",
-    "InfeasiblePointError", "JointGaussian", "KernelFamily", "KernelSpec",
-    "KlModes", "MatrixParseError", "NormalStream", "NotPsdError", "NotSpdError",
-    "ObservationModel", "PsdFactor", "QuadraticObjective", "build_joint",
-    "build_qp", "canonical_sqrt", "canonicalize_factor", "condition",
-    "default_rank_tol", "dual_gram", "eig_psd", "enkf_mean_update",
-    "enkf_perturbed_obs", "ens_cgp", "ensemble_stats", "equivalence_corpus",
-    "gradient", "gram_from_features", "gram_matrix", "hessian", "kalman_gain",
-    "kl_truncate", "make_instance", "marginal", "objective",
-    "posterior_cov_via_hessian", "pseudoinverse", "range_projector",
-    "repeated_reuse", "rkhs_inner", "rkhs_solve", "run_equivalence", "sample_kl",
-    "solve_qp", "symmetrize", "weighted_norm_sq",
+    "InfeasiblePointError", "KernelFamily", "KernelSpec", "KlModes",
+    "MatrixParseError", "NormalStream", "NotPsdError", "NotSpdError",
+    "ObservationModel", "PsdFactor", "QuadraticObjective", "build_qp",
+    "canonical_sqrt", "canonicalize_factor", "condition", "default_rank_tol",
+    "eig_psd", "enkf_mean_update", "enkf_perturbed_obs", "ens_cgp",
+    "ensemble_stats", "equivalence_corpus", "gradient", "gram_matrix", "hessian",
+    "kalman_gain", "kl_truncate", "make_instance", "marginal", "objective",
+    "posterior_cov_via_hessian", "range_projector", "repeated_reuse",
+    "rkhs_solve", "run_equivalence", "sample_kl", "solve_qp", "symmetrize",
 ]

@@ -9,15 +9,16 @@ produce byte-identical output. Exit codes: 0 success, 1 computation error,
 and output files are only written after the computation succeeds.
 
 The environment variable ENSCGP_RANK_TOL supplies a default relative rank
-tolerance; ``--rank-tol`` overrides it per run.
+tolerance; ``--rank-tol`` overrides it per run. A tolerance that is not
+finite or is negative is an input error.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +27,7 @@ from . import ensemble as ens_mod
 from . import experiments, kernels, matio
 from .errors import (DegenerateModelError, DimensionError, InfeasiblePointError,
                      MatrixParseError, NotPsdError, NotSpdError)
-from .gaussian import GaussianLaw, ObservationModel, condition
+from .gaussian import GaussianLaw, ObservationModel, condition, kalman_gain
 from .matio import format_float
 
 COMMANDS = ("condition", "ens-cgp", "equivalence", "collapse", "kl-sample", "enkf")
@@ -36,29 +37,6 @@ _INPUT_ERRORS = (OSError, MatrixParseError, DimensionError, NotSpdError,
 _COMPUTE_ERRORS = (NotPsdError, NotSpdError, DegenerateModelError,
                    InfeasiblePointError, DimensionError, ValueError,
                    np.linalg.LinAlgError)
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything one CLI invocation needs; file contents are read in run()."""
-
-    command: str
-    inputs: tuple[str, ...] = ()
-    rank_tol: float | None = None
-    seed: int = 0
-    out: str | None = None
-    fmt: str = "text"
-    k_max: int = 100
-    members: int = 10
-    count: int = 100
-    family: str | None = None
-    variance: float = 1.0
-    lengthscale: float = 1.0
-    modes: int | None = None
-    energy: float | None = None
-    perturb: bool = True
-    center: bool = False
-    save_members: str | None = None
 
 
 def _fmt_value(value) -> str:
@@ -116,52 +94,52 @@ def _law_report(prefix: str, law: GaussianLaw) -> list[tuple[str, object]]:
     ]
 
 
-def _run_condition(config: RunConfig):
-    mean_p, cov_p, h_p, r_p, y_p = config.inputs
+def _run_condition(args: argparse.Namespace):
+    mean_p, cov_p, h_p, r_p, y_p = args.inputs
     mean = matio.read_vector(mean_p)
     cov = matio.read_matrix(cov_p)
-    prior = GaussianLaw.from_moments(mean, cov, config.rank_tol)
+    prior = GaussianLaw.from_moments(mean, cov, args.rank_tol)
     obs = _load_observation(h_p, r_p, prior.dim)
     y = _load_data(y_p, obs)
 
     def compute():
-        posterior = condition(prior, obs, y, config.rank_tol)
-        pairs = [("command", "condition"), ("seed", config.seed),
-                 ("rank_tol", _tol_value(config)), ("n", prior.dim),
+        posterior = condition(prior, obs, y, args.rank_tol)
+        pairs = [("command", "condition"), ("seed", args.seed),
+                 ("rank_tol", _tol_value(args)), ("n", prior.dim),
                  ("m", obs.n_obs), ("prior_rank", prior.rank)]
         pairs += _law_report("posterior", posterior)
-        return pairs, {}
+        return _render(pairs, args.format), {}
 
     return compute
 
 
-def _run_ens_cgp(config: RunConfig):
-    members_p, h_p, r_p, y_p = config.inputs
+def _run_ens_cgp(args: argparse.Namespace):
+    members_p, h_p, r_p, y_p = args.inputs
     members = ens_mod.Ensemble(matio.read_matrix(members_p))
     obs = _load_observation(h_p, r_p, members.dim)
     y = _load_data(y_p, obs)
 
     def compute():
-        stats = ens_mod.ensemble_stats(members, config.rank_tol)
+        stats = ens_mod.ensemble_stats(members, args.rank_tol)
         prior = GaussianLaw(stats.mean, stats.covariance_factor)
-        posterior = condition(prior, obs, y, config.rank_tol)
-        pairs = [("command", "ens-cgp"), ("seed", config.seed),
-                 ("rank_tol", _tol_value(config)), ("n", members.dim),
+        posterior = condition(prior, obs, y, args.rank_tol)
+        pairs = [("command", "ens-cgp"), ("seed", args.seed),
+                 ("rank_tol", _tol_value(args)), ("n", members.dim),
                  ("m", obs.n_obs), ("ensemble_size", members.size),
                  ("prior_mean", stats.mean),
                  ("prior_rank", stats.covariance_factor.rank)]
         pairs += _law_report("posterior", posterior)
-        return pairs, {}
+        return _render(pairs, args.format), {}
 
     return compute
 
 
-def _run_equivalence(config: RunConfig):
+def _run_equivalence(args: argparse.Namespace):
     def compute():
-        reports = experiments.equivalence_corpus(config.count, config.seed)
+        reports = experiments.equivalence_corpus(args.count, args.seed)
         passes = sum(r.passed for r in reports)
-        pairs = [("command", "equivalence"), ("seed", config.seed),
-                 ("count", config.count),
+        pairs = [("command", "equivalence"), ("seed", args.seed),
+                 ("count", args.count),
                  ("mean_tol", experiments.MEAN_TOL),
                  ("cov_tol", experiments.COV_TOL),
                  ("mean_pairs", " ".join(f"{a}:{b}" for a, b in experiments.MEAN_PAIRS)),
@@ -176,24 +154,24 @@ def _run_equivalence(config: RunConfig):
                                     for p in experiments.MEAN_PAIRS])))
             pairs.append((f"{tag}_cov_discrepancy", rep.cov_discrepancy))
             pairs.append((f"{tag}_pass", rep.passed))
-        return pairs, {}
+        return _render(pairs, args.format), {}
 
     return compute
 
 
-def _run_collapse(config: RunConfig):
-    mean_p, cov_p, h_p, r_p, y_p = config.inputs
+def _run_collapse(args: argparse.Namespace):
+    mean_p, cov_p, h_p, r_p, y_p = args.inputs
     mean = matio.read_vector(mean_p)
     cov = matio.read_matrix(cov_p)
-    prior = GaussianLaw.from_moments(mean, cov, config.rank_tol)
+    prior = GaussianLaw.from_moments(mean, cov, args.rank_tol)
     obs = _load_observation(h_p, r_p, prior.dim)
     y = _load_data(y_p, obs)
 
     def compute():
-        trace = experiments.repeated_reuse(prior, obs, y, config.k_max)
-        pairs = [("command", "collapse"), ("seed", config.seed),
+        trace = experiments.repeated_reuse(prior, obs, y, args.k_max)
+        pairs = [("command", "collapse"), ("seed", args.seed),
                  ("label", trace.label), ("n", prior.dim), ("m", obs.n_obs),
-                 ("k_max", config.k_max),
+                 ("k_max", args.k_max),
                  ("recursive_max_discrepancy", trace.recursive_max_discrepancy),
                  ("final_mean", trace.means[-1]),
                  ("final_cov", trace.covariances[-1]),
@@ -204,66 +182,67 @@ def _run_collapse(config: RunConfig):
             trace_lines.append(
                 f"{k} {format_float(trace.spectral_norms[k])} {format_float(shifts[k])}"
             )
-        return pairs, {"trace": "\n".join(trace_lines) + "\n"}
+        return _render(pairs, args.format), _trace_file(args, trace_lines)
 
     return compute
 
 
-def _run_kl_sample(config: RunConfig):
-    (points_p,) = config.inputs
+def _run_kl_sample(args: argparse.Namespace):
+    (points_p,) = args.inputs
     points = matio.read_matrix(points_p)
-    if config.family is None:
-        raise ValueError("kl-sample requires --family")
-    spec = kernels.KernelSpec(config.family, config.variance, config.lengthscale)
-    if config.modes is not None and config.energy is not None:
+    spec = kernels.KernelSpec(args.family, args.variance, args.lengthscale)
+    if args.modes is not None and args.energy is not None:
         raise ValueError("give at most one of --modes and --energy")
 
     def compute():
         gram = kernels.gram_matrix(spec, points)
-        if config.modes is not None:
-            keep = config.modes
-        elif config.energy is not None:
-            keep = float(config.energy)
+        if args.modes is not None:
+            keep = args.modes
+        elif args.energy is not None:
+            keep = float(args.energy)
         else:
             keep = 1.0
-        modes = kernels.kl_truncate(gram, keep, rank_tol=config.rank_tol)
-        samples = kernels.sample_kl(modes, config.members, config.seed)
+        modes = kernels.kl_truncate(gram, keep, rank_tol=args.rank_tol)
+        samples = kernels.sample_kl(modes, args.members, args.seed)
         comments = (
             f"kl-sample family={spec.family.value} variance={format_float(spec.variance)}"
             f" lengthscale={format_float(spec.lengthscale)}",
-            f"seed={config.seed} members={config.members} n_modes={modes.n_modes}"
+            f"seed={args.seed} members={args.members} n_modes={modes.n_modes}"
             f" residual={format_float(modes.residual)}",
         )
-        return None, {"matrix": (samples, comments)}
+        # the output is itself a matrix file, in either --format
+        return matio.dumps_matrix(samples, comments), {}
 
     return compute
 
 
-def _run_enkf(config: RunConfig):
-    members_p, h_p, r_p, y_p = config.inputs
+def _run_enkf(args: argparse.Namespace):
+    members_p, h_p, r_p, y_p = args.inputs
     members = ens_mod.Ensemble(matio.read_matrix(members_p))
     obs = _load_observation(h_p, r_p, members.dim)
     y = _load_data(y_p, obs)
+    perturb = not args.disable_perturbations
 
     def compute():
-        stats = ens_mod.ensemble_stats(members, config.rank_tol)
-        exact = ens_mod.enkf_mean_update(stats, obs, y, rank_tol=config.rank_tol)
-        updated = ens_mod.enkf_perturbed_obs(
-            members, obs, y, config.seed, perturb=config.perturb,
-            center_perturbations=config.center, rank_tol=config.rank_tol)
+        # one set of statistics and one gain serve the exact mean update and
+        # the perturbed member update
+        stats = ens_mod.ensemble_stats(members, args.rank_tol)
+        gain = kalman_gain(GaussianLaw(stats.mean, stats.covariance_factor), obs)
+        exact = stats.mean + gain @ (y - obs.H @ stats.mean)
+        updated = ens_mod._perturbed_members(members, obs, y, gain, args.seed, perturb,
+                                             args.center_perturbations)
         sample_mean = updated.members.mean(axis=1)
-        pairs = [("command", "enkf"), ("seed", config.seed),
-                 ("rank_tol", _tol_value(config)), ("n", members.dim),
+        pairs = [("command", "enkf"), ("seed", args.seed),
+                 ("rank_tol", _tol_value(args)), ("n", members.dim),
                  ("m", obs.n_obs), ("ensemble_size", members.size),
-                 ("perturbations", config.perturb),
-                 ("centered_perturbations", config.center),
+                 ("perturbations", perturb),
+                 ("centered_perturbations", args.center_perturbations),
                  ("prior_mean", stats.mean),
                  ("prior_rank", stats.covariance_factor.rank),
                  ("exact_mean_update", exact),
                  ("updated_sample_mean", sample_mean),
                  ("sample_mean_discrepancy",
                   experiments.rel_vec_diff(sample_mean, exact))]
-        extra = {}
         prior_dev = np.linalg.norm(members.members - stats.mean[:, None], axis=0)
         post_dev = np.linalg.norm(updated.members - sample_mean[:, None], axis=0)
         trace_lines = ["# member  prior_deviation  posterior_deviation"]
@@ -271,20 +250,24 @@ def _run_enkf(config: RunConfig):
             trace_lines.append(
                 f"{e} {format_float(prior_dev[e])} {format_float(post_dev[e])}"
             )
-        extra["trace"] = "\n".join(trace_lines) + "\n"
-        if config.save_members:
-            extra["save_members"] = (
+        side_files = _trace_file(args, trace_lines)
+        if args.save_members:
+            side_files[args.save_members] = matio.dumps_matrix(
                 updated.members,
                 (f"ensemble members={updated.size}",
-                 f"enkf seed={config.seed} perturb={str(config.perturb).lower()}"),
-            )
-        return pairs, extra
+                 f"enkf seed={args.seed} perturb={str(perturb).lower()}"))
+        return _render(pairs, args.format), side_files
 
     return compute
 
 
-def _tol_value(config: RunConfig):
-    return "default" if config.rank_tol is None else config.rank_tol
+def _tol_value(args: argparse.Namespace):
+    return "default" if args.rank_tol is None else args.rank_tol
+
+
+def _trace_file(args: argparse.Namespace, lines: list[str]) -> dict[str, str]:
+    """The plot-ready trace, written next to the report when it goes to --out."""
+    return {f"{args.out}.trace": "\n".join(lines) + "\n"} if args.out else {}
 
 
 _RUNNERS = {"condition": _run_condition, "ens-cgp": _run_ens_cgp,
@@ -292,39 +275,26 @@ _RUNNERS = {"condition": _run_condition, "ens-cgp": _run_ens_cgp,
             "kl-sample": _run_kl_sample, "enkf": _run_enkf}
 
 
-def run(config: RunConfig) -> int:
-    """Execute one command; returns the process exit code."""
+def run(args: argparse.Namespace) -> int:
+    """Execute one parsed command; returns the process exit code."""
     try:
-        compute = _RUNNERS[config.command](config)
+        compute = _RUNNERS[args.command](args)
     except _INPUT_ERRORS as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
 
     try:
-        pairs, extra = compute()
+        text, side_files = compute()
     except _COMPUTE_ERRORS as exc:
         print(f"computation error: {exc}", file=sys.stderr)
         return 1
 
-    if "matrix" in extra:  # kl-sample: the output is itself a matrix file
-        samples, comments = extra["matrix"]
-        text = matio.dumps_matrix(samples, comments)
-        if config.out:
-            Path(config.out).write_text(text)
-        else:
-            sys.stdout.write(text)
-        return 0
-
-    report = _render(pairs, config.fmt)
-    if config.out:
-        Path(config.out).write_text(report)
-        if "trace" in extra:
-            Path(str(config.out) + ".trace").write_text(extra["trace"])
+    if args.out:
+        Path(args.out).write_text(text)
     else:
-        sys.stdout.write(report)
-    if "save_members" in extra:
-        members, comments = extra["save_members"]
-        matio.write_matrix(config.save_members, members, comments)
+        sys.stdout.write(text)
+    for path, content in side_files.items():
+        Path(path).write_text(content)
     return 0
 
 
@@ -386,41 +356,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    rank_tol = args.rank_tol
-    if rank_tol is None:
-        env = os.environ.get("ENSCGP_RANK_TOL")
-        if env is not None:
-            rank_tol = float(env)
-    return RunConfig(
-        command=args.command,
-        inputs=tuple(getattr(args, "inputs", ())),
-        rank_tol=rank_tol,
-        seed=args.seed,
-        out=args.out,
-        fmt=args.format,
-        k_max=getattr(args, "k_max", 100),
-        members=getattr(args, "members", 10),
-        count=getattr(args, "count", 100),
-        family=getattr(args, "family", None),
-        variance=getattr(args, "variance", 1.0),
-        lengthscale=getattr(args, "lengthscale", 1.0),
-        modes=getattr(args, "modes", None),
-        energy=getattr(args, "energy", None),
-        perturb=not getattr(args, "disable_perturbations", False),
-        center=getattr(args, "center_perturbations", False),
-        save_members=getattr(args, "save_members", None),
-    )
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        config = config_from_args(args)
+        if args.rank_tol is None and "ENSCGP_RANK_TOL" in os.environ:
+            args.rank_tol = float(os.environ["ENSCGP_RANK_TOL"])
+        if args.rank_tol is not None and not 0 <= args.rank_tol < math.inf:
+            raise ValueError(
+                f"rank tolerance must be finite and nonnegative, got {args.rank_tol}")
     except ValueError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-    return run(config)
+    return run(args)
 
 
 if __name__ == "__main__":

@@ -119,6 +119,13 @@ def enkf_perturbed_obs(ens: Ensemble, obs: ObservationModel, y, seed: int,
     prior = _prior_law(stats, rank_tol, cov_transform)
     y = gaussian._check_data(obs, y)
     gain = gaussian.kalman_gain(prior, obs)
+    return _perturbed_members(ens, obs, y, gain, seed, perturb, center_perturbations)
+
+
+def _perturbed_members(ens: Ensemble, obs: ObservationModel, y: np.ndarray,
+                       gain: np.ndarray, seed: int, perturb: bool,
+                       center_perturbations: bool) -> Ensemble:
+    """Apply a given gain to every member: f_e + G (y + eta_e - H f_e)."""
     m = obs.n_obs
     if perturb and m > 0:
         chol = np.linalg.cholesky(obs.R)

@@ -116,17 +116,6 @@ class ObservationModel:
         return symmetrize(self.H.T @ self.noise_solve(self.H))
 
 
-@dataclass(frozen=True)
-class JointGaussian:
-    """Joint law of (f, y) under a linear observation model."""
-
-    mean_f: np.ndarray
-    mean_y: np.ndarray
-    cov_ff: np.ndarray
-    cov_fy: np.ndarray
-    cov_yy: np.ndarray
-
-
 def _check_compatible(prior: GaussianLaw, obs: ObservationModel) -> None:
     if obs.state_dim != prior.dim:
         raise DimensionError(
@@ -139,16 +128,6 @@ def _check_data(obs: ObservationModel, y) -> np.ndarray:
     if y.shape != (obs.n_obs,):
         raise DimensionError(f"data must have shape ({obs.n_obs},), got {y.shape}")
     return y
-
-
-def build_joint(prior: GaussianLaw, obs: ObservationModel) -> JointGaussian:
-    """Joint Gaussian of state and observations: Cov(y,y) = H K H^T + R."""
-    _check_compatible(prior, obs)
-    k = prior.covariance
-    cov_fy = k @ obs.H.T
-    cov_yy = symmetrize(obs.H @ cov_fy) + obs.R
-    return JointGaussian(mean_f=prior.mean.copy(), mean_y=obs.H @ prior.mean,
-                         cov_ff=k, cov_fy=cov_fy, cov_yy=cov_yy)
 
 
 def _gain_and_innovation(prior: GaussianLaw, obs: ObservationModel):

@@ -1,7 +1,7 @@
 """Symmetric positive-semidefinite linear algebra.
 
-Eigendecomposition with explicit numerical-rank decisions, Moore-Penrose
-pseudoinverse, canonical square roots, and range projectors. Everything
+Eigendecomposition with explicit numerical-rank decisions, canonical square
+roots (with their pseudoinverse), and range projectors. Everything
 downstream (conditioning, quadratic solves, RKHS geometry) is built on the
 factored form produced here, so rank thresholds, eigenvector signs, and
 tie-breaking are all pinned to keep outputs reproducible across runs.
@@ -84,7 +84,7 @@ def eig_psd(matrix, rank_tol: float | None = None, scale_floor: float = 0.0):
     k = symmetrize(matrix)
     if rank_tol is None:
         rank_tol = default_rank_tol(k.shape[0])
-    elif rank_tol < 0:
+    elif not rank_tol >= 0:
         raise ValueError("rank_tol must be nonnegative")
     if k.shape[0] == 0:
         return np.zeros(0), np.zeros((0, 0)), 0
@@ -175,7 +175,7 @@ def canonicalize_factor(factor, rank_tol: float | None = None) -> PsdFactor:
     n, p = a.shape
     if rank_tol is None:
         rank_tol = default_rank_tol(n, p)
-    elif rank_tol < 0:
+    elif not rank_tol >= 0:
         raise ValueError("rank_tol must be nonnegative")
     if p == 0 or n == 0 or not np.any(a):
         return PsdFactor(dim=n, rank=0, factor=np.zeros((n, 0)), eigenvalues=np.zeros(0))
@@ -187,29 +187,8 @@ def canonicalize_factor(factor, rank_tol: float | None = None) -> PsdFactor:
                      eigenvalues=(s[:rank] ** 2).copy())
 
 
-def pseudoinverse(matrix, rank_tol: float | None = None) -> np.ndarray:
-    """Moore-Penrose pseudoinverse of a PSD matrix via truncated eigendecomposition."""
-    values, vectors, rank = eig_psd(matrix, rank_tol)
-    n = np.asarray(matrix).shape[0]
-    if rank == 0:
-        return np.zeros((n, n))
-    return symmetrize((vectors / values) @ vectors.T)
-
-
 def range_projector(factor: PsdFactor) -> np.ndarray:
     """Orthogonal projector P = U_r U_r^T onto the factor's column span."""
     u = factor.basis()
     return symmetrize(u @ u.T)
 
-
-def weighted_norm_sq(vector, weight) -> float:
-    """Quadratic form v^T A v; nonnegative (to round-off) for PSD A."""
-    v = np.asarray(vector, dtype=float)
-    a = np.asarray(weight, dtype=float)
-    if v.ndim != 1:
-        raise DimensionError(f"expected a vector, got shape {v.shape}")
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] != v.shape[0]:
-        raise DimensionError(
-            f"weight shape {a.shape} incompatible with vector of length {v.shape[0]}"
-        )
-    return float(v @ a @ v)

@@ -22,11 +22,10 @@ from .psd import PsdFactor, symmetrize
 
 @dataclass(frozen=True)
 class DiscreteRkhs:
-    """Range(K) together with K^+ and the orthogonal projector onto it."""
+    """Range(K) together with K^+."""
 
     kernel_factor: PsdFactor
     pinv: np.ndarray
-    projector: np.ndarray
 
     @classmethod
     def from_kernel(cls, kernel, rank_tol: float | None = None) -> "DiscreteRkhs":
@@ -35,8 +34,7 @@ class DiscreteRkhs:
 
     @classmethod
     def from_factor(cls, factor: PsdFactor) -> "DiscreteRkhs":
-        return cls(kernel_factor=factor, pinv=factor.pinv(),
-                   projector=psd.range_projector(factor))
+        return cls(kernel_factor=factor, pinv=factor.pinv())
 
     @property
     def dim(self) -> int:
@@ -45,17 +43,6 @@ class DiscreteRkhs:
     @property
     def rank(self) -> int:
         return self.kernel_factor.rank
-
-
-def rkhs_inner(space: DiscreteRkhs, u, v) -> float:
-    """Inner product u^T K^+ v (the native product for u, v in Range(K))."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if u.shape != (space.dim,) or v.shape != (space.dim,):
-        raise DimensionError(
-            f"vectors must have shape ({space.dim},), got {u.shape} and {v.shape}"
-        )
-    return float(u @ space.pinv @ v)
 
 
 def rkhs_solve(space: DiscreteRkhs, prior_mean, obs: ObservationModel, y) -> np.ndarray:
@@ -89,18 +76,3 @@ def rkhs_solve(space: DiscreteRkhs, prior_mean, obs: ObservationModel, y) -> np.
         ) from None
     return prior_mean + u @ cho_solve(chol, rhs)
 
-
-def gram_from_features(features) -> np.ndarray:
-    """K = phi^T phi: the Gram matrix of the feature columns phi_i."""
-    phi = np.asarray(features, dtype=float)
-    if phi.ndim != 2:
-        raise DimensionError(f"features must be a matrix, got shape {phi.shape}")
-    return symmetrize(phi.T @ phi)
-
-
-def dual_gram(features) -> np.ndarray:
-    """Feature-space Gram phi phi^T; shares its nonzero spectrum with phi^T phi."""
-    phi = np.asarray(features, dtype=float)
-    if phi.ndim != 2:
-        raise DimensionError(f"features must be a matrix, got shape {phi.shape}")
-    return symmetrize(phi @ phi.T)

@@ -4,7 +4,7 @@ import sys
 import numpy as np
 import pytest
 
-from enscgp import matio
+from enscgp import ensemble, gaussian, matio
 from enscgp.cli import main
 
 
@@ -13,6 +13,17 @@ def scalar_files(tmp_path):
     paths = {}
     for name, value in [("mean", [[0.0]]), ("cov", [[1.0]]), ("H", [[1.0]]),
                         ("R", [[1.0]]), ("y", [[2.0]]), ("y1", [[1.0]])]:
+        path = tmp_path / f"{name}.txt"
+        matio.write_matrix(path, value)
+        paths[name] = str(path)
+    return paths
+
+
+@pytest.fixture
+def ensemble_files(tmp_path):
+    paths = {}
+    for name, value in [("members", [[0.0, 1.0, 2.0, 3.0]]), ("H", [[1.0]]),
+                        ("R", [[1.0]]), ("y", [[2.0]])]:
         path = tmp_path / f"{name}.txt"
         matio.write_matrix(path, value)
         paths[name] = str(path)
@@ -229,6 +240,51 @@ class TestRankTolOverrides:
         assert code == 0
         pairs = parse_structured(capsys.readouterr().out)
         assert pairs["prior_rank"] == "1"
+
+    @pytest.mark.parametrize("source", ["flag", "env"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    @pytest.mark.parametrize("command", ["condition", "ens-cgp", "enkf"])
+    def test_invalid_tolerance_is_input_error(self, command, value, source, scalar_files,
+                                              ensemble_files, tmp_path, capsys,
+                                              monkeypatch):
+        if command == "condition":
+            inputs = [scalar_files[k] for k in ("mean", "cov", "H", "R", "y")]
+        else:
+            inputs = [ensemble_files[k] for k in ("members", "H", "R", "y")]
+        out = tmp_path / "never.txt"
+        argv = [command, *inputs, "--out", str(out)]
+        if source == "flag":
+            argv += ["--rank-tol", value]
+        else:
+            monkeypatch.setenv("ENSCGP_RANK_TOL", value)
+        assert main(argv) == 2
+        assert "rank tolerance" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_enkf_computes_statistics_and_gain_once(ensemble_files, tmp_path, monkeypatch):
+    originals = {"ensemble_stats": ensemble.ensemble_stats,
+                 "kalman_gain": gaussian.kalman_gain}
+    calls = dict.fromkeys(originals, 0)
+
+    def spy(name):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return originals[name](*args, **kwargs)
+        return wrapper
+
+    # patch every module that binds either function, wherever it is called from
+    for module_name, module in list(sys.modules.items()):
+        if module_name.split(".")[0] != "enscgp":
+            continue
+        for name, original in originals.items():
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, spy(name))
+    code = main(["enkf", ensemble_files["members"], ensemble_files["H"],
+                 ensemble_files["R"], ensemble_files["y"], "--seed", "3",
+                 "--out", str(tmp_path / "report.txt")])
+    assert code == 0
+    assert calls == {"ensemble_stats": 1, "kalman_gain": 1}
 
 
 def test_console_entry_point(scalar_files):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from enscgp import (DimensionError, Ensemble, GaussianLaw, NotSpdError,
-                    ObservationModel, PsdFactor, build_joint, canonical_sqrt,
+                    ObservationModel, PsdFactor, canonical_sqrt,
                     canonicalize_factor, condition, default_rank_tol, eig_psd,
                     enkf_mean_update, ens_cgp, ensemble_stats, kalman_gain, marginal,
                     posterior_cov_via_hessian, range_projector)
@@ -67,40 +67,6 @@ class TestObservationModel:
     def test_empty_model_allowed(self):
         obs = ObservationModel(np.zeros((0, 3)), np.zeros((0, 0)))
         assert obs.n_obs == 0 and obs.state_dim == 3
-
-
-class TestBuildJoint:
-    def test_identity_algebra(self):
-        prior = GaussianLaw.from_moments(np.zeros(2), np.eye(2))
-        obs = ObservationModel(np.eye(2), np.eye(2))
-        joint = build_joint(prior, obs)
-        np.testing.assert_allclose(joint.cov_yy, 2 * np.eye(2), atol=1e-14)
-        np.testing.assert_allclose(joint.cov_fy, np.eye(2), atol=1e-14)
-
-    def test_zero_prior_covariance(self):
-        prior = GaussianLaw.from_moments(np.ones(2), np.zeros((2, 2)))
-        obs = ObservationModel(np.eye(2), 3 * np.eye(2))
-        joint = build_joint(prior, obs)
-        np.testing.assert_array_equal(joint.cov_fy, np.zeros((2, 2)))
-        np.testing.assert_allclose(joint.cov_yy, obs.R)
-
-    def test_scalar_block_formulas(self):
-        # hand-evaluated: mean_y = 3*1, cov_fy = 2*3, cov_yy = 3*2*3 + 4
-        prior = GaussianLaw.from_moments([1.0], [[2.0]])
-        obs = ObservationModel([[3.0]], [[4.0]])
-        joint = build_joint(prior, obs)
-        assert joint.mean_y[0] == pytest.approx(3.0)
-        assert joint.cov_fy[0, 0] == pytest.approx(6.0)
-        assert joint.cov_yy[0, 0] == pytest.approx(22.0)
-
-    def test_observation_covariance_spd(self, rng):
-        prior = GaussianLaw.from_moments(rng.normal(size=4),
-                                         random_psd(rng, 4, rank=2))
-        obs = ObservationModel(rng.normal(size=(3, 4)), random_psd(rng, 3) + np.eye(3))
-        joint = build_joint(prior, obs)
-        np.linalg.cholesky(joint.cov_yy)  # raises if not SPD
-        recon = obs.H @ joint.cov_ff @ obs.H.T + obs.R
-        assert np.linalg.norm(joint.cov_yy - recon) <= 1e-10 * np.linalg.norm(recon)
 
 
 class TestKalmanGain:

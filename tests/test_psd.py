@@ -4,8 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from enscgp import (DimensionError, NotPsdError, canonical_sqrt, canonicalize_factor,
-                    eig_psd, pseudoinverse, range_projector, symmetrize,
-                    weighted_norm_sq)
+                    eig_psd, range_projector, symmetrize)
 
 from conftest import random_orthogonal, random_psd
 
@@ -56,6 +55,10 @@ class TestEigPsd:
         with pytest.raises(ValueError):
             eig_psd(np.eye(2), rank_tol=-1e-3)
 
+    def test_nan_rank_tol_rejected(self):
+        with pytest.raises(ValueError):
+            eig_psd(np.eye(2), rank_tol=float("nan"))
+
     def test_deterministic_repeat(self, rng):
         k = random_psd(rng, 6, rank=3)
         v1, u1, _ = eig_psd(k)
@@ -72,11 +75,11 @@ class TestEigPsd:
 
 class TestPseudoinverse:
     def test_diagonal(self):
-        np.testing.assert_allclose(pseudoinverse(np.diag([4.0, 0.0])),
+        np.testing.assert_allclose(canonical_sqrt(np.diag([4.0, 0.0])).pinv(),
                                    np.diag([0.25, 0.0]), atol=1e-14)
 
     def test_identity(self):
-        np.testing.assert_allclose(pseudoinverse(np.eye(4)), np.eye(4), atol=1e-14)
+        np.testing.assert_allclose(canonical_sqrt(np.eye(4)).pinv(), np.eye(4), atol=1e-14)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=25, deadline=None)
@@ -85,7 +88,7 @@ class TestPseudoinverse:
         n = int(rng.integers(1, 7))
         rank = int(rng.integers(0, n + 1))
         k = random_psd(rng, n, rank=rank)
-        pinv = pseudoinverse(k)
+        pinv = canonical_sqrt(k).pinv()
         scale = max(1.0, np.linalg.norm(k), np.linalg.norm(pinv))
         assert np.linalg.norm(k @ pinv @ k - k) <= 1e-10 * scale
         assert np.linalg.norm(pinv @ k @ pinv - pinv) <= 1e-10 * scale
@@ -168,26 +171,3 @@ class TestRangeProjector:
         assert np.linalg.norm(p @ p - p) <= 1e-12
         assert np.linalg.norm(p - p.T) <= 1e-12
 
-
-class TestWeightedNormSq:
-    def test_identity_weight(self):
-        assert weighted_norm_sq([1.0, 1.0], np.eye(2)) == pytest.approx(2.0)
-
-    def test_zero_weight(self, rng):
-        assert weighted_norm_sq(rng.normal(size=4), np.zeros((4, 4))) == 0.0
-
-    def test_diagonal_weight(self):
-        assert weighted_norm_sq([1.0, 2.0], np.diag([3.0, 4.0])) == pytest.approx(19.0)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionError):
-            weighted_norm_sq([1.0, 2.0], np.eye(3))
-
-    @given(st.integers(0, 2**32 - 1))
-    @settings(max_examples=20, deadline=None)
-    def test_nonnegative_for_psd(self, seed):
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(1, 6))
-        k = random_psd(rng, n, rank=int(rng.integers(0, n + 1)))
-        v = rng.normal(size=n)
-        assert weighted_norm_sq(v, k) >= -1e-12 * max(1.0, np.linalg.norm(k) * v @ v)

@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from enscgp import (DimensionError, DiscreteRkhs, GaussianLaw, ObservationModel,
-                    build_qp, canonical_sqrt, canonicalize_factor, condition,
-                    dual_gram, gram_from_features, range_projector, rkhs_inner,
-                    rkhs_solve, solve_qp, weighted_norm_sq)
+from enscgp import (DiscreteRkhs, GaussianLaw, ObservationModel, build_qp,
+                    canonical_sqrt, canonicalize_factor, condition, range_projector,
+                    rkhs_solve, solve_qp)
 
 from conftest import random_orthogonal, random_psd
 
@@ -14,41 +13,6 @@ def rank_deficient_setup():
     space = DiscreteRkhs.from_kernel(k)
     obs = ObservationModel(np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]]), np.eye(2))
     return k, space, obs
-
-
-class TestInner:
-    def test_identity_kernel_is_dot_product(self, rng):
-        space = DiscreteRkhs.from_kernel(np.eye(3))
-        u, v = rng.normal(size=3), rng.normal(size=3)
-        assert rkhs_inner(space, u, v) == pytest.approx(float(u @ v))
-
-    def test_null_vector_has_zero_norm(self):
-        _, space, _ = rank_deficient_setup()
-        null_vec = np.array([0.0, 0.0, 1.0])
-        assert rkhs_inner(space, null_vec, null_vec) == pytest.approx(0.0, abs=1e-14)
-
-    def test_diagonal_kernel_value(self):
-        space = DiscreteRkhs.from_kernel(np.diag([4.0, 1.0]))
-        u = np.array([2.0, 1.0])
-        assert rkhs_inner(space, u, u) == pytest.approx(2.0)
-
-    def test_symmetry(self, rng):
-        space = DiscreteRkhs.from_kernel(random_psd(rng, 4, rank=2))
-        u, v = rng.normal(size=4), rng.normal(size=4)
-        assert abs(rkhs_inner(space, u, v) - rkhs_inner(space, v, u)) <= 1e-12
-
-    def test_dimension_mismatch(self):
-        space = DiscreteRkhs.from_kernel(np.eye(2))
-        with pytest.raises(DimensionError):
-            rkhs_inner(space, np.zeros(3), np.zeros(2))
-
-    def test_matches_weighted_norm(self, rng):
-        k = random_psd(rng, 5, rank=3)
-        space = DiscreteRkhs.from_kernel(k)
-        g = space.projector @ rng.normal(size=5)
-        via_inner = rkhs_inner(space, g, g)
-        via_norm = weighted_norm_sq(g, space.pinv)
-        assert abs(via_inner - via_norm) <= 1e-12 * max(1.0, via_inner)
 
 
 class TestSolve:
@@ -84,37 +48,6 @@ class TestSolve:
         assert np.linalg.norm(g - exact) <= 1e-8 * max(1.0, np.linalg.norm(exact))
 
 
-class TestGramConstructions:
-    def test_identity_features(self):
-        np.testing.assert_array_equal(gram_from_features(np.eye(2)), np.eye(2))
-        np.testing.assert_array_equal(dual_gram(np.eye(2)), np.eye(2))
-
-    def test_duplicated_feature_columns(self, rng):
-        phi = rng.normal(size=(3, 4))
-        phi[:, 2] = phi[:, 0]
-        k = gram_from_features(phi)
-        assert k[0, 0] == pytest.approx(k[2, 2])
-        assert k[0, 2] == pytest.approx(k[0, 0])
-
-    def test_round_trip_through_canonical_sqrt(self, rng):
-        k = random_psd(rng, 5, rank=3)
-        phi = canonical_sqrt(k).factor.T
-        recon = gram_from_features(phi)
-        assert np.linalg.norm(recon - k) <= 1e-10 * np.linalg.norm(k)
-
-    def test_rank1_dual_spectrum(self):
-        phi = np.array([[1.0, 2.0, 2.0]])
-        g = dual_gram(phi)
-        k = gram_from_features(phi)
-        assert g[0, 0] == pytest.approx(np.trace(k))
-
-    def test_dual_spectrum_matches_primal(self, rng):
-        phi = rng.normal(size=(3, 7))
-        primal = np.linalg.eigvalsh(gram_from_features(phi))[::-1][:3]
-        dual = np.linalg.eigvalsh(dual_gram(phi))[::-1]
-        np.testing.assert_allclose(primal, dual, atol=1e-10)
-
-
 class TestGeometry:
     def test_projector_independent_of_factor(self, rng):
         k = random_psd(rng, 5, rank=3)
@@ -122,7 +55,8 @@ class TestGeometry:
         factor = canonical_sqrt(k)
         omega = random_orthogonal(rng, factor.rank)
         alt = canonicalize_factor(factor.factor @ omega)
-        assert np.linalg.norm(space.projector - range_projector(alt)) <= 1e-10
+        projector = range_projector(space.kernel_factor)
+        assert np.linalg.norm(projector - range_projector(alt)) <= 1e-10
 
     def test_reproducing_identity_in_coordinates(self, rng):
         k = random_psd(rng, 5, rank=3)
