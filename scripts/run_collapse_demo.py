@@ -23,6 +23,9 @@ def main() -> int:
     prior = GaussianLaw.from_moments([0.0], [[1.0]])
     obs = ObservationModel([[1.0]], [[1.0]])
     trace = repeated_reuse(prior, obs, [1.0], k_max=args.k_max)
+    # a scalar law with zero prior mean: the spectral norm is the variance and
+    # the mean's shift from k = 0 is the mean itself, which stays positive
+    cov, mean = trace.spectral_norms, trace.mean_shift_norms
 
     print(f"# {trace.label}")
     print(f"# closed form vs {min(args.k_max, 100)}-step recursive conditioning: "
@@ -30,14 +33,13 @@ def main() -> int:
     print(f"{'k':>8} {'cov':>12} {'mean':>12}")
     shown = sorted({0, 1, 2, 5, 10, 100, 1000, args.k_max} & set(range(args.k_max + 1)))
     for k in shown:
-        print(f"{k:8d} {trace.covariances[k][0, 0]:12.6g} {trace.means[k][0]:12.6g}")
+        print(f"{k:8d} {cov[k]:12.6g} {mean[k]:12.6g}")
 
     if args.out:
         with open(args.out, "w") as handle:
             handle.write("# k cov mean\n")
             for k in range(args.k_max + 1):
-                handle.write(f"{k} {trace.covariances[k][0, 0]:.17g} "
-                             f"{trace.means[k][0]:.17g}\n")
+                handle.write(f"{k} {cov[k]:.17g} {mean[k]:.17g}\n")
         print(f"\nfull trace written to {args.out}")
     return 0
 

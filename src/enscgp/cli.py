@@ -5,8 +5,9 @@ Inputs are plain-text matrix files (see matio); reports are emitted either
 human-readable (``text``) or line-oriented ``key = value`` (``structured``),
 with every number printed to 17 significant digits so identical configs
 produce byte-identical output. Exit codes: 0 success, 1 computation error,
-2 input error. All inputs are loaded and validated before any computation,
-and output files are only written after the computation succeeds.
+2 input or output error. Flag values are range-checked before any file is
+read, all inputs are loaded and validated before any computation, and output
+files are only written after the computation succeeds.
 
 The environment variable ENSCGP_RANK_TOL supplies a default relative rank
 tolerance; ``--rank-tol`` overrides it per run. A tolerance that is not
@@ -173,15 +174,13 @@ def _run_collapse(args: argparse.Namespace):
                  ("label", trace.label), ("n", prior.dim), ("m", obs.n_obs),
                  ("k_max", args.k_max),
                  ("recursive_max_discrepancy", trace.recursive_max_discrepancy),
-                 ("final_mean", trace.means[-1]),
-                 ("final_cov", trace.covariances[-1]),
+                 ("final_mean", trace.final_mean),
+                 ("final_cov", trace.final_cov),
                  ("final_spectral_norm", trace.spectral_norms[-1])]
         trace_lines = ["# k  cov_spectral_norm  mean_shift_norm"]
-        shifts = np.linalg.norm(trace.means - trace.means[0], axis=1)
         for k in trace.ks:
-            trace_lines.append(
-                f"{k} {format_float(trace.spectral_norms[k])} {format_float(shifts[k])}"
-            )
+            trace_lines.append(f"{k} {format_float(trace.spectral_norms[k])} "
+                               f"{format_float(trace.mean_shift_norms[k])}")
         return _render(pairs, args.format), _trace_file(args, trace_lines)
 
     return compute
@@ -191,8 +190,6 @@ def _run_kl_sample(args: argparse.Namespace):
     (points_p,) = args.inputs
     points = matio.read_matrix(points_p)
     spec = kernels.KernelSpec(args.family, args.variance, args.lengthscale)
-    if args.modes is not None and args.energy is not None:
-        raise ValueError("give at most one of --modes and --energy")
 
     def compute():
         gram = kernels.gram_matrix(spec, points)
@@ -290,11 +287,16 @@ def run(args: argparse.Namespace) -> int:
         return 1
 
     if args.out:
-        Path(args.out).write_text(text)
+        side_files = {args.out: text, **side_files}
     else:
         sys.stdout.write(text)
     for path, content in side_files.items():
-        Path(path).write_text(content)
+        try:
+            Path(path).write_text(content)
+        except OSError as exc:
+            print(f"output error: cannot write {path}: {exc.strerror or exc}",
+                  file=sys.stderr)
+            return 2
     return 0
 
 
@@ -356,14 +358,33 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_flags(args: argparse.Namespace) -> None:
+    """Reject out-of-range flag values before any file is read."""
+    if args.rank_tol is not None and not 0 <= args.rank_tol < math.inf:
+        raise ValueError(
+            f"rank tolerance must be finite and nonnegative, got {args.rank_tol}")
+    if args.command == "collapse" and not 1 <= args.k_max <= experiments.K_MAX_CAP:
+        raise ValueError(
+            f"--k-max must be in [1, {experiments.K_MAX_CAP}], got {args.k_max}")
+    if args.command == "equivalence" and args.count < 0:
+        raise ValueError(f"--count must be nonnegative, got {args.count}")
+    if args.command == "kl-sample":
+        if args.members < 1:
+            raise ValueError(f"--members must be at least 1, got {args.members}")
+        if args.modes is not None and args.energy is not None:
+            raise ValueError("give at most one of --modes and --energy")
+        if args.modes is not None and args.modes < 1:
+            raise ValueError(f"--modes must be at least 1, got {args.modes}")
+        if args.energy is not None and not 0 < args.energy <= 1:
+            raise ValueError(f"--energy must be in (0, 1], got {args.energy}")
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.rank_tol is None and "ENSCGP_RANK_TOL" in os.environ:
             args.rank_tol = float(os.environ["ENSCGP_RANK_TOL"])
-        if args.rank_tol is not None and not 0 <= args.rank_tol < math.inf:
-            raise ValueError(
-                f"rank tolerance must be finite and nonnegative, got {args.rank_tol}")
+        _check_flags(args)
     except ValueError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

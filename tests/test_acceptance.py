@@ -128,9 +128,9 @@ def test_posterior_collapse():
     trace = repeated_reuse(prior, obs, [1.0], k_max=10_000)
     ks = np.arange(10_001)
     exact = 1.0 / (1.0 + ks)
-    cov_err = np.abs(trace.covariances[:, 0, 0] - exact) / exact
+    cov_err = np.abs(trace.spectral_norms - exact) / exact
     assert np.max(cov_err) <= 1e-12, f"closed-form covariance error {np.max(cov_err):.3e}"
-    mean_gap = abs(trace.means[-1, 0] - 1.0)
+    mean_gap = abs(trace.final_mean[0] - 1.0)
     assert mean_gap <= 1.1e-4, f"mean at k=1e4 off the limit by {mean_gap:.3e}"
     assert trace.recursive_max_discrepancy <= 1e-8, \
         f"closed form vs recursive conditioning differ by {trace.recursive_max_discrepancy:.3e}"

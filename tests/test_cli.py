@@ -104,6 +104,39 @@ class TestExitCodes:
         assert code == 1
         assert "computation error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["collapse", *("ghost.txt",) * 5, "--k-max", "0"], "--k-max"),
+        (["collapse", *("ghost.txt",) * 5, "--k-max", "1000001"], "--k-max"),
+        (["kl-sample", "ghost.txt", "--family", "exponential", "--members", "0"],
+         "--members"),
+        (["kl-sample", "ghost.txt", "--family", "exponential", "--modes", "0"],
+         "--modes"),
+        (["kl-sample", "ghost.txt", "--family", "exponential", "--energy", "0"],
+         "--energy"),
+        (["kl-sample", "ghost.txt", "--family", "exponential", "--energy", "1.5"],
+         "--energy"),
+        (["equivalence", "--count", "-1"], "--count"),
+    ])
+    def test_out_of_range_flag_is_input_error(self, argv, flag, capsys):
+        # the input files do not exist, so the flag must be checked before any read
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "input error" in err and flag in err
+
+    @pytest.mark.parametrize("command", ["enkf", "condition"])
+    def test_unwritable_output_is_output_error(self, command, scalar_files,
+                                               ensemble_files, tmp_path, capsys):
+        missing = tmp_path / "nodir" / "file.txt"
+        if command == "enkf":
+            argv = ["enkf", *(ensemble_files[k] for k in ("members", "H", "R", "y")),
+                    "--save-members", str(missing)]
+        else:
+            argv = ["condition", *(scalar_files[k] for k in ("mean", "cov", "H", "R", "y")),
+                    "--out", str(missing)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "output error" in err and str(missing) in err
+
     def test_no_partial_output_on_input_error(self, scalar_files, tmp_path):
         out = tmp_path / "never.txt"
         code = main(["condition", str(tmp_path / "ghost.txt"), scalar_files["cov"],

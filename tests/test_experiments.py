@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -98,19 +100,22 @@ class TestRepeatedReuse:
     def test_scalar_closed_form(self):
         prior, obs = scalar_setup()
         trace = repeated_reuse(prior, obs, [1.0], k_max=9)
+        # zero prior mean and a positive scalar mean: the shift norm is the mean
         for k in range(10):
-            assert trace.covariances[k][0, 0] == pytest.approx(1.0 / (1.0 + k), rel=1e-12)
-            assert trace.means[k][0] == pytest.approx(k / (1.0 + k), rel=1e-12, abs=1e-15)
+            assert trace.spectral_norms[k] == pytest.approx(1.0 / (1.0 + k), rel=1e-12)
+            assert trace.mean_shift_norms[k] == pytest.approx(k / (1.0 + k), rel=1e-12,
+                                                              abs=1e-15)
         assert trace.recursive_max_discrepancy <= 1e-8
 
     def test_zero_observation_matrix_keeps_prior(self, rng):
         k0 = random_psd(rng, 3) + np.eye(3)
         prior = GaussianLaw.from_moments(rng.normal(size=3), k0)
         obs = ObservationModel(np.zeros((2, 3)), np.eye(2))
-        trace = repeated_reuse(prior, obs, rng.normal(size=2), k_max=5)
-        for k in range(6):
-            np.testing.assert_allclose(trace.covariances[k], prior.covariance, atol=1e-10)
-            np.testing.assert_allclose(trace.means[k], prior.mean, atol=1e-10)
+        y = rng.normal(size=2)
+        for k in range(1, 6):
+            trace = repeated_reuse(prior, obs, y, k_max=k)
+            np.testing.assert_allclose(trace.final_cov, prior.covariance, atol=1e-10)
+            np.testing.assert_allclose(trace.final_mean, prior.mean, atol=1e-10)
 
     def test_collapse_limit_full_observation(self, rng):
         n = 3
@@ -123,7 +128,7 @@ class TestRepeatedReuse:
         l_max = np.max(np.linalg.eigvalsh(k0))
         bound = 1.01 / (1.0 / l_max + 10_000)
         assert trace.spectral_norms[-1] <= bound
-        np.testing.assert_allclose(trace.means[-1], y, atol=1e-3)
+        np.testing.assert_allclose(trace.final_mean, y, atol=1e-3)
 
     def test_rejects_singular_prior(self):
         prior = GaussianLaw.from_moments(np.zeros(2), np.diag([1.0, 0.0]))
@@ -153,8 +158,8 @@ class TestRepeatedReuse:
         y = rng.normal(size=m)
         trace = repeated_reuse(prior, obs, y, k_max=1)
         post = condition(prior, obs, y)
-        np.testing.assert_allclose(trace.means[1], post.mean, atol=1e-10)
-        np.testing.assert_allclose(trace.covariances[1], post.covariance, atol=1e-10)
+        np.testing.assert_allclose(trace.final_mean, post.mean, atol=1e-10)
+        np.testing.assert_allclose(trace.final_cov, post.covariance, atol=1e-10)
 
     def test_spectral_norms_strictly_decreasing_under_full_information(self, rng):
         n = 3
@@ -162,6 +167,22 @@ class TestRepeatedReuse:
         obs = ObservationModel(np.eye(n), np.eye(n))
         trace = repeated_reuse(prior, obs, np.ones(n), k_max=20)
         assert np.all(np.diff(trace.spectral_norms) < 0)
+
+    def test_memory_does_not_grow_with_k_max_times_n_squared(self, rng):
+        n, m, k_max = 20, 5, 20_000
+        prior = GaussianLaw.from_moments(rng.normal(size=n),
+                                         random_psd(rng, n) + np.eye(n))
+        obs = ObservationModel(rng.normal(size=(m, n)), random_psd(rng, m) + np.eye(m))
+        y = rng.normal(size=m)
+        tracemalloc.start()
+        try:
+            trace = repeated_reuse(prior, obs, y, k_max=k_max)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # storing every K_k would take (k_max + 1) n^2 doubles, about 61 MiB
+        assert peak < 4 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+        assert trace.spectral_norms.shape == trace.mean_shift_norms.shape == (k_max + 1,)
 
     def test_label_marks_double_counting(self):
         prior, obs = scalar_setup()
