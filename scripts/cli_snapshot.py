@@ -1,0 +1,57 @@
+#!/usr/bin/env python3
+"""Write every CLI command's output, in both --formats, into OUTDIR.
+
+Seeded inputs go to OUTDIR/inputs; reports, .trace and --save-members
+files go to OUTDIR. Two source trees compare byte for byte with:
+    PYTHONPATH=old/src python scripts/cli_snapshot.py a
+    PYTHONPATH=src python scripts/cli_snapshot.py b && diff -r a b
+"""
+
+import argparse
+import sys
+from pathlib import Path
+
+import numpy as np
+
+from enscgp import cli, matio
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("outdir")
+    out = Path(parser.parse_args().outdir)
+    (out / "inputs").mkdir(parents=True, exist_ok=True)
+    rng = np.random.default_rng(20261018)
+    a, b, c = rng.normal(size=(6, 4)), rng.normal(size=(3, 3)), rng.normal(size=(5, 5))
+    p = {"mean": rng.normal(size=6), "cov": a @ a.T, "spd": a @ a.T + np.eye(6),
+         "H": rng.normal(size=(3, 6)), "R": b @ b.T + np.eye(3), "y": rng.normal(size=3),
+         "ens": rng.normal(size=(30, 8)), "H_ens": rng.normal(size=(5, 30)),
+         "R_ens": c @ c.T + np.eye(5), "y_ens": rng.normal(size=5),
+         "points": rng.uniform(size=(20, 2))}
+    for name, value in p.items():
+        p[name] = str(out / "inputs" / f"{name}.txt")
+        matio.write_matrix(p[name], value)
+    obs, ens = [p["H"], p["R"], p["y"]], [p["ens"], p["H_ens"], p["R_ens"], p["y_ens"]]
+    runs = {"condition": ["condition", p["mean"], p["cov"], *obs],
+            "ens-cgp": ["ens-cgp", *ens],
+            "enkf": ["enkf", *ens, "--seed", "3"],
+            "enkf-centered": ["enkf", *ens, "--seed", "4", "--center-perturbations"],
+            "enkf-unperturbed": ["enkf", *ens, "--disable-perturbations"],
+            "equivalence-seed0": ["equivalence", "--count", "100", "--seed", "0"],
+            "equivalence-seed5": ["equivalence", "--count", "100", "--seed", "5"],
+            "collapse": ["collapse", p["mean"], p["spd"], *obs, "--k-max", "200"],
+            "kl-sample": ["kl-sample", p["points"], "--family", "squared-exponential",
+                          "--lengthscale", "0.5", "--modes", "5", "--members", "4"]}
+    failed = 0
+    for name, argv in runs.items():
+        for fmt in ("text", "structured"):
+            stem = out / f"{name}.{fmt}"
+            saved = ["--save-members", f"{stem}.members.txt"] if argv[0] == "enkf" else []
+            code = cli.main([*argv, "--format", fmt, "--out", f"{stem}.txt", *saved])
+            print(f"{name:18s} {fmt:10s} exit {code}")
+            failed += code != 0
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

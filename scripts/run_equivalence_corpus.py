@@ -10,20 +10,17 @@ import argparse
 import sys
 import time
 
-from enscgp.experiments import MEAN_PAIRS, equivalence_corpus
+from enscgp.experiments import COV_TOL, MEAN_PAIRS, MEAN_TOL, equivalence_corpus
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--count", type=int, default=100)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--mean-tol", type=float, default=1e-8)
-    parser.add_argument("--cov-tol", type=float, default=1e-8)
     args = parser.parse_args()
 
     start = time.monotonic()
-    reports = equivalence_corpus(args.count, args.seed,
-                                 mean_tol=args.mean_tol, cov_tol=args.cov_tol)
+    reports = equivalence_corpus(args.count, args.seed)
     elapsed = time.monotonic() - start
 
     print(f"routes: {' '.join(f'{a}:{b}' for a, b in MEAN_PAIRS)}")
@@ -35,7 +32,7 @@ def main() -> int:
               f"{'yes' if report.passed else 'NO'}")
     passes = sum(r.passed for r in reports)
     print(f"\n{passes}/{len(reports)} pass "
-          f"(mean tol {args.mean_tol:g}, cov tol {args.cov_tol:g}, {elapsed:.2f}s)")
+          f"(mean tol {MEAN_TOL:g}, cov tol {COV_TOL:g}, {elapsed:.2f}s)")
     return 0 if passes == len(reports) else 1
 
 

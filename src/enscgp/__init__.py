@@ -9,8 +9,8 @@ regularization tricks, and it ships an audit that checks the four routes
 against each other on every run.
 """
 
-from .ensemble import (Ensemble, EnsembleStats, enkf_mean_update,
-                       enkf_perturbed_obs, ens_cgp, ensemble_stats)
+from .ensemble import (Ensemble, enkf_mean_update, enkf_perturbed_obs, ens_cgp,
+                       ensemble_stats)
 from .errors import (DegenerateModelError, DimensionError, InfeasiblePointError,
                      MatrixParseError, NotPsdError, NotSpdError)
 from .experiments import (CollapseTrace, EquivalenceReport, equivalence_corpus,
@@ -28,7 +28,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CollapseTrace", "DegenerateModelError", "DimensionError", "DiscreteRkhs",
-    "Ensemble", "EnsembleStats", "EquivalenceReport", "GaussianLaw",
+    "Ensemble", "EquivalenceReport", "GaussianLaw",
     "InfeasiblePointError", "KernelFamily", "KernelSpec", "KlModes",
     "MatrixParseError", "NormalStream", "NotPsdError", "NotSpdError",
     "ObservationModel", "PsdFactor", "QuadraticObjective", "build_qp",

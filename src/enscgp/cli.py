@@ -121,14 +121,12 @@ def _run_ens_cgp(args: argparse.Namespace):
     y = _load_data(y_p, obs)
 
     def compute():
-        stats = ens_mod.ensemble_stats(members, args.rank_tol)
-        prior = GaussianLaw(stats.mean, stats.covariance_factor)
+        prior = ens_mod.ensemble_stats(members, args.rank_tol)
         posterior = condition(prior, obs, y, args.rank_tol)
         pairs = [("command", "ens-cgp"), ("seed", args.seed),
                  ("rank_tol", _tol_value(args)), ("n", members.dim),
                  ("m", obs.n_obs), ("ensemble_size", members.size),
-                 ("prior_mean", stats.mean),
-                 ("prior_rank", stats.covariance_factor.rank)]
+                 ("prior_mean", prior.mean), ("prior_rank", prior.rank)]
         pairs += _law_report("posterior", posterior)
         return _render(pairs, args.format), {}
 
@@ -221,11 +219,11 @@ def _run_enkf(args: argparse.Namespace):
     perturb = not args.disable_perturbations
 
     def compute():
-        # one set of statistics and one gain serve the exact mean update and
-        # the perturbed member update
-        stats = ens_mod.ensemble_stats(members, args.rank_tol)
-        gain = kalman_gain(GaussianLaw(stats.mean, stats.covariance_factor), obs)
-        exact = stats.mean + gain @ (y - obs.H @ stats.mean)
+        # one empirical law and one gain serve the exact mean update and the
+        # perturbed member update
+        prior = ens_mod.ensemble_stats(members, args.rank_tol)
+        gain = kalman_gain(prior, obs)
+        exact = prior.mean + gain @ (y - obs.H @ prior.mean)
         updated = ens_mod._perturbed_members(members, obs, y, gain, args.seed, perturb,
                                              args.center_perturbations)
         sample_mean = updated.members.mean(axis=1)
@@ -234,13 +232,12 @@ def _run_enkf(args: argparse.Namespace):
                  ("m", obs.n_obs), ("ensemble_size", members.size),
                  ("perturbations", perturb),
                  ("centered_perturbations", args.center_perturbations),
-                 ("prior_mean", stats.mean),
-                 ("prior_rank", stats.covariance_factor.rank),
+                 ("prior_mean", prior.mean), ("prior_rank", prior.rank),
                  ("exact_mean_update", exact),
                  ("updated_sample_mean", sample_mean),
                  ("sample_mean_discrepancy",
                   experiments.rel_vec_diff(sample_mean, exact))]
-        prior_dev = np.linalg.norm(members.members - stats.mean[:, None], axis=0)
+        prior_dev = np.linalg.norm(members.members - prior.mean[:, None], axis=0)
         post_dev = np.linalg.norm(updated.members - sample_mean[:, None], axis=0)
         trace_lines = ["# member  prior_deviation  posterior_deviation"]
         for e in range(members.size):

@@ -1,10 +1,10 @@
-"""Ensemble statistics and ensemble-prior conditioning.
+"""Ensemble moments as a Gaussian prior, and ensemble-prior conditioning.
 
 An ensemble of E members in R^n defines an empirical mean and the scaled
 anomaly matrix A = [f_e - mean] / sqrt(E - 1), so that K = A A^T is the
-divisor-(E-1) empirical covariance with rank at most E - 1. Conditioning
-with these empirical moments as the Gaussian prior gives the exact
-posterior law on the ensemble span; the stochastic perturbed-observation
+divisor-(E-1) empirical covariance with rank at most E - 1;
+``ensemble_stats`` returns this empirical law. Conditioning it gives the
+exact posterior law on the ensemble span; the stochastic perturbed-observation
 update is a Monte Carlo realization whose sample mean matches that
 posterior mean up to O(1/sqrt(E)) noise.
 
@@ -23,7 +23,6 @@ import numpy as np
 from . import gaussian, psd
 from .errors import DimensionError
 from .gaussian import GaussianLaw, ObservationModel
-from .psd import PsdFactor
 from .rng import blocked_normals
 
 
@@ -52,29 +51,18 @@ class Ensemble:
         return self.members.shape[1]
 
 
-@dataclass(frozen=True)
-class EnsembleStats:
-    """Empirical mean, scaled anomaly matrix, and its canonical factor."""
-
-    mean: np.ndarray
-    anomaly: np.ndarray
-    covariance_factor: PsdFactor
-
-
-def ensemble_stats(ens: Ensemble, rank_tol: float | None = None) -> EnsembleStats:
-    """Empirical moments with the divisor-(E-1) convention."""
+def ensemble_stats(ens: Ensemble, rank_tol: float | None = None) -> GaussianLaw:
+    """Empirical law N(mean, A A^T) with the divisor-(E-1) convention."""
     mean = ens.members.mean(axis=1)
     anomaly = (ens.members - mean[:, None]) / np.sqrt(ens.size - 1)
-    return EnsembleStats(mean=mean, anomaly=anomaly,
-                         covariance_factor=psd.canonicalize_factor(anomaly, rank_tol))
+    return GaussianLaw(mean, psd.canonicalize_factor(anomaly, rank_tol))
 
 
-def _prior_law(stats: EnsembleStats, rank_tol: float | None,
+def _prior_law(prior: GaussianLaw, rank_tol: float | None,
                cov_transform: Callable[[np.ndarray], np.ndarray] | None) -> GaussianLaw:
     if cov_transform is None:
-        return GaussianLaw(stats.mean, stats.covariance_factor)
-    return GaussianLaw.from_moments(stats.mean, cov_transform(stats.covariance_factor.gram()),
-                                    rank_tol)
+        return prior
+    return GaussianLaw.from_moments(prior.mean, cov_transform(prior.covariance), rank_tol)
 
 
 def ens_cgp(ens: Ensemble, obs: ObservationModel, y, rank_tol: float | None = None,
@@ -85,16 +73,15 @@ def ens_cgp(ens: Ensemble, obs: ObservationModel, y, rank_tol: float | None = No
     ensemble has zero gain, so the posterior collapses to the prior point
     mass at the empirical mean.
     """
-    stats = ensemble_stats(ens, rank_tol)
-    prior = _prior_law(stats, rank_tol, cov_transform)
+    prior = _prior_law(ensemble_stats(ens, rank_tol), rank_tol, cov_transform)
     return gaussian.condition(prior, obs, y, rank_tol)
 
 
-def enkf_mean_update(stats: EnsembleStats, obs: ObservationModel, y,
+def enkf_mean_update(prior: GaussianLaw, obs: ObservationModel, y,
                      cov_transform: Callable[[np.ndarray], np.ndarray] | None = None,
                      rank_tol: float | None = None) -> np.ndarray:
-    """Gain-form mean update mean + G (y - H mean) with the empirical K."""
-    prior = _prior_law(stats, rank_tol, cov_transform)
+    """Gain-form mean update mean + G (y - H mean) with the prior's K."""
+    prior = _prior_law(prior, rank_tol, cov_transform)
     y = gaussian._check_data(obs, y)
     gain = gaussian.kalman_gain(prior, obs)
     return prior.mean + gain @ (y - obs.H @ prior.mean)
@@ -115,8 +102,7 @@ def enkf_perturbed_obs(ens: Ensemble, obs: ObservationModel, y, seed: int,
     the deterministic limit of the scheme; ``center_perturbations``
     subtracts the perturbation sample mean.
     """
-    stats = ensemble_stats(ens, rank_tol)
-    prior = _prior_law(stats, rank_tol, cov_transform)
+    prior = _prior_law(ensemble_stats(ens, rank_tol), rank_tol, cov_transform)
     y = gaussian._check_data(obs, y)
     gain = gaussian.kalman_gain(prior, obs)
     return _perturbed_members(ens, obs, y, gain, seed, perturb, center_perturbations)

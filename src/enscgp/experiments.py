@@ -2,12 +2,12 @@
 repeated-reuse posterior-collapse demonstration.
 
 ``run_equivalence`` computes one posterior four ways (Schur conditioning,
-quadratic-program normal equations, RKHS-regularized regression, explicit
-gain update) plus the covariance two ways (Schur, restricted-Hessian
-inverse) and reports every pairwise discrepancy. ``equivalence_corpus``
-generates the seeded instance family the audit runs on: full-rank, rank-1,
-and ensemble-derived priors against tall, wide, and zero observation
-operators.
+quadratic-program normal equations, RKHS-regularized regression, the
+ensemble gain-form update) plus the covariance two ways (Schur,
+restricted-Hessian inverse) and reports every pairwise discrepancy.
+``equivalence_corpus`` generates the seeded instance family the audit runs
+on: full-rank, rank-1, and ensemble (``ensemble_stats``) priors against
+tall, wide, and zero observation operators.
 
 ``repeated_reuse`` traces what happens when one realized observation is
 (incorrectly) treated as k independent ones: the covariance follows
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from . import gaussian, psd, quadprog, rkhs
+from . import ensemble, gaussian, psd, quadprog, rkhs
 from .errors import NotSpdError
 from .gaussian import GaussianLaw, ObservationModel
 from .psd import symmetrize
@@ -54,11 +54,8 @@ class EquivalenceReport:
     rank: int
     seed: int | None
     means: dict
-    covariances: dict
     mean_discrepancies: dict
     cov_discrepancy: float
-    mean_tol: float
-    cov_tol: float
     passed: bool
 
     @property
@@ -67,8 +64,7 @@ class EquivalenceReport:
 
 
 def run_equivalence(prior: GaussianLaw, obs: ObservationModel, y,
-                    seed: int | None = None, mean_tol: float = MEAN_TOL,
-                    cov_tol: float = COV_TOL) -> EquivalenceReport:
+                    seed: int | None = None) -> EquivalenceReport:
     """Compute the posterior along every route and audit the agreement."""
     y = np.asarray(y, dtype=float)
 
@@ -76,21 +72,18 @@ def run_equivalence(prior: GaussianLaw, obs: ObservationModel, y,
     x_star, qp_mean = quadprog.solve_qp(quadprog.build_qp(prior, obs, y))
     space = rkhs.DiscreteRkhs.from_factor(prior.cov_factor)
     rkhs_mean = rkhs.rkhs_solve(space, prior.mean, obs, y)
-    gain = gaussian.kalman_gain(prior, obs)
-    gain_mean = prior.mean + gain @ (y - obs.H @ prior.mean)
+    gain_mean = ensemble.enkf_mean_update(prior, obs, y)
 
     means = {"schur": posterior.mean, "qp": qp_mean, "rkhs": rkhs_mean,
              "gain": gain_mean}
-    covariances = {"schur": posterior.covariance,
-                   "hessian": gaussian.posterior_cov_via_hessian(prior, obs)}
     mean_disc = {pair: rel_vec_diff(means[pair[0]], means[pair[1]])
                  for pair in MEAN_PAIRS}
-    cov_disc = rel_vec_diff(covariances["schur"], covariances["hessian"])
-    passed = max(mean_disc.values()) <= mean_tol and cov_disc <= cov_tol
+    cov_disc = rel_vec_diff(posterior.covariance,
+                            gaussian.posterior_cov_via_hessian(prior, obs))
+    passed = max(mean_disc.values()) <= MEAN_TOL and cov_disc <= COV_TOL
     return EquivalenceReport(n=prior.dim, m=obs.n_obs, rank=prior.rank, seed=seed,
-                             means=means, covariances=covariances,
-                             mean_discrepancies=mean_disc, cov_discrepancy=cov_disc,
-                             mean_tol=mean_tol, cov_tol=cov_tol, passed=passed)
+                             means=means, mean_discrepancies=mean_disc,
+                             cov_discrepancy=cov_disc, passed=passed)
 
 
 COV_KINDS = ("full", "rank1", "ensemble")
@@ -132,9 +125,7 @@ def make_instance(index: int, base_seed: int = 0):
     else:
         n_members = int(stream.integers(2, min(n, 12) + 1))
         members = mean[:, None] + stream.normals((n, n_members))
-        centered = members - members.mean(axis=1, keepdims=True)
-        anomaly = centered / np.sqrt(n_members - 1)
-        prior = GaussianLaw(members.mean(axis=1), psd.canonicalize_factor(anomaly))
+        prior = ensemble.ensemble_stats(ensemble.Ensemble(members))
 
     h = np.zeros((m, n)) if obs_kind == "zero" else stream.normals((m, n))
     obs = ObservationModel(h, _spd_matrix(stream, m))
@@ -142,14 +133,12 @@ def make_instance(index: int, base_seed: int = 0):
     return prior, obs, y
 
 
-def equivalence_corpus(count: int = 100, base_seed: int = 0,
-                       mean_tol: float = MEAN_TOL, cov_tol: float = COV_TOL):
+def equivalence_corpus(count: int = 100, base_seed: int = 0):
     """Run the audit on ``count`` seeded instances; returns the report list."""
     reports = []
     for index in range(count):
         prior, obs, y = make_instance(index, base_seed)
-        reports.append(run_equivalence(prior, obs, y, seed=index,
-                                       mean_tol=mean_tol, cov_tol=cov_tol))
+        reports.append(run_equivalence(prior, obs, y, seed=index))
     return reports
 
 

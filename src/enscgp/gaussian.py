@@ -189,6 +189,17 @@ def condition(prior: GaussianLaw, obs: ObservationModel, y,
         prior.cov_factor.basis(), core, rank_tol, scale_floor=scale))
 
 
+def _restricted_hessian(pinv: np.ndarray, basis: np.ndarray, obs: ObservationModel):
+    """Cholesky factor of the restricted Hessian U_r^T (K^+ + H^T R^(-1) H) U_r."""
+    reduced = symmetrize(basis.T @ (pinv + obs.information()) @ basis)
+    try:
+        return cho_factor(reduced, lower=True)
+    except np.linalg.LinAlgError:
+        raise DegenerateModelError(
+            "restricted Hessian is numerically singular; rank tolerance is inconsistent"
+        ) from None
+
+
 def posterior_cov_via_hessian(prior: GaussianLaw, obs: ObservationModel) -> np.ndarray:
     """Posterior covariance as the inverse Hessian on Range(K).
 
@@ -199,15 +210,8 @@ def posterior_cov_via_hessian(prior: GaussianLaw, obs: ObservationModel) -> np.n
     _check_compatible(prior, obs)
     if prior.rank == 0:
         return np.zeros((prior.dim, prior.dim))
-    q = symmetrize(prior.cov_factor.pinv() + obs.information())
     u = prior.cov_factor.basis()
-    reduced = symmetrize(u.T @ q @ u)
-    try:
-        chol = cho_factor(reduced, lower=True)
-    except np.linalg.LinAlgError:
-        raise DegenerateModelError(
-            "restricted Hessian is numerically singular; rank tolerance is inconsistent"
-        ) from None
+    chol = _restricted_hessian(prior.cov_factor.pinv(), u, obs)
     inv_reduced = cho_solve(chol, np.eye(prior.rank))
     return symmetrize(u @ inv_reduced @ u.T)
 

@@ -110,10 +110,16 @@ class PsdFactor:
     columns.
     """
 
-    dim: int
-    rank: int
     factor: np.ndarray
     eigenvalues: np.ndarray
+
+    @property
+    def dim(self) -> int:
+        return self.factor.shape[0]
+
+    @property
+    def rank(self) -> int:
+        return self.eigenvalues.size
 
     def gram(self) -> np.ndarray:
         """Reconstruct K = A A^T (symmetrized to absorb round-off)."""
@@ -136,10 +142,8 @@ class PsdFactor:
 def canonical_sqrt(matrix, rank_tol: float | None = None,
                    scale_floor: float = 0.0) -> PsdFactor:
     """Canonical square root A = U_r diag(sqrt(lambda_r)) of a PSD matrix."""
-    values, vectors, rank = eig_psd(matrix, rank_tol, scale_floor)
-    factor = vectors * np.sqrt(values)
-    return PsdFactor(dim=int(np.asarray(matrix).shape[0]), rank=rank,
-                     factor=factor, eigenvalues=values)
+    values, vectors, _ = eig_psd(matrix, rank_tol, scale_floor)
+    return PsdFactor(factor=vectors * np.sqrt(values), eigenvalues=values)
 
 
 def canonical_sqrt_in_basis(basis, core, rank_tol: float | None = None,
@@ -155,10 +159,9 @@ def canonical_sqrt_in_basis(basis, core, rank_tol: float | None = None,
     b = np.asarray(basis, dtype=float)
     if rank_tol is None:
         rank_tol = default_rank_tol(b.shape[0])
-    values, vectors, rank = eig_psd(core, rank_tol, scale_floor)
+    values, vectors, _ = eig_psd(core, rank_tol, scale_floor)
     values, vectors = _order_descending(values, b @ vectors)
-    return PsdFactor(dim=b.shape[0], rank=rank, factor=vectors * np.sqrt(values),
-                     eigenvalues=values)
+    return PsdFactor(factor=vectors * np.sqrt(values), eigenvalues=values)
 
 
 def canonicalize_factor(factor, rank_tol: float | None = None) -> PsdFactor:
@@ -178,13 +181,12 @@ def canonicalize_factor(factor, rank_tol: float | None = None) -> PsdFactor:
     elif not rank_tol >= 0:
         raise ValueError("rank_tol must be nonnegative")
     if p == 0 or n == 0 or not np.any(a):
-        return PsdFactor(dim=n, rank=0, factor=np.zeros((n, 0)), eigenvalues=np.zeros(0))
+        return PsdFactor(factor=np.zeros((n, 0)), eigenvalues=np.zeros(0))
     u, s, _ = np.linalg.svd(a, full_matrices=False)
     s, u = _order_descending(s, u)  # SVD is already descending; this pins ties/signs
     threshold = rank_tol * float(s[0])
     rank = int(np.sum(s > threshold))
-    return PsdFactor(dim=n, rank=rank, factor=u[:, :rank] * s[:rank],
-                     eigenvalues=(s[:rank] ** 2).copy())
+    return PsdFactor(factor=u[:, :rank] * s[:rank], eigenvalues=(s[:rank] ** 2).copy())
 
 
 def range_projector(factor: PsdFactor) -> np.ndarray:

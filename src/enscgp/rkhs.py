@@ -12,12 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_solve
 
-from . import psd
-from .errors import DegenerateModelError, DimensionError
-from .gaussian import ObservationModel, _check_data
-from .psd import PsdFactor, symmetrize
+from .errors import DimensionError
+from .gaussian import ObservationModel, _check_data, _restricted_hessian
+from .psd import PsdFactor
 
 
 @dataclass(frozen=True)
@@ -26,11 +25,6 @@ class DiscreteRkhs:
 
     kernel_factor: PsdFactor
     pinv: np.ndarray
-
-    @classmethod
-    def from_kernel(cls, kernel, rank_tol: float | None = None) -> "DiscreteRkhs":
-        factor = psd.canonical_sqrt(symmetrize(kernel), rank_tol)
-        return cls.from_factor(factor)
 
     @classmethod
     def from_factor(cls, factor: PsdFactor) -> "DiscreteRkhs":
@@ -66,13 +60,7 @@ def rkhs_solve(space: DiscreteRkhs, prior_mean, obs: ObservationModel, y) -> np.
         return prior_mean.copy()
     d = y - obs.H @ prior_mean
     u = space.kernel_factor.basis()
-    reduced = symmetrize(u.T @ (space.pinv + obs.information()) @ u)
+    chol = _restricted_hessian(space.pinv, u, obs)
     rhs = u.T @ (obs.H.T @ obs.noise_solve(d))
-    try:
-        chol = cho_factor(reduced, lower=True)
-    except np.linalg.LinAlgError:
-        raise DegenerateModelError(
-            "restricted normal equations are singular; rank tolerance is inconsistent"
-        ) from None
     return prior_mean + u @ cho_solve(chol, rhs)
 

@@ -30,14 +30,8 @@ class NormalStream:
         """Standard-normal draws; odd counts discard the spare of the last pair."""
         size = int(np.prod(shape))
         pairs = (size + 1) // 2
-        u1 = 1.0 - self._uniform.random(pairs)  # (0, 1], keeps the log finite
-        u2 = self._uniform.random(pairs)
-        radius = np.sqrt(-2.0 * np.log(u1))
-        angle = 2.0 * np.pi * u2
-        z = np.empty(2 * pairs)
-        z[0::2] = radius * np.cos(angle)
-        z[1::2] = radius * np.sin(angle)
-        return z[:size].reshape(shape)
+        u = self._uniform.random((1, 2 * pairs))
+        return _block_normals(u, pairs, size)[0].reshape(shape)
 
     def uniforms(self, shape: int | tuple[int, ...]) -> np.ndarray:
         """Uniform draws on [0, 1)."""
@@ -64,7 +58,7 @@ def _member_layout(n: int) -> tuple[int, int]:
 
 
 def _block_normals(u: np.ndarray, pairs: int, n: int) -> np.ndarray:
-    u1 = 1.0 - u[:, :pairs]
+    u1 = 1.0 - u[:, :pairs]  # (0, 1], keeps the log finite
     u2 = u[:, pairs : 2 * pairs]
     radius = np.sqrt(-2.0 * np.log(u1))
     angle = 2.0 * np.pi * u2

@@ -28,42 +28,32 @@ class TestEnsembleType:
 class TestEnsembleStats:
     def test_identical_members_have_zero_spread(self):
         ens = Ensemble(np.ones((3, 2)))
-        stats = ensemble_stats(ens)
-        np.testing.assert_array_equal(stats.anomaly, np.zeros((3, 2)))
-        assert stats.covariance_factor.rank == 0
+        prior = ensemble_stats(ens)
+        np.testing.assert_array_equal(prior.mean, np.ones(3))
+        assert prior.rank == 0 and prior.cov_factor.factor.shape == (3, 0)
 
     def test_two_member_hand_value(self):
         # members 0 and 2: mean 1, K = ((0-1)^2 + (2-1)^2) / 1 = 2
-        stats = ensemble_stats(Ensemble(np.array([[0.0, 2.0]])))
-        assert stats.mean[0] == pytest.approx(1.0)
-        assert stats.covariance_factor.gram()[0, 0] == pytest.approx(2.0)
-
-    def test_anomaly_columns_sum_to_zero(self, rng):
-        members = rng.normal(size=(4, 9)) * 3.0
-        stats = ensemble_stats(Ensemble(members))
-        scale = np.abs(stats.anomaly).max()
-        np.testing.assert_allclose(stats.anomaly.sum(axis=1), np.zeros(4),
-                                   atol=1e-12 * max(1.0, scale) * 9)
+        prior = ensemble_stats(Ensemble(np.array([[0.0, 2.0]])))
+        assert prior.mean[0] == pytest.approx(1.0)
+        assert prior.covariance[0, 0] == pytest.approx(2.0)
 
     def test_gram_matches_empirical_covariance(self, rng):
         members = rng.normal(size=(5, 12))
-        stats = ensemble_stats(Ensemble(members))
+        prior = ensemble_stats(Ensemble(members))
         emp = np.cov(members)  # divisor E-1
-        assert np.linalg.norm(stats.covariance_factor.gram() - emp) \
-            <= 1e-12 * np.linalg.norm(emp)
+        assert np.linalg.norm(prior.covariance - emp) <= 1e-12 * np.linalg.norm(emp)
 
     def test_rank_bound(self, rng):
         for n_members in (2, 3, 5):
             members = rng.normal(size=(8, n_members))
-            stats = ensemble_stats(Ensemble(members))
-            assert stats.covariance_factor.rank <= n_members - 1
+            assert ensemble_stats(Ensemble(members)).rank <= n_members - 1
 
     def test_monte_carlo_recovers_generating_covariance(self):
         k0 = np.array([[2.0, 0.6], [0.6, 1.0]])
         chol = np.linalg.cholesky(k0)
         z = NormalStream(42).normals((2, 10_000))
-        stats = ensemble_stats(Ensemble(chol @ z))
-        emp = stats.covariance_factor.gram()
+        emp = ensemble_stats(Ensemble(chol @ z)).covariance
         assert np.linalg.norm(emp - k0) <= 0.05 * np.linalg.norm(k0)
 
 
@@ -78,37 +68,35 @@ class TestEnsCgp:
         # conditioning with the ensemble's own empirical moments
         members = rng.normal(size=(3, 20))
         ens = Ensemble(members)
-        stats = ensemble_stats(ens)
         obs = ObservationModel(rng.normal(size=(2, 3)), random_psd(rng, 2) + np.eye(2))
         y = rng.normal(size=2)
         via_ens = ens_cgp(ens, obs, y)
-        via_law = condition(GaussianLaw(stats.mean, stats.covariance_factor), obs, y)
+        via_law = condition(ensemble_stats(ens), obs, y)
         np.testing.assert_allclose(via_ens.mean, via_law.mean, atol=1e-13)
         np.testing.assert_allclose(via_ens.covariance, via_law.covariance, atol=1e-13)
 
     def test_shift_confined_to_anomaly_span(self, rng):
         members = rng.normal(size=(5, 3))
         ens = Ensemble(members)
-        stats = ensemble_stats(ens)
         obs = ObservationModel(np.eye(5), np.eye(5))
         y = rng.normal(size=5)
         post = ens_cgp(ens, obs, y)
-        shift = post.mean - stats.mean
+        shift = post.mean - members.mean(axis=1)
         # oracle: explicit orthogonal complement of the anomaly span
-        u, s, _ = np.linalg.svd(stats.anomaly, full_matrices=True)
+        anomaly = members - members.mean(axis=1, keepdims=True)
+        u, s, _ = np.linalg.svd(anomaly, full_matrices=True)
         complement = u[:, (s > 1e-12).sum():]
         assert np.linalg.norm(complement.T @ shift) <= 1e-10 * max(1.0, np.linalg.norm(shift))
 
     def test_cov_transform_hook(self, rng):
         members = rng.normal(size=(3, 8))
         ens = Ensemble(members)
-        stats = ensemble_stats(ens)
+        prior = ensemble_stats(ens)
         obs = ObservationModel(rng.normal(size=(2, 3)), np.eye(2))
         y = rng.normal(size=2)
         inflated = ens_cgp(ens, obs, y, cov_transform=lambda k: 2.0 * k)
-        manual = condition(
-            GaussianLaw.from_moments(stats.mean, 2.0 * stats.covariance_factor.gram()),
-            obs, y)
+        manual = condition(GaussianLaw.from_moments(prior.mean, 2.0 * prior.covariance),
+                           obs, y)
         np.testing.assert_allclose(inflated.mean, manual.mean, atol=1e-12)
         np.testing.assert_allclose(inflated.covariance, manual.covariance, atol=1e-12)
 
@@ -116,21 +104,21 @@ class TestEnsCgp:
 class TestMeanUpdate:
     def test_zero_innovation(self, rng):
         members = rng.normal(size=(3, 6))
-        stats = ensemble_stats(Ensemble(members))
+        prior = ensemble_stats(Ensemble(members))
         obs = ObservationModel(rng.normal(size=(2, 3)), np.eye(2))
-        update = enkf_mean_update(stats, obs, obs.H @ stats.mean)
-        np.testing.assert_allclose(update, stats.mean, atol=1e-13)
+        update = enkf_mean_update(prior, obs, obs.H @ prior.mean)
+        np.testing.assert_allclose(update, prior.mean, atol=1e-13)
 
     def test_zero_spread(self):
-        stats = ensemble_stats(Ensemble(np.full((2, 4), 3.0)))
+        prior = ensemble_stats(Ensemble(np.full((2, 4), 3.0)))
         obs = ObservationModel(np.eye(2), np.eye(2))
-        np.testing.assert_array_equal(enkf_mean_update(stats, obs, [9.0, 9.0]),
+        np.testing.assert_array_equal(enkf_mean_update(prior, obs, [9.0, 9.0]),
                                       [3.0, 3.0])
 
     def test_scalar_midpoint(self):
-        stats = ensemble_stats(Ensemble(np.array([[-1.0, 1.0]])))
+        prior = ensemble_stats(Ensemble(np.array([[-1.0, 1.0]])))
         # empirical mean 0, K = 2; gain 2/3; y = 2 -> update 4/3
-        update = enkf_mean_update(stats, scalar_obs(), [2.0])
+        update = enkf_mean_update(prior, scalar_obs(), [2.0])
         assert update[0] == pytest.approx(4.0 / 3.0)
 
     def test_equals_ens_cgp_mean(self, rng):
@@ -183,8 +171,7 @@ class TestPerturbedObs:
         obs = ObservationModel(rng.normal(size=(3, 2)), np.diag([1.0, 2.0, 0.5]))
         y = rng.normal(size=3)
         updated = enkf_perturbed_obs(ens, obs, y, seed=21)
-        stats = ensemble_stats(ens)
-        prior = GaussianLaw(stats.mean, stats.covariance_factor)
+        prior = ensemble_stats(ens)
         from enscgp.gaussian import kalman_gain
         from enscgp.rng import blocked_normals
         batch = blocked_normals(21, 3, ens.size)
@@ -214,13 +201,14 @@ class TestPerturbedObs:
 class TestFactorRouteIndependence:
     def test_rotated_anomaly_gives_identical_posterior(self, rng):
         members = rng.normal(size=(5, 4))
-        stats = ensemble_stats(Ensemble(members))
+        prior = ensemble_stats(Ensemble(members))
         obs = ObservationModel(rng.normal(size=(3, 5)), random_psd(rng, 3) + np.eye(3))
         y = rng.normal(size=3)
-        base = condition(GaussianLaw(stats.mean, stats.covariance_factor), obs, y)
+        base = condition(prior, obs, y)
+        anomaly = (members - prior.mean[:, None]) / np.sqrt(3)
         for trial in range(5):
             omega = random_orthogonal(np.random.default_rng(trial), 4)
-            rotated = canonicalize_factor(stats.anomaly @ omega)
-            alt = condition(GaussianLaw(stats.mean, rotated), obs, y)
+            rotated = canonicalize_factor(anomaly @ omega)
+            alt = condition(GaussianLaw(prior.mean, rotated), obs, y)
             assert np.linalg.norm(base.mean - alt.mean) <= 1e-10
             assert np.linalg.norm(base.covariance - alt.covariance) <= 1e-10

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from enscgp import (GaussianLaw, NotSpdError, ObservationModel, condition,
-                    repeated_reuse, run_equivalence)
+                    posterior_cov_via_hessian, repeated_reuse, run_equivalence)
 from enscgp.experiments import (COV_KINDS, MEAN_PAIRS, OBS_KINDS,
                                 equivalence_corpus, make_instance)
 
@@ -23,7 +23,8 @@ class TestRunEquivalence:
         report = run_equivalence(prior, obs, [2.0])
         for mean in report.means.values():
             assert mean[0] == pytest.approx(1.0, abs=1e-12)
-        for cov in report.covariances.values():
+        for cov in (condition(prior, obs, [2.0]).covariance,
+                    posterior_cov_via_hessian(prior, obs)):
             assert cov[0, 0] == pytest.approx(0.5, abs=1e-12)
         assert report.max_mean_discrepancy <= 1e-12
         assert report.cov_discrepancy <= 1e-12
@@ -49,10 +50,11 @@ class TestRunEquivalence:
         n, m = 5, 2
         prior = GaussianLaw.from_moments(rng.normal(size=n), random_psd(rng, n))
         obs = ObservationModel(np.zeros((m, n)), np.eye(m))
-        report = run_equivalence(prior, obs, rng.normal(size=m))
+        y = rng.normal(size=m)
+        report = run_equivalence(prior, obs, y)
         for mean in report.means.values():
             np.testing.assert_allclose(mean, prior.mean, atol=1e-12)
-        np.testing.assert_allclose(report.covariances["schur"], prior.covariance,
+        np.testing.assert_allclose(condition(prior, obs, y).covariance, prior.covariance,
                                    atol=1e-12)
         assert report.passed
 
@@ -68,6 +70,18 @@ class TestCorpus:
     def test_full_corpus_passes(self):
         reports = equivalence_corpus(100, base_seed=0)
         assert sum(r.passed for r in reports) == 100
+
+    def test_reports_hold_no_covariances(self):
+        equivalence_corpus(1)  # first-call imports and caches are not report memory
+        tracemalloc.start()
+        try:
+            reports = equivalence_corpus(100)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # two n x n covariances per report would hold about 1.25 MiB
+        assert held < 0.5 * 2**20, f"held {held / 2**20:.2f} MiB"
+        assert len(reports) == 100
 
     def test_covers_all_kind_combinations(self):
         seen = set()

@@ -164,8 +164,7 @@ class TestCondition:
 class TestConditionInRangeBasis:
     def test_low_rank_prior_needs_only_rank_sized_eigenwork(self, rng, monkeypatch):
         ens, obs, y = ensemble_instance(rng, 2000)
-        stats = ensemble_stats(ens)
-        prior = GaussianLaw(stats.mean, stats.covariance_factor)
+        prior = ensemble_stats(ens)
         r = prior.rank
         shapes = []
         eigh = np.linalg.eigh
@@ -186,8 +185,7 @@ class TestConditionInRangeBasis:
     @pytest.mark.parametrize("n", [500, 2000])
     def test_agrees_with_dense_schur(self, rng, n):
         ens, obs, y = ensemble_instance(rng, n)
-        stats = ensemble_stats(ens)
-        prior = GaussianLaw(stats.mean, stats.covariance_factor)
+        prior = ensemble_stats(ens)
         oracle = dense_schur_cov(prior, obs)
         cov = condition(prior, obs, y).covariance
         assert np.linalg.norm(cov - oracle) <= 1e-12 * np.linalg.norm(oracle)

@@ -10,7 +10,7 @@ from conftest import random_orthogonal, random_psd
 
 def rank_deficient_setup():
     k = np.diag([4.0, 1.0, 0.0])
-    space = DiscreteRkhs.from_kernel(k)
+    space = DiscreteRkhs.from_factor(canonical_sqrt(k))
     obs = ObservationModel(np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]]), np.eye(2))
     return k, space, obs
 
@@ -23,7 +23,7 @@ class TestSolve:
         np.testing.assert_allclose(g, mean, atol=1e-12)
 
     def test_scalar_midpoint(self):
-        space = DiscreteRkhs.from_kernel([[1.0]])
+        space = DiscreteRkhs.from_factor(canonical_sqrt([[1.0]]))
         obs = ObservationModel([[1.0]], [[1.0]])
         assert rkhs_solve(space, [0.0], obs, [2.0])[0] == pytest.approx(1.0)
 
@@ -51,7 +51,7 @@ class TestSolve:
 class TestGeometry:
     def test_projector_independent_of_factor(self, rng):
         k = random_psd(rng, 5, rank=3)
-        space = DiscreteRkhs.from_kernel(k)
+        space = DiscreteRkhs.from_factor(canonical_sqrt(k))
         factor = canonical_sqrt(k)
         omega = random_orthogonal(rng, factor.rank)
         alt = canonicalize_factor(factor.factor @ omega)
@@ -60,7 +60,7 @@ class TestGeometry:
 
     def test_reproducing_identity_in_coordinates(self, rng):
         k = random_psd(rng, 5, rank=3)
-        space = DiscreteRkhs.from_kernel(k)
+        space = DiscreteRkhs.from_factor(canonical_sqrt(k))
         # <k_i, k_j> = (K K^+ K)_ij = K_ij for PSD K
         inner = k @ space.pinv @ k
         assert np.linalg.norm(inner - k) <= 1e-10 * max(1.0, np.linalg.norm(k))

@@ -12,6 +12,7 @@ ROOT = Path(__file__).resolve().parent.parent
     ("run_collapse_demo.py", ["--k-max", "100", "--out", "collapse.dat"]),
     ("run_equivalence_corpus.py", ["--count", "20"]),
     ("run_enkf_convergence.py", ["--sizes", "100", "--seeds", "2"]),
+    ("cli_snapshot.py", ["snapshot"]),
 ])
 def test_script_runs(script, args, tmp_path):
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
