@@ -50,6 +50,9 @@ def _fmt_value(value) -> str:
     if isinstance(value, str):
         return value
     arr = np.asarray(value)
+    if arr.dtype.kind == "f" and arr.ndim in (1, 2):
+        rows = "".join(f"[{row}]" for row in matio._format_rows(np.atleast_2d(arr)))
+        return rows if arr.ndim == 1 else f"[{rows}]"
     if arr.ndim == 1:
         return "[" + " ".join(_fmt_value(v) for v in arr) + "]"
     if arr.ndim == 2:
@@ -135,25 +138,26 @@ def _run_ens_cgp(args: argparse.Namespace):
 
 def _run_equivalence(args: argparse.Namespace):
     def compute():
-        reports = experiments.equivalence_corpus(args.count, args.seed)
-        passes = sum(r.passed for r in reports)
+        # each report is dropped once the values it renders are taken
+        passes = 0
+        instances = []
+        for i, rep in enumerate(experiments.equivalence_corpus(args.count, args.seed)):
+            tag = f"instance_{i:03d}"
+            instances += [
+                (f"{tag}_descriptor", np.array([rep.seed, rep.n, rep.m, rep.rank])),
+                (f"{tag}_mean_discrepancies",
+                 np.array([rep.mean_discrepancies[p] for p in experiments.MEAN_PAIRS])),
+                (f"{tag}_cov_discrepancy", rep.cov_discrepancy),
+                (f"{tag}_pass", rep.passed)]
+            passes += rep.passed
         pairs = [("command", "equivalence"), ("seed", args.seed),
                  ("count", args.count),
                  ("mean_tol", experiments.MEAN_TOL),
                  ("cov_tol", experiments.COV_TOL),
                  ("mean_pairs", " ".join(f"{a}:{b}" for a, b in experiments.MEAN_PAIRS)),
                  ("passes", passes),
-                 ("summary", f"{passes}/{len(reports)} pass")]
-        for i, rep in enumerate(reports):
-            tag = f"instance_{i:03d}"
-            pairs.append((f"{tag}_descriptor",
-                          np.array([rep.seed, rep.n, rep.m, rep.rank])))
-            pairs.append((f"{tag}_mean_discrepancies",
-                          np.array([rep.mean_discrepancies[p]
-                                    for p in experiments.MEAN_PAIRS])))
-            pairs.append((f"{tag}_cov_discrepancy", rep.cov_discrepancy))
-            pairs.append((f"{tag}_pass", rep.passed))
-        return _render(pairs, args.format), {}
+                 ("summary", f"{passes}/{args.count} pass")]
+        return _render(pairs + instances, args.format), {}
 
     return compute
 

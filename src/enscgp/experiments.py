@@ -5,9 +5,9 @@ repeated-reuse posterior-collapse demonstration.
 quadratic-program normal equations, RKHS-regularized regression, the
 ensemble gain-form update) plus the covariance two ways (Schur,
 restricted-Hessian inverse) and reports every pairwise discrepancy.
-``equivalence_corpus`` generates the seeded instance family the audit runs
-on: full-rank, rank-1, and ensemble (``ensemble_stats``) priors against
-tall, wide, and zero observation operators.
+``equivalence_corpus`` runs it, one report at a time, over the seeded
+instance family: full-rank, rank-1, and ensemble (``ensemble_stats``)
+priors against tall, wide, and zero observation operators.
 
 ``repeated_reuse`` traces what happens when one realized observation is
 (incorrectly) treated as k independent ones: the covariance follows
@@ -134,12 +134,11 @@ def make_instance(index: int, base_seed: int = 0):
 
 
 def equivalence_corpus(count: int = 100, base_seed: int = 0):
-    """Run the audit on ``count`` seeded instances; returns the report list."""
-    reports = []
+    """Run the audit on ``count`` seeded instances, yielding each report as it
+    is made, so memory does not grow with ``count``."""
     for index in range(count):
         prior, obs, y = make_instance(index, base_seed)
-        reports.append(run_equivalence(prior, obs, y, seed=index))
-    return reports
+        yield run_equivalence(prior, obs, y, seed=index)
 
 
 K_MAX_CAP = 10**6

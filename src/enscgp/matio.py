@@ -5,7 +5,12 @@ Format: an optional block of ``#`` comment lines, a header line
 decimal numbers. ``#`` starts a comment anywhere on a line. Non-finite
 tokens are rejected. Numbers are written with 17 significant digits, which
 round-trips IEEE doubles exactly, so write -> read -> write is
-byte-identical.
+byte-identical. A matrix with no columns has no data lines (blank lines
+are skipped), so ``rows 0`` alone reads as an empty rows x 0 matrix.
+
+Reading tries a one-pass parse of a well-formed file first; on anything
+irregular it starts over with the line-by-line checked parser, which alone
+decides what is accepted and what each error says.
 """
 
 from __future__ import annotations
@@ -23,6 +28,14 @@ def format_float(x: float) -> str:
     return f"{float(x):.17g}"
 
 
+def _format_rows(matrix: np.ndarray):
+    """Yield each row of a 2-D float array as its values' ``format_float``
+    forms joined by single spaces, one row at a time."""
+    template = " ".join(["%.17g"] * matrix.shape[1])
+    for row in matrix:
+        yield template % tuple(row.tolist())
+
+
 def dumps_matrix(matrix, comments: tuple[str, ...] = ()) -> str:
     m = np.asarray(matrix, dtype=float)
     if m.ndim == 1:
@@ -31,8 +44,7 @@ def dumps_matrix(matrix, comments: tuple[str, ...] = ()) -> str:
         raise ValueError(f"expected a matrix or vector, got shape {m.shape}")
     lines = [f"# {c}" for c in comments]
     lines.append(f"{m.shape[0]} {m.shape[1]}")
-    for row in m:
-        lines.append(" ".join(format_float(v) for v in row))
+    lines.extend(_format_rows(m))
     return "\n".join(lines) + "\n"
 
 
@@ -41,6 +53,50 @@ def write_matrix(path, matrix, comments: tuple[str, ...] = ()) -> None:
 
 
 def loads_matrix(text: str, name: str = "<string>") -> np.ndarray:
+    matrix = _loads_fast(text)
+    return _loads_checked(text, name) if matrix is None else matrix
+
+
+def _loads_fast(text: str) -> np.ndarray | None:
+    """Parse a well-formed file in one pass; None on any irregularity.
+
+    Accepts only what ``_loads_checked`` accepts, with the same values, so
+    a None costs time but never changes a result or an error message.
+    """
+    out = None
+    filled = 0
+    for raw in text.splitlines():
+        tokens = raw.split("#", 1)[0].split()
+        if not tokens:
+            continue
+        if out is None:
+            if len(tokens) != 2:
+                return None
+            try:
+                rows, cols = int(tokens[0]), int(tokens[1])
+            except ValueError:
+                return None
+            # a value takes at least two characters (a digit and a separator),
+            # so a header declaring more than the text holds is left to the
+            # checked parser, and nothing is allocated from it
+            if min(rows, cols) < 0 or max(rows, cols, rows * cols) > len(text) // 2:
+                return None
+            out = np.empty((rows, cols))
+            continue
+        if filled == rows or len(tokens) != cols:
+            return None
+        try:
+            out[filled] = [float(t) for t in tokens]
+        except ValueError:
+            return None
+        filled += 1
+    if out is None or (cols and filled != rows) or not np.isfinite(out).all():
+        return None
+    return out
+
+
+def _loads_checked(text: str, name: str) -> np.ndarray:
+    """Line-by-line parser that names the line and column of the first error."""
     header = None
     rows: list[list[float]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -86,11 +142,16 @@ def loads_matrix(text: str, name: str = "<string>") -> np.ndarray:
         rows.append(values)
     if header is None:
         raise MatrixParseError(f"{name}: empty file, missing 'rows cols' header")
-    if len(rows) != header[0]:
+    if header[1] > 0 and len(rows) != header[0]:
         raise MatrixParseError(
             f"{name}: declared {header[0]} rows but found {len(rows)}"
         )
-    return np.asarray(rows, dtype=float).reshape(header)
+    try:
+        return np.asarray(rows, dtype=float).reshape(header)
+    except ValueError:  # only an empty shape with a dimension numpy cannot hold
+        raise MatrixParseError(
+            f"{name}: declared {header[0]}x{header[1]} matrix is too large"
+        ) from None
 
 
 def read_matrix(path) -> np.ndarray:

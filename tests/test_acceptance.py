@@ -31,7 +31,7 @@ def _announce(line):
 @pytest.fixture(scope="module")
 def corpus():
     start = time.monotonic()
-    reports = equivalence_corpus(100, base_seed=0)
+    reports = list(equivalence_corpus(100, base_seed=0))
     elapsed = time.monotonic() - start
     return reports, elapsed
 

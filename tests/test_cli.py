@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from enscgp import ensemble, gaussian, matio
-from enscgp.cli import main
+from enscgp.cli import _fmt_value, main
 
 
 @pytest.fixture
@@ -199,6 +199,24 @@ class TestEquivalence:
         pairs = parse_structured(capsys.readouterr().out)
         assert pairs["summary"] == "6/6 pass"
         assert pairs["instance_005_pass"] == "true"
+
+
+class TestReportValues:
+    def test_float_arrays_print_each_value_with_format_float(self):
+        values = np.array([[0.0, -0.0, 5e-324], [1.7976931348623157e308, -1.0, 1 / 3]])
+
+        def row(r):
+            return "[" + " ".join(matio.format_float(v) for v in r) + "]"
+
+        assert _fmt_value(values[0]) == row(values[0])
+        assert _fmt_value(values) == "[" + row(values[0]) + row(values[1]) + "]"
+        assert _fmt_value(np.zeros(0)) == "[]"
+        assert _fmt_value(np.zeros((2, 0))) == "[[][]]"
+
+    def test_integer_and_bool_arrays_keep_their_text(self):
+        assert _fmt_value(np.array([7, 0, -3])) == "[7 0 -3]"
+        assert _fmt_value(np.array([[1, 2], [3, 4]])) == "[[1 2][3 4]]"
+        assert _fmt_value(np.array([True, False])) == "[true false]"
 
 
 class TestKlSample:

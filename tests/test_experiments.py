@@ -72,16 +72,21 @@ class TestCorpus:
         assert sum(r.passed for r in reports) == 100
 
     def test_reports_hold_no_covariances(self):
-        equivalence_corpus(1)  # first-call imports and caches are not report memory
+        list(equivalence_corpus(1))  # first-call imports and caches are not report memory
         tracemalloc.start()
         try:
-            reports = equivalence_corpus(100)
+            reports = list(equivalence_corpus(100))
             held, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         # two n x n covariances per report would hold about 1.25 MiB
         assert held < 0.5 * 2**20, f"held {held / 2**20:.2f} MiB"
         assert len(reports) == 100
+
+    def test_reports_are_yielded_one_at_a_time(self):
+        corpus = equivalence_corpus(100)
+        assert next(corpus).seed == 0
+        assert [r.seed for r in corpus] == list(range(1, 100))
 
     def test_covers_all_kind_combinations(self):
         seen = set()
