@@ -15,11 +15,11 @@ from .errors import (DegenerateModelError, DimensionError, InfeasiblePointError,
                      MatrixParseError, NotPsdError, NotSpdError)
 from .experiments import (CollapseTrace, EquivalenceReport, equivalence_corpus,
                           make_instance, repeated_reuse, run_equivalence)
-from .gaussian import (GaussianLaw, ObservationModel, condition, kalman_gain, marginal,
+from .gaussian import (GaussianLaw, ObservationModel, condition, kalman_gain,
                        posterior_cov_via_hessian)
 from .kernels import KernelFamily, KernelSpec, KlModes, gram_matrix, kl_truncate, sample_kl
 from .psd import (PsdFactor, canonical_sqrt, canonicalize_factor, default_rank_tol,
-                  eig_psd, range_projector, symmetrize)
+                  eig_psd, symmetrize)
 from .quadprog import QuadraticObjective, build_qp, gradient, hessian, objective, solve_qp
 from .rkhs import DiscreteRkhs, rkhs_solve
 from .rng import NormalStream
@@ -35,7 +35,7 @@ __all__ = [
     "canonical_sqrt", "canonicalize_factor", "condition", "default_rank_tol",
     "eig_psd", "enkf_mean_update", "enkf_perturbed_obs", "ens_cgp",
     "ensemble_stats", "equivalence_corpus", "gradient", "gram_matrix", "hessian",
-    "kalman_gain", "kl_truncate", "make_instance", "marginal", "objective",
-    "posterior_cov_via_hessian", "range_projector", "repeated_reuse",
+    "kalman_gain", "kl_truncate", "make_instance", "objective",
+    "posterior_cov_via_hessian", "repeated_reuse",
     "rkhs_solve", "run_equivalence", "sample_kl", "solve_qp", "symmetrize",
 ]

@@ -367,8 +367,9 @@ def _check_flags(args: argparse.Namespace) -> None:
     if args.command == "collapse" and not 1 <= args.k_max <= experiments.K_MAX_CAP:
         raise ValueError(
             f"--k-max must be in [1, {experiments.K_MAX_CAP}], got {args.k_max}")
-    if args.command == "equivalence" and args.count < 0:
-        raise ValueError(f"--count must be nonnegative, got {args.count}")
+    if args.command == "equivalence" and not 0 <= args.count <= experiments.COUNT_CAP:
+        raise ValueError(
+            f"--count must be in [0, {experiments.COUNT_CAP}], got {args.count}")
     if args.command == "kl-sample":
         if args.members < 1:
             raise ValueError(f"--members must be at least 1, got {args.members}")

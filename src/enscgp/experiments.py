@@ -141,6 +141,7 @@ def equivalence_corpus(count: int = 100, base_seed: int = 0):
         yield run_equivalence(prior, obs, y, seed=index)
 
 
+COUNT_CAP = 10**5  # largest corpus the CLI's equivalence command runs
 K_MAX_CAP = 10**6
 RECURSION_LIMIT = 100  # conditioning-based cross-check stops here
 

@@ -14,7 +14,9 @@ factor A = U S and W = L^(-1) H A, it is the same Schur complement written
 in the prior's range basis, cov_post = U C U^T with the r x r core
 C = S (I - W^T W) S, and only C is eigendecomposed. The posterior
 covariance is also available through the inverse of the quadratic-form
-Hessian restricted to Range(K); the two must agree, and tests enforce it.
+Hessian restricted to Range(K), which in the range basis is
+diag(1/lambda) + (H U)^T R^(-1) (H U); the two must agree, and tests
+enforce it.
 """
 
 from __future__ import annotations
@@ -189,11 +191,19 @@ def condition(prior: GaussianLaw, obs: ObservationModel, y,
         prior.cov_factor.basis(), core, rank_tol, scale_floor=scale))
 
 
-def _restricted_hessian(pinv: np.ndarray, basis: np.ndarray, obs: ObservationModel):
-    """Cholesky factor of the restricted Hessian U_r^T (K^+ + H^T R^(-1) H) U_r."""
-    reduced = symmetrize(basis.T @ (pinv + obs.information()) @ basis)
+def _restricted_hessian(factor: PsdFactor, obs: ObservationModel) -> np.ndarray:
+    """Lower Cholesky factor of the restricted Hessian U_r^T (K^+ + H^T R^(-1) H) U_r.
+
+    In the factor's own range basis, U_r^T K^+ U_r is exactly diag(1/lambda),
+    so the restriction is assembled as diag(1/lambda) + (H U_r)^T R^(-1) (H U_r)
+    with R's cached Cholesky factor. No n x n matrix is formed, and the
+    eps / lambda_min error of a round trip through a dense K^+ is avoided.
+    """
+    hu = obs.H @ factor.basis()
+    reduced = symmetrize(hu.T @ obs.noise_solve(hu))
+    reduced[np.diag_indices_from(reduced)] += 1.0 / factor.eigenvalues
     try:
-        return cho_factor(reduced, lower=True)
+        return cholesky(reduced, lower=True)
     except np.linalg.LinAlgError:
         raise DegenerateModelError(
             "restricted Hessian is numerically singular; rank tolerance is inconsistent"
@@ -203,21 +213,14 @@ def _restricted_hessian(pinv: np.ndarray, basis: np.ndarray, obs: ObservationMod
 def posterior_cov_via_hessian(prior: GaussianLaw, obs: ObservationModel) -> np.ndarray:
     """Posterior covariance as the inverse Hessian on Range(K).
 
-    Builds Q = K^+ + H^T R^(-1) H, restricts it to the canonical range
-    basis U_r, inverts the restriction, and re-embeds: U_r (U_r^T Q U_r)^(-1) U_r^T.
-    Must equal the Schur-complement covariance of :func:`condition`.
+    With the restricted Hessian U_r^T (K^+ + H^T R^(-1) H) U_r = L L^T (see
+    :func:`_restricted_hessian`), the inverse re-embedded in R^n is
+    U_r (L L^T)^(-1) U_r^T = X^T X with X = L^(-1) U_r^T, one triangular
+    solve. Must equal the Schur-complement covariance of :func:`condition`.
     """
     _check_compatible(prior, obs)
     if prior.rank == 0:
         return np.zeros((prior.dim, prior.dim))
-    u = prior.cov_factor.basis()
-    chol = _restricted_hessian(prior.cov_factor.pinv(), u, obs)
-    inv_reduced = cho_solve(chol, np.eye(prior.rank))
-    return symmetrize(u @ inv_reduced @ u.T)
-
-
-def marginal(law: GaussianLaw, indices, rank_tol: float | None = None) -> GaussianLaw:
-    """Marginal law on a coordinate subset (subvector and principal submatrix)."""
-    idx = np.asarray(indices, dtype=int)
-    k = law.covariance[np.ix_(idx, idx)]
-    return GaussianLaw(law.mean[idx], psd.canonical_sqrt(k, rank_tol))
+    chol = _restricted_hessian(prior.cov_factor, obs)
+    x = solve_triangular(chol, prior.cov_factor.basis().T, lower=True)
+    return symmetrize(x.T @ x)

@@ -1,10 +1,10 @@
 """Symmetric positive-semidefinite linear algebra.
 
-Eigendecomposition with explicit numerical-rank decisions, canonical square
-roots (with their pseudoinverse), and range projectors. Everything
-downstream (conditioning, quadratic solves, RKHS geometry) is built on the
-factored form produced here, so rank thresholds, eigenvector signs, and
-tie-breaking are all pinned to keep outputs reproducible across runs.
+Eigendecomposition with explicit numerical-rank decisions and canonical
+square roots (with their pseudoinverse). Everything downstream
+(conditioning, quadratic solves, RKHS geometry) is built on the factored
+form produced here, so rank thresholds, eigenvector signs, and tie-breaking
+are all pinned to keep outputs reproducible across runs.
 
 Rank convention: an eigenvalue (or singular value) counts toward the rank
 when it exceeds ``rank_tol * largest_magnitude_eigenvalue``. The default
@@ -187,10 +187,4 @@ def canonicalize_factor(factor, rank_tol: float | None = None) -> PsdFactor:
     threshold = rank_tol * float(s[0])
     rank = int(np.sum(s > threshold))
     return PsdFactor(factor=u[:, :rank] * s[:rank], eigenvalues=(s[:rank] ** 2).copy())
-
-
-def range_projector(factor: PsdFactor) -> np.ndarray:
-    """Orthogonal projector P = U_r U_r^T onto the factor's column span."""
-    u = factor.basis()
-    return symmetrize(u @ u.T)
 

@@ -2,9 +2,12 @@
 
 The space is Range(K) with inner product <u, v> = u^T K^+ v. Regularized
 regression in this geometry shares its minimizer with exact conditioning
-and the MAP program; the solver here works in the orthonormal range basis
-and deliberately goes through the explicit pseudoinverse, giving a
-numerically distinct route from the quadratic-program path.
+and the MAP program. The solver works in the kernel factor's orthonormal
+range basis U_r, where the RKHS penalty is exactly diag(1/lambda), so its
+normal equations diag(1/lambda) + (H U_r)^T R^(-1) (H U_r) never form K^+.
+That system is a diag(lambda^(1/2)) rescaling of the quadratic program's
+I + (H A)^T R^(-1) (H A), so the two routes are close relatives rather
+than independent computations.
 """
 
 from __future__ import annotations
@@ -21,14 +24,13 @@ from .psd import PsdFactor
 
 @dataclass(frozen=True)
 class DiscreteRkhs:
-    """Range(K) together with K^+."""
+    """Range(K), carried by the kernel's canonical factor."""
 
     kernel_factor: PsdFactor
-    pinv: np.ndarray
 
     @classmethod
     def from_factor(cls, factor: PsdFactor) -> "DiscreteRkhs":
-        return cls(kernel_factor=factor, pinv=factor.pinv())
+        return cls(kernel_factor=factor)
 
     @property
     def dim(self) -> int:
@@ -44,7 +46,8 @@ def rkhs_solve(space: DiscreteRkhs, prior_mean, obs: ObservationModel, y) -> np.
 
     Minimizes |y - H g|^2 weighted by R^(-1) plus the squared RKHS norm of
     g - prior_mean. The normal equations are solved in the orthonormal
-    basis of Range(K) with the penalty assembled from the stored K^+.
+    basis of Range(K), where the penalty is diag(1/lambda) from the kernel
+    factor's own eigenvalues.
     """
     prior_mean = np.asarray(prior_mean, dtype=float)
     if prior_mean.shape != (space.dim,):
@@ -60,7 +63,6 @@ def rkhs_solve(space: DiscreteRkhs, prior_mean, obs: ObservationModel, y) -> np.
         return prior_mean.copy()
     d = y - obs.H @ prior_mean
     u = space.kernel_factor.basis()
-    chol = _restricted_hessian(space.pinv, u, obs)
+    chol = _restricted_hessian(space.kernel_factor, obs)
     rhs = u.T @ (obs.H.T @ obs.noise_solve(d))
-    return prior_mean + u @ cho_solve(chol, rhs)
-
+    return prior_mean + u @ cho_solve((chol, True), rhs)

@@ -4,7 +4,7 @@ import sys
 import numpy as np
 import pytest
 
-from enscgp import ensemble, gaussian, matio
+from enscgp import ensemble, experiments, gaussian, matio
 from enscgp.cli import _fmt_value, main
 
 
@@ -116,6 +116,7 @@ class TestExitCodes:
         (["kl-sample", "ghost.txt", "--family", "exponential", "--energy", "1.5"],
          "--energy"),
         (["equivalence", "--count", "-1"], "--count"),
+        (["equivalence", "--count", "100001"], "--count"),
     ])
     def test_out_of_range_flag_is_input_error(self, argv, flag, capsys):
         # the input files do not exist, so the flag must be checked before any read
@@ -199,6 +200,15 @@ class TestEquivalence:
         pairs = parse_structured(capsys.readouterr().out)
         assert pairs["summary"] == "6/6 pass"
         assert pairs["instance_005_pass"] == "true"
+
+    def test_count_cap_checked_before_any_instance(self, monkeypatch):
+        started = []
+        monkeypatch.setattr(experiments, "equivalence_corpus",
+                            lambda count, base_seed: started.append(count) or iter(()))
+        assert main(["equivalence", "--count", str(experiments.COUNT_CAP + 1)]) == 2
+        assert started == []
+        assert main(["equivalence", "--count", str(experiments.COUNT_CAP)]) == 0
+        assert started == [experiments.COUNT_CAP]
 
 
 class TestReportValues:

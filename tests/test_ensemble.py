@@ -3,7 +3,7 @@ import pytest
 
 from enscgp import (Ensemble, GaussianLaw, NormalStream, ObservationModel,
                     canonicalize_factor, condition, enkf_mean_update,
-                    enkf_perturbed_obs, ens_cgp, ensemble_stats, range_projector)
+                    enkf_perturbed_obs, ens_cgp, ensemble_stats)
 from enscgp.rng import blocked_member_normals
 
 from conftest import random_orthogonal, random_psd

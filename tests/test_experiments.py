@@ -3,9 +3,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from enscgp import (GaussianLaw, NotSpdError, ObservationModel, condition,
-                    posterior_cov_via_hessian, repeated_reuse, run_equivalence)
-from enscgp.experiments import (COV_KINDS, MEAN_PAIRS, OBS_KINDS,
+from enscgp import (GaussianLaw, KernelSpec, NormalStream, NotSpdError,
+                    ObservationModel, condition, gram_matrix, posterior_cov_via_hessian,
+                    repeated_reuse, run_equivalence)
+from enscgp.experiments import (COV_KINDS, MEAN_PAIRS, MEAN_TOL, OBS_KINDS,
                                 equivalence_corpus, make_instance)
 
 from conftest import random_psd
@@ -64,6 +65,34 @@ class TestRunEquivalence:
         assert set(report.mean_discrepancies) == set(MEAN_PAIRS)
         assert all(v >= 0.0 for v in report.mean_discrepancies.values())
         assert report.cov_discrepancy >= 0.0
+
+
+def squared_exponential_instance(seed, n=200, m=15, lengthscale=0.3):
+    """Squared-exponential Gram prior on sorted uniform points, m distinct
+    points observed with noise variance 1e-2; kappa on the kept range ~ 1e12."""
+    stream = NormalStream(seed)
+    points = np.sort(stream.uniforms(n))
+    observed = np.sort(np.argsort(stream.uniforms(n), kind="stable")[:m])
+    h = np.zeros((m, n))
+    h[np.arange(m), observed] = 1.0
+    gram = gram_matrix(KernelSpec("squared-exponential", 1.0, lengthscale), points)
+    prior = GaussianLaw.from_moments(np.zeros(n), gram)
+    return prior, ObservationModel(h, 1e-2 * np.eye(m)), stream.normals(m)
+
+
+class TestIllConditionedPriors:
+    """Priors on which a route through a dense K^+ loses eps / lambda_min."""
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_squared_exponential_prior_passes(self, seed):
+        report = run_equivalence(*squared_exponential_instance(seed))
+        assert report.passed, (report.mean_discrepancies, report.cov_discrepancy)
+
+    def test_ensemble_draw_with_round_off_mode_passes(self):
+        # an ensemble prior whose rank decision keeps a round-off singular value
+        report = run_equivalence(*make_instance(11, 294443251))
+        assert report.mean_discrepancies[("schur", "rkhs")] <= MEAN_TOL
+        assert report.passed, (report.mean_discrepancies, report.cov_discrepancy)
 
 
 class TestCorpus:

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from enscgp import (DimensionError, NotPsdError, canonical_sqrt, canonicalize_factor,
-                    eig_psd, range_projector, symmetrize)
+                    eig_psd, symmetrize)
 
 from conftest import random_orthogonal, random_psd
 
@@ -153,21 +153,20 @@ class TestCanonicalizeFactor:
 
 class TestRangeProjector:
     def test_full_rank_is_identity(self, rng):
-        factor = canonical_sqrt(random_psd(rng, 4))
-        np.testing.assert_allclose(range_projector(factor), np.eye(4), atol=1e-12)
+        u = canonical_sqrt(random_psd(rng, 4)).basis()
+        np.testing.assert_allclose(u @ u.T, np.eye(4), atol=1e-12)
 
     def test_rank_zero_is_zero(self):
-        factor = canonical_sqrt(np.zeros((3, 3)))
-        np.testing.assert_array_equal(range_projector(factor), np.zeros((3, 3)))
+        u = canonical_sqrt(np.zeros((3, 3))).basis()
+        np.testing.assert_array_equal(u @ u.T, np.zeros((3, 3)))
 
     def test_single_axis(self):
-        factor = canonicalize_factor(np.array([[1.0], [0.0], [0.0]]))
-        np.testing.assert_allclose(range_projector(factor), np.diag([1.0, 0.0, 0.0]),
-                                   atol=1e-14)
+        u = canonicalize_factor(np.array([[1.0], [0.0], [0.0]])).basis()
+        np.testing.assert_allclose(u @ u.T, np.diag([1.0, 0.0, 0.0]), atol=1e-14)
 
     def test_projector_properties(self, rng):
-        factor = canonical_sqrt(random_psd(rng, 6, rank=3))
-        p = range_projector(factor)
+        u = canonical_sqrt(random_psd(rng, 6, rank=3)).basis()
+        p = u @ u.T
         assert np.linalg.norm(p @ p - p) <= 1e-12
         assert np.linalg.norm(p - p.T) <= 1e-12
 
