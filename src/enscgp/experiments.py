@@ -21,15 +21,15 @@ single-observation inference.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from . import ensemble, gaussian, psd, quadprog, rkhs
 from .errors import NotSpdError
 from .gaussian import GaussianLaw, ObservationModel
-from .psd import symmetrize
+from .psd import _chol_lower, _chol_solve, symmetrize
 from .rng import NormalStream
 
 MEAN_TOL = 1e-8
@@ -39,10 +39,16 @@ MEAN_ROUTES = ("schur", "qp", "rkhs", "gain")
 MEAN_PAIRS = tuple(itertools.combinations(MEAN_ROUTES, 2))
 
 
+def _norm(x: np.ndarray) -> float:
+    # np.linalg.norm's own ord=None path (same bits) without its dispatch
+    x = x.ravel(order="K")
+    return math.sqrt(x.dot(x))
+
+
 def rel_vec_diff(a: np.ndarray, b: np.ndarray) -> float:
     """Symmetric relative (Frobenius for matrices) difference with a unit floor."""
-    scale = max(1.0, float(np.linalg.norm(a)), float(np.linalg.norm(b)))
-    return float(np.linalg.norm(a - b)) / scale
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return _norm(a - b) / max(1.0, _norm(a), _norm(b))
 
 
 @dataclass(frozen=True)
@@ -196,7 +202,7 @@ def repeated_reuse(prior: GaussianLaw, obs: ObservationModel, y,
     law = prior
     for k in ks:
         precision = k0_inv + k * info
-        cov_k = symmetrize(cho_solve(cho_factor(precision, lower=True), identity))
+        cov_k = symmetrize(_chol_solve(_chol_lower(precision, clean=False), identity))
         mean_k = cov_k @ (b0 + k * pulled_data)
         if k == 0:
             mean_0 = mean_k

@@ -17,6 +17,11 @@ covariance is also available through the inverse of the quadratic-form
 Hessian restricted to Range(K), which in the range basis is
 diag(1/lambda) + (H U)^T R^(-1) (H U); the two must agree, and tests
 enforce it.
+
+Every Cholesky factorization and triangular solve here goes through the
+LAPACK helpers in :mod:`enscgp.psd`, which check their inputs for
+finiteness. Non-finite values are also rejected with ``ValueError`` where
+they enter: a law's mean, the model's H and R, and the data y.
 """
 
 from __future__ import annotations
@@ -24,11 +29,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, cholesky, solve_triangular
 
 from . import psd
 from .errors import DegenerateModelError, DimensionError, NotSpdError
-from .psd import PsdFactor, symmetrize
+from .psd import (PsdFactor, _check_finite, _chol_lower, _chol_solve,
+                  _tril_solve, symmetrize)
 
 
 @dataclass(frozen=True)
@@ -46,6 +51,7 @@ class GaussianLaw:
             raise DimensionError(
                 f"mean length {mean.shape[0]} != covariance dim {self.cov_factor.dim}"
             )
+        _check_finite(mean)
         object.__setattr__(self, "mean", mean)
 
     @property
@@ -89,8 +95,9 @@ class ObservationModel:
             raise DimensionError(
                 f"R is {r.shape[0]}x{r.shape[0]} but H has {h.shape[0]} rows"
             )
+        _check_finite(h, r)
         try:
-            chol = cholesky(r, lower=True, check_finite=False)
+            chol = _chol_lower(r, clean=True)
         except np.linalg.LinAlgError:
             raise NotSpdError("noise covariance R is not positive definite") from None
         object.__setattr__(self, "H", h)
@@ -109,7 +116,7 @@ class ObservationModel:
         """R^(-1) b via the Cholesky factor of R."""
         if self.n_obs == 0:
             return np.zeros_like(np.asarray(b, dtype=float))
-        return cho_solve((self._noise_chol, True), np.asarray(b, dtype=float))
+        return _chol_solve(self._noise_chol, np.asarray(b, dtype=float))
 
     def information(self) -> np.ndarray:
         """Observation information matrix H^T R^(-1) H."""
@@ -129,6 +136,7 @@ def _check_data(obs: ObservationModel, y) -> np.ndarray:
     y = np.asarray(y, dtype=float)
     if y.shape != (obs.n_obs,):
         raise DimensionError(f"data must have shape ({obs.n_obs},), got {y.shape}")
+    _check_finite(y)
     return y
 
 
@@ -141,10 +149,10 @@ def _gain_and_innovation(prior: GaussianLaw, obs: ObservationModel):
     kht = a @ (a.T @ obs.H.T)
     innovation_cov = symmetrize(obs.H @ kht) + obs.R
     try:
-        chol = cho_factor(innovation_cov, lower=True)
+        chol = _chol_lower(innovation_cov, clean=False)
     except np.linalg.LinAlgError:
         raise NotSpdError("innovation covariance H K H^T + R is not SPD") from None
-    return cho_solve(chol, kht.T).T, chol[0]
+    return _chol_solve(chol, kht.T).T, chol
 
 
 def kalman_gain(prior: GaussianLaw, obs: ObservationModel) -> np.ndarray:
@@ -181,7 +189,7 @@ def condition(prior: GaussianLaw, obs: ObservationModel, y,
     mean = prior.mean + gain @ (y - obs.H @ prior.mean)
     core = np.diag(prior.cov_factor.eigenvalues)
     if chol is not None:
-        ws = solve_triangular(chol, obs.H @ prior.cov_factor.factor, lower=True)
+        ws = _tril_solve(chol, obs.H @ prior.cov_factor.factor)
         ws *= np.sqrt(prior.cov_factor.eigenvalues)  # W S
         core -= ws.T @ ws
     # round-off in the update lives at the prior's scale, so the
@@ -203,7 +211,7 @@ def _restricted_hessian(factor: PsdFactor, obs: ObservationModel) -> np.ndarray:
     reduced = symmetrize(hu.T @ obs.noise_solve(hu))
     reduced[np.diag_indices_from(reduced)] += 1.0 / factor.eigenvalues
     try:
-        return cholesky(reduced, lower=True)
+        return _chol_lower(reduced, clean=True)
     except np.linalg.LinAlgError:
         raise DegenerateModelError(
             "restricted Hessian is numerically singular; rank tolerance is inconsistent"
@@ -222,5 +230,5 @@ def posterior_cov_via_hessian(prior: GaussianLaw, obs: ObservationModel) -> np.n
     if prior.rank == 0:
         return np.zeros((prior.dim, prior.dim))
     chol = _restricted_hessian(prior.cov_factor, obs)
-    x = solve_triangular(chol, prior.cov_factor.basis().T, lower=True)
+    x = _tril_solve(chol, prior.cov_factor.basis().T)
     return symmetrize(x.T @ x)

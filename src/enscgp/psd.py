@@ -11,6 +11,12 @@ when it exceeds ``rank_tol * largest_magnitude_eigenvalue``. The default
 ``rank_tol`` is ``max(n_rows, n_cols) * machine_epsilon``, the standard
 numerical-rank rule. All ``rank_tol`` arguments in this package are this
 relative cutoff.
+
+This module is also the package's only caller of LAPACK's Cholesky and
+triangular-solve kernels (``dpotrf``, ``dpotrs``, ``dtrtrs``), through
+three private helpers that take scipy.linalg's arguments without its
+per-call wrapper work. Like scipy's default, they reject non-finite input
+with ``ValueError``; so do :func:`eig_psd` and :func:`canonicalize_factor`.
 """
 
 from __future__ import annotations
@@ -18,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
 
 from .errors import DimensionError, NotPsdError
 
@@ -37,6 +44,65 @@ def symmetrize(matrix) -> np.ndarray:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {m.shape}")
     return (m + m.T) / 2.0
+
+
+def _check_finite(*arrays: np.ndarray) -> None:
+    for x in arrays:
+        if not np.isfinite(x).all():
+            raise ValueError("array must not contain infs or NaNs")
+
+
+def _lapack_info(info: int, routine: str) -> None:
+    if info > 0:
+        raise np.linalg.LinAlgError(f"{routine} failed at step {info}: "
+                                    "matrix is not positive definite or is singular")
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of {routine}")
+
+
+def _chol_lower(a: np.ndarray, clean: bool) -> np.ndarray:
+    """Lower Cholesky factor L (L L^T = a) of a float64 SPD matrix, by potrf.
+
+    ``clean=False`` leaves a's strict upper triangle in the returned array,
+    as scipy's ``cho_factor`` does; the two solves below read only the lower
+    triangle. ``clean=True`` zeroes it, as ``scipy.linalg.cholesky`` does.
+    Raises ``LinAlgError`` when a is not positive definite.
+    """
+    _check_finite(a)
+    if a.size == 0:
+        return np.empty_like(a, dtype=float)
+    c, info = dpotrf(a, lower=1, clean=clean)
+    _lapack_info(info, "potrf")
+    return c
+
+
+def _chol_solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(L L^T)^(-1) b for a lower factor from :func:`_chol_lower`, by potrs."""
+    _check_finite(c, b)
+    if b.size == 0:
+        return np.empty_like(b, dtype=float)
+    x, info = dpotrs(c, b, lower=1)
+    _lapack_info(info, "potrs")
+    return x
+
+
+def _tril_solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """L^(-1) b for a lower-triangular float64 L, by trtrs.
+
+    A factor that is not Fortran-ordered is passed transposed, as the upper
+    factor of the transposed system. That is the choice scipy's
+    ``solve_triangular`` makes, and the two LAPACK calls can differ in the
+    last bit.
+    """
+    _check_finite(c, b)
+    if b.size == 0:
+        return np.empty_like(b, dtype=float)
+    if c.flags.f_contiguous:
+        x, info = dtrtrs(c, b, lower=1)
+    else:
+        x, info = dtrtrs(c.T, b, lower=0, trans=1)
+    _lapack_info(info, "trtrs")
+    return x
 
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
@@ -74,7 +140,8 @@ def eig_psd(matrix, rank_tol: float | None = None, scale_floor: float = 0.0):
     the ``rank`` values above threshold in descending order and the
     eigenvectors are the matching orthonormal columns. Raises
     :class:`NotPsdError` when some eigenvalue falls below minus the
-    effective threshold.
+    effective threshold, and ``ValueError`` on non-finite entries (a NaN
+    matrix would otherwise come out as rank 0).
 
     ``scale_floor`` lets callers anchor the threshold to the scale of the
     computation that produced the matrix (e.g. the prior spectrum when
@@ -82,6 +149,7 @@ def eig_psd(matrix, rank_tol: float | None = None, scale_floor: float = 0.0):
     rather than at the output's own.
     """
     k = symmetrize(matrix)
+    _check_finite(k)
     if rank_tol is None:
         rank_tol = default_rank_tol(k.shape[0])
     elif not rank_tol >= 0:
@@ -170,11 +238,13 @@ def canonicalize_factor(factor, rank_tol: float | None = None) -> PsdFactor:
     Thin SVD A = U S V^T gives the canonical factor U_r S_r; the Gram
     matrix A A^T is preserved, so any two factors differing by a
     right-rotation canonicalize to the same object (up to column signs,
-    which are fixed deterministically).
+    which are fixed deterministically). Non-finite entries raise
+    ``ValueError``.
     """
     a = np.asarray(factor, dtype=float)
     if a.ndim != 2:
         raise DimensionError(f"expected a matrix factor, got shape {a.shape}")
+    _check_finite(a)
     n, p = a.shape
     if rank_tol is None:
         rank_tol = default_rank_tol(n, p)

@@ -22,11 +22,10 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .errors import DegenerateModelError, DimensionError, InfeasiblePointError
 from .gaussian import GaussianLaw, ObservationModel, _check_compatible, _check_data
-from .psd import PsdFactor, symmetrize
+from .psd import PsdFactor, _chol_lower, _chol_solve, symmetrize
 
 FEASIBILITY_TOL = 1e-8
 
@@ -94,12 +93,12 @@ def solve_qp(obj: QuadraticObjective):
     lhs = obj.reduced_gram + np.eye(obj.rank)
     rhs = -(obj.cov_factor.factor.T @ obj.q)
     try:
-        chol = cho_factor(lhs, lower=True)
+        chol = _chol_lower(lhs, clean=False)
     except np.linalg.LinAlgError:
         raise DegenerateModelError(
             "reduced normal equations are singular; rank tolerance is inconsistent"
         ) from None
-    w = cho_solve(chol, rhs)
+    w = _chol_solve(chol, rhs)
     x_star = obj.cov_factor.factor @ w
     return x_star, obj.prior_mean + x_star
 

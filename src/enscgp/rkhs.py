@@ -15,11 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve
 
 from .errors import DimensionError
 from .gaussian import ObservationModel, _check_data, _restricted_hessian
-from .psd import PsdFactor
+from .psd import PsdFactor, _chol_solve
 
 
 @dataclass(frozen=True)
@@ -65,4 +64,4 @@ def rkhs_solve(space: DiscreteRkhs, prior_mean, obs: ObservationModel, y) -> np.
     u = space.kernel_factor.basis()
     chol = _restricted_hessian(space.kernel_factor, obs)
     rhs = u.T @ (obs.H.T @ obs.noise_solve(d))
-    return prior_mean + u @ cho_solve((chol, True), rhs)
+    return prior_mean + u @ _chol_solve(chol, rhs)

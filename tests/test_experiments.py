@@ -2,12 +2,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from enscgp import (GaussianLaw, KernelSpec, NormalStream, NotSpdError,
-                    ObservationModel, condition, gram_matrix, posterior_cov_via_hessian,
-                    repeated_reuse, run_equivalence)
-from enscgp.experiments import (COV_KINDS, MEAN_PAIRS, MEAN_TOL, OBS_KINDS,
-                                equivalence_corpus, make_instance)
+                    ObservationModel, condition, experiments, gaussian, gram_matrix,
+                    posterior_cov_via_hessian, quadprog, repeated_reuse, rkhs,
+                    run_equivalence)
+from enscgp.experiments import (COV_KINDS, MEAN_PAIRS, MEAN_ROUTES, MEAN_TOL,
+                                OBS_KINDS, equivalence_corpus, make_instance)
 
 from conftest import random_psd
 
@@ -142,6 +144,55 @@ class TestCorpus:
             prior, obs, _ = make_instance(i)
             assert 3 <= prior.dim <= 50
             assert 1 <= obs.n_obs <= 20
+
+
+class TestRelVecDiff:
+    def test_matches_numpy_norm_bitwise(self, rng):
+        a = rng.normal(size=(7, 5)) * 3.0
+        for x, y in ((a, a + 1e-9 * rng.normal(size=a.shape)), (a.T, np.asfortranarray(a.T)),
+                     (a[::2, 1:], a[::2, :4]), (a[:, 0], a[:, 1] * 1e-3)):
+            scale = max(1.0, float(np.linalg.norm(x)), float(np.linalg.norm(y)))
+            assert experiments.rel_vec_diff(x, y) == float(np.linalg.norm(x - y)) / scale
+
+
+class TestLapackHelpersInAudit:
+    def test_audit_bits_match_scipy_wrappers(self, monkeypatch):
+        """The audit gives the same bits through the LAPACK helpers as through
+        the scipy.linalg wrappers they replace, on this machine's BLAS."""
+        def audit():
+            return [run_equivalence(*make_instance(j, 0)) for j in range(100)]
+
+        shipped = audit()
+        calls = {"_chol_lower": 0, "_chol_solve": 0, "_tril_solve": 0}
+
+        def chol_lower(a, clean):
+            calls["_chol_lower"] += 1
+            if clean:
+                return scipy.linalg.cholesky(a, lower=True)
+            return scipy.linalg.cho_factor(a, lower=True)[0]
+
+        def chol_solve(c, b):
+            calls["_chol_solve"] += 1
+            return scipy.linalg.cho_solve((c, True), b)
+
+        def tril_solve(c, b):
+            calls["_tril_solve"] += 1
+            return scipy.linalg.solve_triangular(c, b, lower=True)
+
+        wrappers = {"_chol_lower": chol_lower, "_chol_solve": chol_solve,
+                    "_tril_solve": tril_solve}
+        for module in (gaussian, quadprog, rkhs, experiments):
+            for name, fn in wrappers.items():
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, fn)
+        through_scipy = audit()
+        assert all(calls.values()), calls
+        for new, old in zip(shipped, through_scipy):
+            assert new.passed == old.passed
+            assert new.cov_discrepancy == old.cov_discrepancy
+            assert new.mean_discrepancies == old.mean_discrepancies
+            for route in MEAN_ROUTES:
+                assert new.means[route].tobytes() == old.means[route].tobytes()
 
 
 class TestRepeatedReuse:

@@ -68,6 +68,34 @@ class TestObservationModel:
         obs = ObservationModel(np.zeros((0, 3)), np.zeros((0, 0)))
         assert obs.n_obs == 0 and obs.state_dim == 3
 
+    def test_rejects_non_finite_operator_and_noise(self):
+        # a NaN R used to be accepted with an all-NaN cached factor
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            ObservationModel(np.eye(2), np.array([[1.0, 0.0], [0.0, np.nan]]))
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            ObservationModel(np.array([[1.0, np.inf]]), np.eye(1))
+
+
+class TestNonFiniteInputs:
+    """Non-finite values are rejected where they enter, not carried into results."""
+
+    def test_nan_covariance_is_not_a_point_mass(self):
+        cov = np.eye(2)
+        cov[0, 1] = cov[1, 0] = np.nan
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            GaussianLaw.from_moments(np.zeros(2), cov)
+
+    def test_non_finite_mean_rejected(self):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="infs or NaNs"):
+                GaussianLaw([0.0, bad], canonical_sqrt(np.eye(2)))
+
+    def test_non_finite_data_rejected(self):
+        prior, obs = rank1_instance()
+        for bad in (np.nan, -np.inf):
+            with pytest.raises(ValueError, match="infs or NaNs"):
+                condition(prior, obs, [1.0, bad, 0.0])
+
 
 class TestKalmanGain:
     def test_zero_prior_covariance(self):

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from enscgp import (DimensionError, NotPsdError, canonical_sqrt, canonicalize_factor,
                     eig_psd, symmetrize)
+from enscgp.psd import _chol_lower, _chol_solve, _tril_solve
 
 from conftest import random_orthogonal, random_psd
 
@@ -64,6 +66,12 @@ class TestEigPsd:
         v1, u1, _ = eig_psd(k)
         v2, u2, _ = eig_psd(k)
         assert np.array_equal(v1, v2) and np.array_equal(u1, u2)
+
+    def test_rejects_non_finite(self):
+        # a NaN matrix used to come out as rank 0, i.e. a point mass
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="infs or NaNs"):
+                eig_psd(np.array([[1.0, 0.0], [0.0, bad]]))
 
     def test_rank_invariant_under_permutation(self, rng):
         k = random_psd(rng, 7, rank=4)
@@ -138,6 +146,11 @@ class TestCanonicalizeFactor:
         gram_rot = canonicalize_factor(a @ omega).gram()
         assert np.linalg.norm(gram_a - gram_rot) <= 1e-10 * max(1.0, np.linalg.norm(gram_a))
 
+    def test_rejects_non_finite(self):
+        # SVD used to fail with "did not converge" instead
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            canonicalize_factor(np.array([[1.0], [np.nan]]))
+
     def test_zero_column_dropped(self):
         a = np.array([[1.0, 0.0], [0.0, 0.0]])
         assert canonicalize_factor(a).rank == 1
@@ -170,3 +183,68 @@ class TestRangeProjector:
         assert np.linalg.norm(p @ p - p) <= 1e-12
         assert np.linalg.norm(p - p.T) <= 1e-12
 
+
+
+def same_bits(x, y):
+    return x.shape == y.shape and x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
+LAPACK_SIZES = (0, 1, 2, 5, 20, 60)
+
+
+def spd_and_rhs(n):
+    rng = np.random.default_rng(1000 + n)
+    b = rng.normal(size=(n, n))
+    return b @ b.T + n * np.eye(n), rng.normal(size=n), rng.normal(size=(n, 3))
+
+
+class TestLapackHelpers:
+    """The LAPACK helpers reproduce scipy.linalg's wrappers bit for bit."""
+
+    @pytest.mark.parametrize("n", LAPACK_SIZES)
+    def test_cholesky_matches_scipy(self, n):
+        a, _, _ = spd_and_rhs(n)
+        assert same_bits(_chol_lower(a, clean=False),
+                         scipy.linalg.cho_factor(a, lower=True)[0])
+        assert same_bits(_chol_lower(a, clean=True), scipy.linalg.cholesky(a, lower=True))
+
+    @pytest.mark.parametrize("n", LAPACK_SIZES)
+    @pytest.mark.parametrize("clean", (False, True))
+    @pytest.mark.parametrize("order", ("C", "F"))
+    def test_solves_match_scipy(self, n, clean, order):
+        a, rhs_1d, rhs_2d = spd_and_rhs(n)
+        c = np.asarray(_chol_lower(a, clean=clean), order=order)
+        for rhs in (rhs_1d, rhs_2d):
+            assert same_bits(_chol_solve(c, rhs), scipy.linalg.cho_solve((c, True), rhs))
+            assert same_bits(_tril_solve(c, rhs),
+                             scipy.linalg.solve_triangular(c, rhs, lower=True))
+
+    @pytest.mark.parametrize("order", ("C", "F"))
+    def test_triangular_solve_ignores_upper_triangle(self, order):
+        # cho_factor's output keeps the input in its upper triangle
+        a, rhs, _ = spd_and_rhs(5)
+        c = np.asarray(_chol_lower(a, clean=False), order=order)
+        assert same_bits(_tril_solve(c, rhs),
+                         _tril_solve(np.asarray(np.tril(c), order=order), rhs))
+
+    def test_non_finite_rejected(self):
+        a, rhs, _ = spd_and_rhs(3)
+        c = _chol_lower(a, clean=True)
+        for bad in (np.nan, np.inf, -np.inf):
+            a_bad, rhs_bad = a.copy(), rhs.copy()
+            a_bad[2, 2] = rhs_bad[1] = bad
+            for call in (lambda: _chol_lower(a_bad, clean=False),
+                         lambda: _chol_lower(a_bad, clean=True),
+                         lambda: _chol_solve(a_bad, rhs),
+                         lambda: _chol_solve(c, rhs_bad),
+                         lambda: _tril_solve(a_bad, rhs),
+                         lambda: _tril_solve(c, rhs_bad)):
+                with pytest.raises(ValueError, match="infs or NaNs"):
+                    call()
+
+    def test_indefinite_and_singular_raise_linalg_error(self):
+        for clean in (False, True):
+            with pytest.raises(np.linalg.LinAlgError):
+                _chol_lower(np.diag([1.0, -1.0]), clean=clean)
+        with pytest.raises(np.linalg.LinAlgError):
+            _tril_solve(np.diag([1.0, 0.0]), np.ones(2))
