@@ -202,7 +202,7 @@ def repeated_reuse(prior: GaussianLaw, obs: ObservationModel, y,
     law = prior
     for k in ks:
         precision = k0_inv + k * info
-        cov_k = symmetrize(_chol_solve(_chol_lower(precision, clean=False), identity))
+        cov_k = symmetrize(_chol_solve(_chol_lower(precision), identity))
         mean_k = cov_k @ (b0 + k * pulled_data)
         if k == 0:
             mean_0 = mean_k

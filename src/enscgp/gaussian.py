@@ -95,9 +95,9 @@ class ObservationModel:
             raise DimensionError(
                 f"R is {r.shape[0]}x{r.shape[0]} but H has {h.shape[0]} rows"
             )
-        _check_finite(h, r)
+        _check_finite(h)
         try:
-            chol = _chol_lower(r, clean=True)
+            chol = _chol_lower(r)
         except np.linalg.LinAlgError:
             raise NotSpdError("noise covariance R is not positive definite") from None
         object.__setattr__(self, "H", h)
@@ -149,7 +149,7 @@ def _gain_and_innovation(prior: GaussianLaw, obs: ObservationModel):
     kht = a @ (a.T @ obs.H.T)
     innovation_cov = symmetrize(obs.H @ kht) + obs.R
     try:
-        chol = _chol_lower(innovation_cov, clean=False)
+        chol = _chol_lower(innovation_cov)
     except np.linalg.LinAlgError:
         raise NotSpdError("innovation covariance H K H^T + R is not SPD") from None
     return _chol_solve(chol, kht.T).T, chol
@@ -211,7 +211,7 @@ def _restricted_hessian(factor: PsdFactor, obs: ObservationModel) -> np.ndarray:
     reduced = symmetrize(hu.T @ obs.noise_solve(hu))
     reduced[np.diag_indices_from(reduced)] += 1.0 / factor.eigenvalues
     try:
-        return _chol_lower(reduced, clean=True)
+        return _chol_lower(reduced)
     except np.linalg.LinAlgError:
         raise DegenerateModelError(
             "restricted Hessian is numerically singular; rank tolerance is inconsistent"

@@ -60,18 +60,18 @@ def _lapack_info(info: int, routine: str) -> None:
         raise ValueError(f"illegal value in argument {-info} of {routine}")
 
 
-def _chol_lower(a: np.ndarray, clean: bool) -> np.ndarray:
+def _chol_lower(a: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor L (L L^T = a) of a float64 SPD matrix, by potrf.
 
-    ``clean=False`` leaves a's strict upper triangle in the returned array,
-    as scipy's ``cho_factor`` does; the two solves below read only the lower
-    triangle. ``clean=True`` zeroes it, as ``scipy.linalg.cholesky`` does.
-    Raises ``LinAlgError`` when a is not positive definite.
+    As with scipy's ``cho_factor``, a's strict upper triangle is left in the
+    returned array; every reader of the factor (the two solves below) reads
+    only the lower triangle. Raises ``LinAlgError`` when a is not positive
+    definite.
     """
     _check_finite(a)
     if a.size == 0:
         return np.empty_like(a, dtype=float)
-    c, info = dpotrf(a, lower=1, clean=clean)
+    c, info = dpotrf(a, lower=1, clean=0)
     _lapack_info(info, "potrf")
     return c
 
@@ -87,20 +87,14 @@ def _chol_solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _tril_solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """L^(-1) b for a lower-triangular float64 L, by trtrs.
+    """L^(-1) b for a lower factor from :func:`_chol_lower`, by trtrs.
 
-    A factor that is not Fortran-ordered is passed transposed, as the upper
-    factor of the transposed system. That is the choice scipy's
-    ``solve_triangular`` makes, and the two LAPACK calls can differ in the
-    last bit.
+    potrf returns a Fortran-ordered factor, which trtrs takes as it is.
     """
     _check_finite(c, b)
     if b.size == 0:
         return np.empty_like(b, dtype=float)
-    if c.flags.f_contiguous:
-        x, info = dtrtrs(c, b, lower=1)
-    else:
-        x, info = dtrtrs(c.T, b, lower=0, trans=1)
+    x, info = dtrtrs(c, b, lower=1)
     _lapack_info(info, "trtrs")
     return x
 

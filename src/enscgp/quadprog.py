@@ -93,7 +93,7 @@ def solve_qp(obj: QuadraticObjective):
     lhs = obj.reduced_gram + np.eye(obj.rank)
     rhs = -(obj.cov_factor.factor.T @ obj.q)
     try:
-        chol = _chol_lower(lhs, clean=False)
+        chol = _chol_lower(lhs)
     except np.linalg.LinAlgError:
         raise DegenerateModelError(
             "reduced normal equations are singular; rank tolerance is inconsistent"

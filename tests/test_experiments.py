@@ -165,11 +165,9 @@ class TestLapackHelpersInAudit:
         shipped = audit()
         calls = {"_chol_lower": 0, "_chol_solve": 0, "_tril_solve": 0}
 
-        def chol_lower(a, clean):
+        def chol_lower(a):
             calls["_chol_lower"] += 1
-            if clean:
-                return scipy.linalg.cholesky(a, lower=True)
-            return scipy.linalg.cho_factor(a, lower=True)[0]
+            return scipy.linalg.cholesky(a, lower=True)
 
         def chol_solve(c, b):
             calls["_chol_solve"] += 1

@@ -204,37 +204,39 @@ class TestLapackHelpers:
     @pytest.mark.parametrize("n", LAPACK_SIZES)
     def test_cholesky_matches_scipy(self, n):
         a, _, _ = spd_and_rhs(n)
-        assert same_bits(_chol_lower(a, clean=False),
-                         scipy.linalg.cho_factor(a, lower=True)[0])
-        assert same_bits(_chol_lower(a, clean=True), scipy.linalg.cholesky(a, lower=True))
+        c = _chol_lower(a)
+        assert same_bits(c, scipy.linalg.cho_factor(a, lower=True)[0])
+        assert same_bits(np.tril(c), scipy.linalg.cholesky(a, lower=True))
 
     @pytest.mark.parametrize("n", LAPACK_SIZES)
-    @pytest.mark.parametrize("clean", (False, True))
     @pytest.mark.parametrize("order", ("C", "F"))
-    def test_solves_match_scipy(self, n, clean, order):
+    def test_chol_solve_matches_scipy(self, n, order):
         a, rhs_1d, rhs_2d = spd_and_rhs(n)
-        c = np.asarray(_chol_lower(a, clean=clean), order=order)
+        c = np.asarray(_chol_lower(a), order=order)
         for rhs in (rhs_1d, rhs_2d):
             assert same_bits(_chol_solve(c, rhs), scipy.linalg.cho_solve((c, True), rhs))
+
+    @pytest.mark.parametrize("n", LAPACK_SIZES)
+    def test_tril_solve_matches_scipy(self, n):
+        a, rhs_1d, rhs_2d = spd_and_rhs(n)
+        c = _chol_lower(a)
+        for rhs in (rhs_1d, rhs_2d):
             assert same_bits(_tril_solve(c, rhs),
                              scipy.linalg.solve_triangular(c, rhs, lower=True))
 
-    @pytest.mark.parametrize("order", ("C", "F"))
-    def test_triangular_solve_ignores_upper_triangle(self, order):
-        # cho_factor's output keeps the input in its upper triangle
+    def test_triangular_solve_ignores_upper_triangle(self):
+        # the factor keeps the input in its upper triangle
         a, rhs, _ = spd_and_rhs(5)
-        c = np.asarray(_chol_lower(a, clean=False), order=order)
-        assert same_bits(_tril_solve(c, rhs),
-                         _tril_solve(np.asarray(np.tril(c), order=order), rhs))
+        c = _chol_lower(a)
+        assert same_bits(_tril_solve(c, rhs), _tril_solve(np.asfortranarray(np.tril(c)), rhs))
 
     def test_non_finite_rejected(self):
         a, rhs, _ = spd_and_rhs(3)
-        c = _chol_lower(a, clean=True)
+        c = _chol_lower(a)
         for bad in (np.nan, np.inf, -np.inf):
             a_bad, rhs_bad = a.copy(), rhs.copy()
             a_bad[2, 2] = rhs_bad[1] = bad
-            for call in (lambda: _chol_lower(a_bad, clean=False),
-                         lambda: _chol_lower(a_bad, clean=True),
+            for call in (lambda: _chol_lower(a_bad),
                          lambda: _chol_solve(a_bad, rhs),
                          lambda: _chol_solve(c, rhs_bad),
                          lambda: _tril_solve(a_bad, rhs),
@@ -243,8 +245,7 @@ class TestLapackHelpers:
                     call()
 
     def test_indefinite_and_singular_raise_linalg_error(self):
-        for clean in (False, True):
-            with pytest.raises(np.linalg.LinAlgError):
-                _chol_lower(np.diag([1.0, -1.0]), clean=clean)
+        with pytest.raises(np.linalg.LinAlgError):
+            _chol_lower(np.diag([1.0, -1.0]))
         with pytest.raises(np.linalg.LinAlgError):
             _tril_solve(np.diag([1.0, 0.0]), np.ones(2))
