@@ -17,6 +17,7 @@ finite or is negative is an input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -301,6 +302,7 @@ def run(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache  # one parser per process: parse_args leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="enscgp",

@@ -10,7 +10,10 @@ are skipped), so ``rows 0`` alone reads as an empty rows x 0 matrix.
 
 Reading tries a one-pass parse of a well-formed file first; on anything
 irregular it starts over with the line-by-line checked parser, which alone
-decides what is accepted and what each error says.
+decides what is accepted and what each error says. The one-pass parse
+splits the text into lines a bounded chunk at a time and converts a
+bounded block of rows per numpy call, so besides the text and the result
+it holds an amount of memory that does not grow with the file.
 """
 
 from __future__ import annotations
@@ -57,15 +60,39 @@ def loads_matrix(text: str, name: str = "<string>") -> np.ndarray:
     return _loads_checked(text, name) if matrix is None else matrix
 
 
+# The one-pass parse converts whole rows, at most this many values (or one
+# row, if a row has more) per numpy call ...
+_BLOCK_VALUES = 1 << 12
+# ... and splits the text into lines about this many characters at a time.
+_CHUNK_CHARS = 1 << 16
+
+
+def _lines(text: str):
+    """Yield ``text.splitlines()``, splitting a bounded chunk at a time.
+
+    Each chunk ends just after a line feed, which always ends a line (a
+    CRLF pair ends there too), so the lines are those of the whole text.
+    """
+    start = 0
+    while start < len(text):
+        end = text.find("\n", start + _CHUNK_CHARS) + 1 or len(text)
+        yield from text[start:end].splitlines()
+        start = end
+
+
 def _loads_fast(text: str) -> np.ndarray | None:
     """Parse a well-formed file in one pass; None on any irregularity.
 
     Accepts only what ``_loads_checked`` accepts, with the same values, so
-    a None costs time but never changes a result or an error message.
+    a None costs time but never changes a result or an error message. Each
+    line's tokens are checked as it is read; a block of rows is converted
+    by one ``np.array(tokens, dtype=float)``, which applies ``float()`` to
+    each token as the checked parser does.
     """
     out = None
-    filled = 0
-    for raw in text.splitlines():
+    read = filled = 0  # rows read, rows converted into out
+    pending: list[str] = []  # the tokens of rows filled..read
+    for raw in _lines(text):
         tokens = raw.split("#", 1)[0].split()
         if not tokens:
             continue
@@ -82,14 +109,18 @@ def _loads_fast(text: str) -> np.ndarray | None:
             if min(rows, cols) < 0 or max(rows, cols, rows * cols) > len(text) // 2:
                 return None
             out = np.empty((rows, cols))
+            block = max(1, _BLOCK_VALUES // max(cols, 1))
             continue
-        if filled == rows or len(tokens) != cols:
+        if read == rows or len(tokens) != cols:
             return None
-        try:
-            out[filled] = [float(t) for t in tokens]
-        except ValueError:
-            return None
-        filled += 1
+        pending += tokens
+        read += 1
+        if read - filled == block or read == rows:
+            try:
+                out[filled:read] = np.array(pending, dtype=float).reshape(-1, cols)
+            except ValueError:
+                return None
+            filled, pending = read, []
     if out is None or (cols and filled != rows) or not np.isfinite(out).all():
         return None
     return out

@@ -22,6 +22,7 @@ with ``ValueError``; so do :func:`eig_psd` and :func:`canonicalize_factor`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
@@ -77,8 +78,12 @@ def _chol_lower(a: np.ndarray) -> np.ndarray:
 
 
 def _chol_solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """(L L^T)^(-1) b for a lower factor from :func:`_chol_lower`, by potrs."""
-    _check_finite(c, b)
+    """(L L^T)^(-1) b for a lower factor from :func:`_chol_lower`, by potrs.
+
+    Only b is checked for finiteness: every c comes from :func:`_chol_lower`,
+    which checked its input, and a cached factor (R's) is solved with often.
+    """
+    _check_finite(b)
     if b.size == 0:
         return np.empty_like(b, dtype=float)
     x, info = dpotrs(c, b, lower=1)
@@ -188,10 +193,21 @@ class PsdFactor:
         return symmetrize(self.factor @ self.factor.T)
 
     def basis(self) -> np.ndarray:
-        """Orthonormal basis U_r of Range(K), shape (dim, rank)."""
+        """Orthonormal basis U_r of Range(K), shape (dim, rank).
+
+        Computed on the first call and returned, read-only, by every later
+        one: one audit asks for the same prior's basis six times.
+        """
+        return self._basis
+
+    @cached_property
+    def _basis(self) -> np.ndarray:
         if self.rank == 0:
-            return np.zeros((self.dim, 0))
-        return self.factor / np.sqrt(self.eigenvalues)
+            u = np.zeros((self.dim, 0))
+        else:
+            u = self.factor / np.sqrt(self.eigenvalues)
+        u.flags.writeable = False
+        return u
 
     def pinv(self) -> np.ndarray:
         """Moore-Penrose pseudoinverse U_r diag(1/eigenvalues) U_r^T."""

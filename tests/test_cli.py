@@ -1,3 +1,4 @@
+import os
 import subprocess
 import sys
 
@@ -356,3 +357,61 @@ def test_console_entry_point(scalar_files):
         capture_output=True, text=True)
     assert result.returncode == 0
     assert "posterior_mean" in result.stdout
+
+
+def test_parser_reused_across_calls_matches_solo_runs(tmp_path, capsys, monkeypatch):
+    """One process runs several commands, a rejected argv and an environment
+    override through the same parser; every exit code, message and file
+    equals that of the same argv run alone in a fresh process."""
+    rng = np.random.default_rng(7)
+    c = rng.normal(size=(5, 5))
+    inputs = {"members": rng.normal(size=(30, 8)), "H": rng.normal(size=(5, 30)),
+              "R": c @ c.T + np.eye(5), "y": rng.normal(size=5),
+              "points": rng.uniform(size=(12, 2))}
+    for name, value in inputs.items():
+        inputs[name] = str(tmp_path / f"{name}.txt")
+        matio.write_matrix(inputs[name], value)
+    ens = [inputs[k] for k in ("members", "H", "R", "y")]
+    runs = [  # (rank-tol environment value or None, argv with {out} for the output dir)
+        (None, ["ens-cgp", *ens, "--format", "structured", "--out", "{out}/cgp.txt"]),
+        (None, ["kl-sample", inputs["points"], "--family", "squared-exponential",
+                "--modes", "3", "--members", "4", "--seed", "5", "--out", "{out}/kl.txt"]),
+        (None, ["enkf", *ens, "--seed", "3", "--out", "{out}/enkf.txt",
+                "--save-members", "{out}/saved.txt"]),
+        (None, ["enkf", *ens, "--seed", "three"]),
+        ("10", ["ens-cgp", *ens, "--out", "{out}/cgp_env.txt"]),
+        (None, ["ens-cgp", *ens, "--out", "{out}/cgp_no_env.txt"]),
+        (None, ["kl-sample", inputs["points"], "--family", "exponential", "--out",
+                "{out}/kl_matern.txt"]),
+    ]
+
+    def outcome(code, err, out_dir):
+        files = {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
+        return code, err, files
+
+    together, alone = [], []
+    for i, (env, argv) in enumerate(runs):
+        out_dir = tmp_path / f"together_{i}"
+        out_dir.mkdir()
+        if env is None:
+            monkeypatch.delenv("ENSCGP_RANK_TOL", raising=False)
+        else:
+            monkeypatch.setenv("ENSCGP_RANK_TOL", env)
+        try:
+            code = main([a.format(out=out_dir) for a in argv])
+        except SystemExit as exc:
+            code = exc.code
+        together.append(outcome(code, capsys.readouterr().err, out_dir))
+    monkeypatch.delenv("ENSCGP_RANK_TOL", raising=False)
+    for i, (env, argv) in enumerate(runs):
+        out_dir = tmp_path / f"alone_{i}"
+        out_dir.mkdir()
+        result = subprocess.run(
+            [sys.executable, "-m", "enscgp.cli", *[a.format(out=out_dir) for a in argv]],
+            capture_output=True, text=True,
+            env={**os.environ, **({} if env is None else {"ENSCGP_RANK_TOL": env})})
+        alone.append(outcome(result.returncode, result.stderr, out_dir))
+    assert [code for code, _, _ in together] == [0, 0, 0, 2, 0, 0, 0]
+    for i, (mine, solo) in enumerate(zip(together, alone)):
+        assert mine == solo, runs[i][1]
+    assert together[4][2]["cgp_env.txt"] != together[5][2]["cgp_no_env.txt"]

@@ -10,6 +10,7 @@ from enscgp import (GaussianLaw, KernelSpec, NormalStream, NotSpdError,
                     run_equivalence)
 from enscgp.experiments import (COV_KINDS, MEAN_PAIRS, MEAN_ROUTES, MEAN_TOL,
                                 OBS_KINDS, equivalence_corpus, make_instance)
+from enscgp.psd import PsdFactor
 
 from conftest import random_psd
 
@@ -155,14 +156,46 @@ class TestRelVecDiff:
             assert experiments.rel_vec_diff(x, y) == float(np.linalg.norm(x - y)) / scale
 
 
+def acceptance_audit():
+    return [run_equivalence(*make_instance(j, 0)) for j in range(100)]
+
+
+@pytest.fixture(scope="module")
+def shipped_audit():
+    return acceptance_audit()
+
+
+def assert_same_audit_bits(new_reports, old_reports):
+    for new, old in zip(new_reports, old_reports, strict=True):
+        assert new.passed == old.passed
+        assert new.cov_discrepancy == old.cov_discrepancy
+        assert new.mean_discrepancies == old.mean_discrepancies
+        for route in MEAN_ROUTES:
+            assert new.means[route].tobytes() == old.means[route].tobytes()
+
+
+class TestBasisSharedInAudit:
+    def test_audit_bits_match_basis_recomputed_per_call(self, shipped_audit, monkeypatch):
+        """Each factor's cached basis gives the audit the same bits as
+        recomputing U_r = A diag(lambda)^(-1/2) at every call."""
+        asked = []
+
+        def recomputed(factor):
+            asked.append(factor)
+            if factor.rank == 0:
+                return np.zeros((factor.dim, 0))
+            return factor.factor / np.sqrt(factor.eigenvalues)
+
+        monkeypatch.setattr(PsdFactor, "basis", recomputed)
+        assert_same_audit_bits(shipped_audit, acceptance_audit())
+        # the routes ask for one factor's basis more than once
+        assert len(asked) > len({id(f) for f in asked})
+
+
 class TestLapackHelpersInAudit:
-    def test_audit_bits_match_scipy_wrappers(self, monkeypatch):
+    def test_audit_bits_match_scipy_wrappers(self, shipped_audit, monkeypatch):
         """The audit gives the same bits through the LAPACK helpers as through
         the scipy.linalg wrappers they replace, on this machine's BLAS."""
-        def audit():
-            return [run_equivalence(*make_instance(j, 0)) for j in range(100)]
-
-        shipped = audit()
         calls = {"_chol_lower": 0, "_chol_solve": 0, "_tril_solve": 0}
 
         def chol_lower(a):
@@ -183,14 +216,9 @@ class TestLapackHelpersInAudit:
             for name, fn in wrappers.items():
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, fn)
-        through_scipy = audit()
+        through_scipy = acceptance_audit()
         assert all(calls.values()), calls
-        for new, old in zip(shipped, through_scipy):
-            assert new.passed == old.passed
-            assert new.cov_discrepancy == old.cov_discrepancy
-            assert new.mean_discrepancies == old.mean_discrepancies
-            for route in MEAN_ROUTES:
-                assert new.means[route].tobytes() == old.means[route].tobytes()
+        assert_same_audit_bits(shipped_audit, through_scipy)
 
 
 class TestRepeatedReuse:

@@ -75,6 +75,14 @@ class TestObservationModel:
         with pytest.raises(ValueError, match="infs or NaNs"):
             ObservationModel(np.array([[1.0, np.inf]]), np.eye(1))
 
+    def test_noise_solve_rejects_non_finite_right_hand_side(self):
+        # R's factor is checked once, when the model is built; b at every call
+        obs = ObservationModel(np.eye(2), np.diag([1.0, 4.0]))
+        np.testing.assert_array_equal(obs.noise_solve(np.array([1.0, 2.0])), [1.0, 0.5])
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="infs or NaNs"):
+                obs.noise_solve(np.array([1.0, bad]))
+
 
 class TestNonFiniteInputs:
     """Non-finite values are rejected where they enter, not carried into results."""

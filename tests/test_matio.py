@@ -1,4 +1,5 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,10 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from enscgp import matio
 from enscgp.errors import MatrixParseError
-from enscgp.matio import (_format_rows, _loads_checked, _loads_fast, dumps_matrix,
-                          format_float, loads_matrix, read_matrix, read_vector,
-                          write_matrix)
+from enscgp.matio import (_BLOCK_VALUES, _format_rows, _loads_checked, _loads_fast,
+                          dumps_matrix, format_float, loads_matrix, read_matrix,
+                          read_vector, write_matrix)
 
 EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308,
                -1.7976931348623157e308, 1.0, -3.0, 2.0**53, 1e22)
@@ -123,19 +125,137 @@ PARITY_CASES = {
 }
 
 
-@pytest.mark.parametrize("text", PARITY_CASES.values(), ids=PARITY_CASES.keys())
-def test_fast_parse_matches_checked_parser(text):
+def assert_parsers_agree(text):
+    """The fast path returns the checked parser's array or None, and
+    loads_matrix raises the checked parser's exact error."""
+    fast = _loads_fast(text)
     try:
         expected = _loads_checked(text, "m.txt")
     except MatrixParseError as exc:
+        assert fast is None
         with pytest.raises(MatrixParseError) as got:
             loads_matrix(text, "m.txt")
         assert str(got.value) == str(exc)
-    else:
-        got = loads_matrix(text, "m.txt")
+        return None
+    for got in (loads_matrix(text, "m.txt"),) + (() if fast is None else (fast,)):
         assert got.shape == expected.shape
-        assert np.array_equal(got, expected)
-        assert np.array_equal(np.signbit(got), np.signbit(expected))
+        assert got.tobytes() == expected.tobytes()
+    return fast
+
+
+@pytest.mark.parametrize("text", PARITY_CASES.values(), ids=PARITY_CASES.keys())
+def test_fast_parse_matches_checked_parser(text):
+    assert_parsers_agree(text)
+
+
+# the fast path converts BLOCK rows of BLOCK_COLS values per numpy call
+BLOCK_COLS = 4
+BLOCK = _BLOCK_VALUES // BLOCK_COLS
+SECOND_BLOCK_FAULTS = {
+    "ragged": lambda row: row.rsplit(" ", 1)[0],
+    "bad_token": lambda row: row + "x",
+    "non_finite": lambda row: row.replace(row.split()[1], "inf", 1),
+    "underscore": lambda row: row.replace(row.split()[2], "1_000", 1),
+    "extra_row": lambda row: row + "\n" + row,
+    "missing_row": lambda row: "",
+}
+
+
+def block_file(rows, fault=None, at=None):
+    """A rows x BLOCK_COLS file; ``fault`` rewrites row ``at`` (0-based)."""
+    matrix = np.random.default_rng(rows).normal(size=(rows, BLOCK_COLS))
+    lines = dumps_matrix(matrix).splitlines()
+    if fault is not None:
+        lines[1 + at] = SECOND_BLOCK_FAULTS[fault](lines[1 + at])
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("rows", (BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1))
+def test_block_boundaries_parse_fast(rows):
+    text = block_file(rows)
+    fast = assert_parsers_agree(text)
+    assert fast is not None and fast.shape == (rows, BLOCK_COLS)
+
+
+@pytest.mark.parametrize("fault", SECOND_BLOCK_FAULTS)
+@pytest.mark.parametrize("rows, at", [(BLOCK + 1, BLOCK),
+                                      (2 * BLOCK + 1, BLOCK),
+                                      (2 * BLOCK + 1, BLOCK + 7),
+                                      (2 * BLOCK + 1, 2 * BLOCK - 1)])
+def test_second_block_faults_match_checked_parser(fault, rows, at):
+    text = block_file(rows, fault, at)
+    fast = assert_parsers_agree(text)
+    if fault == "underscore":
+        assert fast is not None and fast[at, 2] == 1000.0
+    else:
+        assert fast is None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet="a1 #\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029", max_size=40),
+       st.integers(0, 9))
+def test_chunked_lines_are_splitlines(text, chunk):
+    with mock.patch.object(matio, "_CHUNK_CHARS", chunk):
+        assert list(matio._lines(text)) == text.splitlines()
+
+
+def test_fast_parse_memory_is_bounded_by_blocks():
+    """Besides the text and the result, the fast path holds one chunk of
+    lines and one block of tokens, not a list that grows with the file."""
+    text = dumps_matrix(np.random.default_rng(0).normal(size=(5000, 40)))
+    tracemalloc.start()
+    try:
+        out = _loads_fast(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out is not None and out.shape == (5000, 40)
+    # all 200k tokens held as str objects take over 10 times the result,
+    # and all the text's lines split at once over 3 times
+    assert peak < 1.5 * out.nbytes
+
+
+# the fast path hands numpy lists of str tokens: numpy must take exactly the
+# values float() gives them, and reject exactly what float() rejects
+NUMPY_FLOAT_TOKENS = [
+    "1_000", "2_5.0_1", "1_0e1_0", "-0_0.5",
+    "\u0663", "\u0661\u0662.5", "-\u0661e\u0662", "\u0661_\u0662", "\uff11\uff12",
+    "\u0967\u0966",
+    "0", "-0", "+0", "-0.0", "0e-400", "-0e5",
+    "5e-324", "-5e-324", "4.9406564584124654e-324", "2.2250738585072009e-308",
+    "2.2250738585072014e-308", "1e-320",
+    "1.7976931348623157e308", "-1.7976931348623157e308", "1.7976931348623158e308",
+    "1e400", "-1e400", "inf", "-Infinity", "nan", "-nan", "NaN",
+    "+.5", "5.", "-.5e-3", ".5E+3", "+5.E2", "00012", "1e0000000000000000000007",
+    "0.10000000000000001", "-123456789012345678", "9007199254740993",
+    "2.4703282292062328e-324", "2.4703282292062327e-324",
+]
+NOT_FLOAT_TOKENS = ["", "x", "1x", "0x10", "1__0", "_1", "1_", "1_.5", "1,5", "e5", ".",
+                    "+-1", "--1", "1e", "1e+", "\u00bd", "\u2155", "infinity_", "nan1",
+                    "1.5.0", "1e5.0"]
+
+
+def random_float_tokens(rng, count):
+    """Random finite doubles over every exponent, in 17-digit, shortest and
+    7-digit forms."""
+    values = rng.integers(0, 2**64, size=count, dtype=np.uint64).view(np.float64)
+    values = values[np.isfinite(values)].tolist()
+    return ([f"{v:.17g}" for v in values] + [repr(v) for v in values[:1000]]
+            + [f"{v:.6e}" for v in values[:1000]])
+
+
+def test_numpy_converts_str_tokens_like_float(rng):
+    tokens = NUMPY_FLOAT_TOKENS + random_float_tokens(rng, 20000)
+    expected = np.array([float(t) for t in tokens])
+    assert np.array(tokens, dtype=float).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("token", NOT_FLOAT_TOKENS)
+def test_numpy_rejects_what_float_rejects(token):
+    with pytest.raises(ValueError):
+        float(token)
+    with pytest.raises(ValueError):
+        np.array(["1.5", token, "2"], dtype=float)
 
 
 def test_hostile_header_allocates_nothing():

@@ -183,6 +183,17 @@ class TestRangeProjector:
         assert np.linalg.norm(p @ p - p) <= 1e-12
         assert np.linalg.norm(p - p.T) <= 1e-12
 
+    @pytest.mark.parametrize("rank", (0, 3))
+    def test_basis_computed_once_and_read_only(self, rng, rank):
+        factor = canonical_sqrt(random_psd(rng, 6, rank=rank))
+        u = factor.basis()
+        assert factor.basis() is u
+        assert not u.flags.writeable
+        with pytest.raises(ValueError):
+            u[...] = 0.0
+        expected = factor.factor / np.sqrt(factor.eigenvalues) if rank else np.zeros((6, 0))
+        assert same_bits(u, expected)
+
 
 
 def same_bits(x, y):
@@ -231,13 +242,14 @@ class TestLapackHelpers:
         assert same_bits(_tril_solve(c, rhs), _tril_solve(np.asfortranarray(np.tril(c)), rhs))
 
     def test_non_finite_rejected(self):
+        # _chol_solve checks only b: its factor comes from _chol_lower,
+        # which checked the matrix it factored
         a, rhs, _ = spd_and_rhs(3)
         c = _chol_lower(a)
         for bad in (np.nan, np.inf, -np.inf):
             a_bad, rhs_bad = a.copy(), rhs.copy()
             a_bad[2, 2] = rhs_bad[1] = bad
             for call in (lambda: _chol_lower(a_bad),
-                         lambda: _chol_solve(a_bad, rhs),
                          lambda: _chol_solve(c, rhs_bad),
                          lambda: _tril_solve(a_bad, rhs),
                          lambda: _tril_solve(c, rhs_bad)):
