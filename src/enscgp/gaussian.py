@@ -209,7 +209,9 @@ def _restricted_hessian(factor: PsdFactor, obs: ObservationModel) -> np.ndarray:
     """
     hu = obs.H @ factor.basis()
     reduced = symmetrize(hu.T @ obs.noise_solve(hu))
-    reduced[np.diag_indices_from(reduced)] += 1.0 / factor.eigenvalues
+    # symmetrize returns a fresh C-ordered array, so ravel() is a view and
+    # every (rank + 1)-th entry of it is a diagonal entry
+    reduced.ravel()[:: factor.rank + 1] += 1.0 / factor.eigenvalues
     try:
         return _chol_lower(reduced)
     except np.linalg.LinAlgError:

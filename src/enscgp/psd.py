@@ -17,19 +17,48 @@ triangular-solve kernels (``dpotrf``, ``dpotrs``, ``dtrtrs``), through
 three private helpers that take scipy.linalg's arguments without its
 per-call wrapper work. Like scipy's default, they reject non-finite input
 with ``ValueError``; so do :func:`eig_psd` and :func:`canonicalize_factor`.
+
+The kernels are bound from scipy's compiled f2py module
+``scipy.linalg._flapack``, loaded from its file without running the
+``scipy.linalg`` package ``__init__``: that package import (which pulls in
+numpy.ma, numpy.testing, numpy.f2py and numpy.polynomial) costs about
+250 ms and 18 MiB in every process, half the start-up of a CLI command.
+The module is registered in ``sys.modules`` under its own name, so a later
+``import scipy.linalg`` reuses it: ``scipy.linalg.lapack.dpotrf`` is the
+very object used here, and results are bitwise those of scipy's wrappers.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs, dtrtrs
+import scipy  # runs scipy's distributor set-up, which the extension may need
 
 from .errors import DimensionError, NotPsdError
 
 EPS = float(np.finfo(float).eps)
+
+
+def _flapack_kernels():
+    """(dpotrf, dpotrs, dtrtrs) of scipy.linalg._flapack, loaded by file location."""
+    name = "scipy.linalg._flapack"
+    module = sys.modules.get(name)
+    if module is None:
+        linalg_dir = os.path.join(os.path.dirname(scipy.__file__), "linalg")
+        spec = importlib.machinery.PathFinder.find_spec(name, [linalg_dir])
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module
+        spec.loader.exec_module(module)
+    return module.dpotrf, module.dpotrs, module.dtrtrs
+
+
+dpotrf, dpotrs, dtrtrs = _flapack_kernels()
 
 
 def default_rank_tol(n_rows: int, n_cols: int | None = None) -> float:
@@ -119,6 +148,8 @@ def _order_descending(values: np.ndarray, vectors: np.ndarray):
     order = np.argsort(-values, kind="stable")
     values = values[order]
     vectors = _fix_signs(vectors[:, order])
+    if not (values[1:] == values[:-1]).any():
+        return values, vectors
     i = 0
     while i < values.size:
         j = i

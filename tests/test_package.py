@@ -1,5 +1,10 @@
 import json
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
+
+import pytest
 
 import enscgp
 
@@ -22,3 +27,39 @@ def test_benchmark_per_layer_names_resolve(monkeypatch):
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
     missing = [m["name"] for m in declared if m["name"] not in produced]
     assert missing == []
+
+
+KERNEL_IMPORT = textwrap.dedent("""
+    import json, sys
+    import numpy as np
+    if {linalg_first}:
+        import scipy.linalg
+    import enscgp.cli
+    from enscgp import psd
+    linalg_after_cli = "scipy.linalg" in sys.modules
+    flapack_registered = "scipy.linalg._flapack" in sys.modules
+    import scipy.linalg
+    b = np.random.default_rng(7).normal(size=(6, 6))
+    a = b @ b.T + 6 * np.eye(6)
+    print(json.dumps({{
+        "linalg_after_cli": linalg_after_cli,
+        "flapack_registered": flapack_registered,
+        "same_kernels": [getattr(scipy.linalg.lapack, k) is getattr(psd, k)
+                         for k in ("dpotrf", "dpotrs", "dtrtrs")],
+        "same_bits": (scipy.linalg.cho_factor(a, lower=True)[0].tobytes()
+                      == psd._chol_lower(a).tobytes()),
+    }}))
+""")
+
+
+@pytest.mark.parametrize("linalg_first", (False, True))
+def test_lapack_kernels_bound_without_scipy_linalg(linalg_first):
+    # psd loads scipy.linalg._flapack by file location; scipy.linalg's package
+    # import, whichever comes first, must share that one extension module
+    result = subprocess.run([sys.executable, "-c", KERNEL_IMPORT.format(linalg_first=linalg_first)],
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout) == {"linalg_after_cli": linalg_first,
+                                         "flapack_registered": True,
+                                         "same_kernels": [True, True, True],
+                                         "same_bits": True}
