@@ -27,16 +27,22 @@ def main() -> int:
          "H": rng.normal(size=(3, 6)), "R": b @ b.T + np.eye(3), "y": rng.normal(size=3),
          "ens": rng.normal(size=(30, 8)), "H_ens": rng.normal(size=(5, 30)),
          "R_ens": c @ c.T + np.eye(5), "y_ens": rng.normal(size=5),
-         "points": rng.uniform(size=(20, 2))}
+         "points": rng.uniform(size=(20, 2)),
+         # large enough that reports and member files take matio's batch formatter
+         "ens_big": rng.normal(size=(300, 24)) * np.logspace(-6, 6, 300)[:, None],
+         "H_big": np.eye(300)[::10], "R_big": np.eye(30), "y_big": rng.normal(size=30)}
     for name, value in p.items():
         p[name] = str(out / "inputs" / f"{name}.txt")
         matio.write_matrix(p[name], value)
     obs, ens = [p["H"], p["R"], p["y"]], [p["ens"], p["H_ens"], p["R_ens"], p["y_ens"]]
+    big = [p["ens_big"], p["H_big"], p["R_big"], p["y_big"]]
     runs = {"condition": ["condition", p["mean"], p["cov"], *obs],
             "ens-cgp": ["ens-cgp", *ens],
             "enkf": ["enkf", *ens, "--seed", "3"],
             "enkf-centered": ["enkf", *ens, "--seed", "4", "--center-perturbations"],
             "enkf-unperturbed": ["enkf", *ens, "--disable-perturbations"],
+            "ens-cgp-big": ["ens-cgp", *big],
+            "enkf-big": ["enkf", *big, "--seed", "7"],
             "equivalence-seed0": ["equivalence", "--count", "100", "--seed", "0"],
             "equivalence-seed5": ["equivalence", "--count", "100", "--seed", "5"],
             "collapse": ["collapse", p["mean"], p["spd"], *obs, "--k-max", "200"],

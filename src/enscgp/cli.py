@@ -346,7 +346,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--modes", type=int, default=None, help="number of eigenmodes to keep")
     p.add_argument("--energy", type=float, default=None,
                    help="energy fraction of the trace to keep (0, 1]")
-    p.add_argument("--members", type=int, default=10, help="number of samples")
+    p.add_argument("--members", type=int, default=10,
+                   help=f"number of samples (1 to {kernels.MEMBERS_CAP})")
     common(p)
 
     p = sub.add_parser("enkf", help="perturbed-observation ensemble analysis update")
@@ -373,8 +374,9 @@ def _check_flags(args: argparse.Namespace) -> None:
         raise ValueError(
             f"--count must be in [0, {experiments.COUNT_CAP}], got {args.count}")
     if args.command == "kl-sample":
-        if args.members < 1:
-            raise ValueError(f"--members must be at least 1, got {args.members}")
+        if not 1 <= args.members <= kernels.MEMBERS_CAP:
+            raise ValueError(
+                f"--members must be in [1, {kernels.MEMBERS_CAP}], got {args.members}")
         if args.modes is not None and args.energy is not None:
             raise ValueError("give at most one of --modes and --energy")
         if args.modes is not None and args.modes < 1:

@@ -143,6 +143,11 @@ def kl_truncate(cov, r, mean=None, rank_tol: float | None = None) -> KlModes:
                    residual=residual)
 
 
+# most samples the CLI's kl-sample command draws: sample_kl holds
+# n_modes x count normals and an n x count result before anything is written
+MEMBERS_CAP = 10**4
+
+
 def sample_kl(modes: KlModes, count: int, seed: int) -> np.ndarray:
     """Draw ``count`` vectors mean + Psi sqrt(Lambda) z, one per column.
 

@@ -8,6 +8,13 @@ round-trips IEEE doubles exactly, so write -> read -> write is
 byte-identical. A matrix with no columns has no data lines (blank lines
 are skipped), so ``rows 0`` alone reads as an empty rows x 0 matrix.
 
+Writing prints exactly the bytes of ``"%.17g" % value`` for every value, a
+block of at most _BLOCK_VALUES values at a time. The batch path computes
+each value's 17 digits with numpy double-double arithmetic and certifies
+them; it prints every value it cannot certify, and every block of fewer
+than _BATCH_MIN values, with ``%.17g`` itself. Besides the text, a write
+holds one block's work.
+
 Reading tries a one-pass parse of a well-formed file first; on anything
 irregular it starts over with the line-by-line checked parser, which alone
 decides what is accepted and what each error says. The one-pass parse
@@ -18,6 +25,7 @@ it holds an amount of memory that does not grow with the file.
 
 from __future__ import annotations
 
+import functools
 import math
 from pathlib import Path
 
@@ -31,12 +39,201 @@ def format_float(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-def _format_rows(matrix: np.ndarray):
-    """Yield each row of a 2-D float array as its values' ``format_float``
-    forms joined by single spaces, one row at a time."""
-    template = " ".join(["%.17g"] * matrix.shape[1])
-    for row in matrix:
-        yield template % tuple(row.tolist())
+# Arrays are printed by a batch form of %.17g that gives its exact bytes.
+# Blocks of fewer than _BATCH_MIN values, values outside [_FAST_MIN,
+# _FAST_MAX) (zeros, subnormals, huge and non-finite values) and values whose
+# digits the double-double arithmetic below cannot certify are printed by
+# %.17g itself.
+_BATCH_MIN = 1 << 9
+_FAST_MIN, _FAST_MAX = 1e-280, 1e280
+# log10's estimate of a value's decimal exponent X is off by at most one and
+# the fix-up moves it by one more, so the tables cover |X| <= _X_SPAN
+_X_SPAN = 282
+# Veltkamp's splitter: a double times it splits into two halves of at most
+# 26 bits, whose products are exact (Dekker's two-product; numpy has no fma)
+_SPLIT = 2.0**27 + 1
+# |x|·10^(16-X) is below 1e17 and its double-double carries an error under
+# 4·2^-106 of it (the table's and two roundings'), under 5e-15; a value is
+# certified only when its product is further than this from a rounding
+# boundary (½ between integers) and from 1e16 and 1e17
+_MARGIN = 2.0**-40
+# each value's text is a subsequence of these slots, one column of slots per
+# value: a minus sign, "0.000" for 1e-4 <= |x| < 1 (X < 0), the 17 digits
+# with a candidate point after each but the last, an exponent, a separator
+_SLOTS = np.frombuffer(b"-0.000" + b"0." * 16 + b"0e+000 ", np.uint8)[:, None]
+_RANKS = np.arange(17)[:, None]
+
+
+@functools.cache
+def _tables():
+    """(pow10, quads, sig, exps), built on first use.
+
+    pow10[:, X + _X_SPAN] is 10^(16-X) as a double-double (hi, lo) with hi
+    split by _SPLIT: rows hi, hi's high half, hi's low half, lo. hi and lo
+    are rounded from the exact integer or quotient (float(int) and int / int
+    round correctly). quads[q] holds the 4 ASCII digits of q < 10^4 in its
+    bytes, sig[q] counts them up to the last nonzero one, and
+    exps[:, X + _X_SPAN] is an exponent's sign and 3 digits.
+    """
+    pow10 = []
+    for x in range(-_X_SPAN, _X_SPAN + 1):
+        k = 16 - x
+        if k >= 0:
+            hi = float(10**k)
+            lo = float(10**k - int(hi))
+        else:
+            hi = 1 / 10**-k
+            num, den = hi.as_integer_ratio()
+            lo = (den - num * 10**-k) / (den * 10**-k)
+        pow10.append((hi, lo))
+    hi, lo = np.array(pow10).T
+    big = hi * _SPLIT
+    high = big - (big - hi)
+    ranks = 10 ** np.arange(3, -1, -1)
+    q = np.arange(10**4)[:, None]
+    quads = (q // ranks % 10 + 48).astype(np.uint8)
+    sig = np.where(q[:, 0] > 0, 4 - np.argmax(quads[:, ::-1] != 48, axis=1), 0)
+    x = np.arange(-_X_SPAN, _X_SPAN + 1)
+    exps = np.vstack([np.where(x < 0, 45, 43),
+                      np.abs(x) // ranks[1:, None] % 10 + 48]).astype(np.uint8)
+    tables = (np.array([hi, high, hi - high, lo]), quads.view(np.uint32).ravel(),
+              sig.astype(np.uint8), exps)
+    for table in tables:  # shared by every caller
+        table.flags.writeable = False
+    return tables
+
+
+def _scaled(a: np.ndarray, x: np.ndarray, pow10: np.ndarray):
+    """a·10^(16-x) as a double-double (hi, lo): a·hi exactly by Dekker's
+    two-product, plus a·lo."""
+    t_hi, t_high, t_low, t_lo = np.take(pow10, x + _X_SPAN, axis=1)
+    big = a * _SPLIT
+    high = big - (big - a)
+    low = a - high
+    hi = a * t_hi
+    err = ((high * t_high - hi) + high * t_low + low * t_high) + low * t_low
+    return hi, err + a * t_lo
+
+
+def _decimal_digits(a: np.ndarray, pow10: np.ndarray):
+    """(x, digits, certified) for positive doubles a in [_FAST_MIN, _FAST_MAX).
+
+    digits is the 17-digit integer D, x the decimal exponent X of a rounded
+    to 17 digits (a ≈ D·10^(X-16)); both equal %.17g's wherever certified.
+    """
+    x = np.floor(np.log10(a)).astype(np.intp)
+    hi, lo = _scaled(a, x, pow10)
+    # the unrounded product's place against 1e16 and 1e17 fixes X (hi - 1e16
+    # and 1e17 - hi are exact where they are small)
+    above = (hi - 1e16) + lo
+    below = (1e17 - hi) - lo
+    off = np.flatnonzero((above < 0) | (below <= 0))
+    if off.size:
+        x[off] += np.where(above[off] < 0, -1, 1)
+        hi[off], lo[off] = _scaled(a[off], x[off], pow10)
+        above[off] = (hi[off] - 1e16) + lo[off]
+        below[off] = (1e17 - hi[off]) - lo[off]
+    whole = np.floor(lo)  # hi >= 1e16 > 2^53 is an integer
+    frac = lo - whole
+    digits = hi.astype(np.int64) + whole.astype(np.int64)
+    # 10^(16-X) is a double for -6 <= X <= 16, so the product is exact there:
+    # it needs no margin, and a tie (frac ½) is real and rounds to even
+    exact = (x >= -6) & (x <= 16)
+    certified = (above >= 0) & (below > 0) & (exact | (
+        (np.abs(frac - 0.5) > _MARGIN) & (above > _MARGIN) & (below > _MARGIN)))
+    digits += (frac > 0.5) | ((frac == 0.5) & (digits & 1 == 1))
+    carry = digits == 10**17  # rounding up to 10^17 raises X: %g's rule
+    digits[carry] = 10**16
+    x += carry
+    return x, digits, certified
+
+
+def _template(count: int, start: int, cols: int) -> str:
+    """A %-format for ``count`` values from item ``start`` of a flattened
+    matrix with ``cols`` columns: %.17g and a space, or a line feed after
+    the last value of a row."""
+    fields = ["%.17g "] * count
+    for i in range((cols - 1 - start) % cols, count, cols):
+        fields[i] = "%.17g\n"
+    return "".join(fields)
+
+
+def _format_values(values: np.ndarray, start: int, cols: int) -> str:
+    """The text of ``values``, items ``start``... of a flattened matrix with
+    ``cols`` columns: each %.17g followed by a space, or by a line feed at
+    the end of a row.
+
+    Each value's text is laid out in _SLOTS, one column per value, with the
+    slots it does not use zeroed; the zero bytes are then deleted from the
+    value-by-value bytes. The text of a value that is not certified is
+    formatted by %.17g and written over its column.
+    """
+    if values.size < _BATCH_MIN:
+        return _template(values.size, start, cols) % tuple(values.tolist())
+    pow10, quads, sig, exps = _tables()
+    a = np.abs(values)
+    fast = (a >= _FAST_MIN) & (a < _FAST_MAX)
+    a[~fast] = 3.0  # any in-window value: keeps the arithmetic quiet
+    x, digits, certified = _decimal_digits(a, pow10)
+    fast &= certified
+    chunks = np.empty((4, values.size), np.int64)  # D's 4-digit groups
+    high, chunks[2] = np.divmod(digits, 10**8)
+    np.divmod(chunks[2], 10**4, out=(chunks[2], chunks[3]))
+    np.divmod(high, 10**4, out=(high, chunks[1]))
+    lead, chunks[0] = np.divmod(high, 10**4)
+    text = np.empty((_SLOTS.size, values.size), np.uint8)
+    text[:] = _SLOTS
+    text[6] += lead.astype(np.uint8)
+    text[8:40].reshape(4, 8, -1)[:, ::2] = (
+        np.take(quads, chunks).view(np.uint8).reshape(4, -1, 4).transpose(0, 2, 1))
+    text[40:44] = np.take(exps, x + _X_SPAN, axis=1)
+    # nd: D's digits up to its last nonzero one
+    nd = sig[chunks[3]] + 13
+    zeros = np.flatnonzero(chunks[3] == 0)
+    if zeros.size:
+        last = sig[chunks[:, zeros]]
+        nd[zeros] = np.where(last > 0, last + 4 * _RANKS[:4] + 1, 1).max(axis=0)
+    fixed = (x >= -4) & (x < 17)
+    point = np.where(fixed, x, 0)  # the point follows digit X, or digit 0
+    point[nd <= point + 1] = -1  # %g drops a point that ends the text
+    keep = np.empty(text.shape, bool)
+    keep[0] = values < 0
+    keep[1:6] = _RANKS[:5] < np.where(fixed & (x < 0), 1 - x, 0)
+    keep[6:39:2] = _RANKS < np.where(fixed, np.maximum(nd, x + 1), nd)
+    keep[7:38:2] = _RANKS[:16] == point
+    keep[39:44] = ~fixed
+    keep[41] &= np.abs(x) >= 100  # a third exponent digit only when needed
+    keep[44] = True
+    text *= keep
+    text[44, (cols - 1 - start) % cols::cols] = 10
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        # %-24.17g pads each text (at most 24 characters) with spaces
+        old = np.frombuffer((("%-24.17g" * slow.size) % tuple(values[slow].tolist()))
+                            .encode("ascii"), np.uint8).reshape(-1, 24)
+        text[:44, slow] = 0
+        text[:24, slow] = np.where(old == 32, 0, old).T
+    return text.T.tobytes().translate(None, b"\0").decode("ascii")
+
+
+def _format_text(matrix: np.ndarray):
+    """Yield the text of a 2-D float array's rows in pieces of at most
+    _BLOCK_VALUES values: %.17g values separated by single spaces, each row
+    ended by a line feed."""
+    rows, cols = matrix.shape
+    if cols == 0:
+        yield "\n" * rows
+        return
+    for start in range(0, matrix.size, _BLOCK_VALUES):
+        # as double, the value each tolist() item formats as
+        block = matrix.flat[start:start + _BLOCK_VALUES].astype(float, copy=False)
+        yield _format_values(block, start, cols)
+
+
+def _format_rows(matrix: np.ndarray) -> list[str]:
+    """Each row of a 2-D float array as its values' ``format_float`` forms
+    joined by single spaces."""
+    return "".join(_format_text(matrix)).split("\n")[:-1]
 
 
 def dumps_matrix(matrix, comments: tuple[str, ...] = ()) -> str:
@@ -45,10 +242,12 @@ def dumps_matrix(matrix, comments: tuple[str, ...] = ()) -> str:
         m = m[:, None]
     if m.ndim != 2:
         raise ValueError(f"expected a matrix or vector, got shape {m.shape}")
-    lines = [f"# {c}" for c in comments]
-    lines.append(f"{m.shape[0]} {m.shape[1]}")
-    lines.extend(_format_rows(m))
-    return "\n".join(lines) + "\n"
+    text = "".join(f"# {c}\n" for c in comments) + f"{m.shape[0]} {m.shape[1]}\n"
+    for piece in _format_text(m):
+        # CPython extends text in place (its only reference): the pieces are
+        # never all held beside the result
+        text += piece
+    return text
 
 
 def write_matrix(path, matrix, comments: tuple[str, ...] = ()) -> None:

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from enscgp import ensemble, experiments, gaussian, matio
+from enscgp import ensemble, experiments, gaussian, kernels, matio
 from enscgp.cli import _fmt_value, main
 
 
@@ -118,6 +118,8 @@ class TestExitCodes:
          "--energy"),
         (["equivalence", "--count", "-1"], "--count"),
         (["equivalence", "--count", "100001"], "--count"),
+        (["kl-sample", "ghost.txt", "--family", "exponential", "--members", "10001"],
+         "--members"),
     ])
     def test_out_of_range_flag_is_input_error(self, argv, flag, capsys):
         # the input files do not exist, so the flag must be checked before any read
@@ -253,6 +255,19 @@ class TestKlSample:
             assert code == 0
             blobs.append(out.read_bytes())
         assert blobs[0] == blobs[1]
+
+    def test_members_cap_checked_before_sampling(self, tmp_path, monkeypatch):
+        points = tmp_path / "pts.txt"
+        matio.write_matrix(points, np.linspace(0.0, 1.0, 3))
+        drawn = []
+        monkeypatch.setattr(kernels, "sample_kl",
+                            lambda modes, count, seed: drawn.append(count) or np.zeros((3, 1)))
+        argv = ["kl-sample", str(points), "--family", "exponential",
+                "--out", str(tmp_path / "s.txt"), "--members"]
+        assert main([*argv, str(kernels.MEMBERS_CAP + 1)]) == 2
+        assert drawn == [] and not (tmp_path / "s.txt").exists()
+        assert main([*argv, str(kernels.MEMBERS_CAP)]) == 0
+        assert drawn == [kernels.MEMBERS_CAP]
 
     def test_bad_kernel_parameters_are_input_errors(self, tmp_path, capsys):
         points = tmp_path / "pts.txt"

@@ -9,12 +9,17 @@ from hypothesis.extra import numpy as hnp
 
 from enscgp import matio
 from enscgp.errors import MatrixParseError
-from enscgp.matio import (_BLOCK_VALUES, _format_rows, _loads_checked, _loads_fast,
-                          dumps_matrix, format_float, loads_matrix, read_matrix,
-                          read_vector, write_matrix)
+from enscgp.matio import (_BLOCK_VALUES, _format_rows, _format_text, _loads_checked,
+                          _loads_fast, dumps_matrix, format_float, loads_matrix,
+                          read_matrix, read_vector, write_matrix)
 
 EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308,
                -1.7976931348623157e308, 1.0, -3.0, 2.0**53, 1e22)
+FLOAT_MATRICES = hnp.arrays(
+    np.float64, hnp.array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=6),
+    elements=st.one_of(st.sampled_from(EDGE_FLOATS),
+                       st.floats(allow_nan=False, allow_infinity=False),
+                       st.integers(-10**6, 10**6).map(float)))
 
 
 class TestFormat:
@@ -68,11 +73,7 @@ class TestRoundTrip:
         assert dumps_matrix(loads_matrix(text)) == text
 
     @settings(max_examples=200, deadline=None)
-    @given(hnp.arrays(np.float64,
-                      hnp.array_shapes(min_dims=2, max_dims=2, min_side=0, max_side=6),
-                      elements=st.one_of(st.sampled_from(EDGE_FLOATS),
-                                         st.floats(allow_nan=False, allow_infinity=False),
-                                         st.integers(-10**6, 10**6).map(float))))
+    @given(FLOAT_MATRICES)
     def test_write_read_write_property(self, matrix):
         text = dumps_matrix(matrix)
         back = loads_matrix(text)
@@ -83,6 +84,160 @@ class TestRoundTrip:
         assert dumps_matrix(back) == text
         assert list(_format_rows(matrix)) == [
             " ".join(format_float(v) for v in row) for row in matrix]
+
+    @settings(max_examples=200, deadline=None)
+    @given(FLOAT_MATRICES)
+    def test_batch_path_property(self, matrix):
+        """The same, with every block through the batch formatter."""
+        with mock.patch.object(matio, "_BATCH_MIN", 0):
+            assert _format_rows(matrix) == [
+                " ".join(format_float(v) for v in row) for row in matrix]
+
+
+def percent_text(values):
+    """The oracle: each value's %.17g, one per line."""
+    return "".join("%.17g\n" % v for v in np.asarray(values, dtype=float).tolist())
+
+
+def batch_text(values):
+    """The same values through the batch formatter, however few they are."""
+    with mock.patch.object(matio, "_BATCH_MIN", 0):
+        return "".join(_format_text(np.asarray(values, dtype=float)[:, None]))
+
+
+def assert_batch_matches_percent(values):
+    got, expected = batch_text(values).split("\n"), percent_text(values).split("\n")
+    bad = [(v, g, e) for v, g, e in zip(np.asarray(values).tolist(), got, expected) if g != e]
+    assert not bad, f"{len(bad)} values differ, first (value, batch, %.17g): {bad[0]}"
+    assert len(got) == len(expected)
+
+
+def reference_dumps(matrix, comments=()):
+    """dumps_matrix written with format_float one value at a time."""
+    lines = [f"# {c}" for c in comments] + [f"{matrix.shape[0]} {matrix.shape[1]}"]
+    lines += [" ".join(format_float(v) for v in row) for row in matrix]
+    return "\n".join(lines) + "\n"
+
+
+def random_finite_doubles(seed, count):
+    values = np.random.default_rng(seed).integers(0, 2**64, size=count, dtype=np.uint64)
+    values = values.view(np.float64)
+    return values[np.isfinite(values)]
+
+
+def adversarial_doubles():
+    values = [0.0, 5e-324, 1.7976931348623157e308, 2.2250738585072014e-308,
+              # exact ties at the 17th digit, which %.17g rounds to even
+              17179720819105.8125, 2206331399073625.75, 3 * 2.0**-24, 2.0**-25,
+              2.0**53 - 1, 2.0**53, 2.0**53 + 2, 2.0**63, 2.0**64,
+              9.9999999999999998e-13, 0.5, 0.25, 1.5, 123.0, 1 / 3, 2 / 3]
+    for k in range(-323, 309):  # 10^k, its neighbours, and where %g switches
+        for p in (10.0**k, 5 * 10.0**k, 9.5 * 10.0**k, 9.9999999999999995 * 10.0**k):
+            if np.isfinite(p) and p > 0:
+                values += [p, np.nextafter(p, 0), np.nextafter(p, np.inf)]
+    for edge in (1e-280, 1e280):  # the fast window's bounds
+        values += [edge * (1 + d * 2.0**-52) for d in range(-4, 5)]
+    values = np.array(values)
+    return np.concatenate([values, -values])
+
+
+def test_batch_matches_percent_on_adversarial_values():
+    values = adversarial_doubles()
+    assert_batch_matches_percent(values)
+    # rounding to 17 digits carries 1e-14 (just below 10^-14) up to it
+    assert batch_text([1e-14, 9.9999999999999998e-13]) == "1e-14\n9.9999999999999998e-13\n"
+
+
+def test_batch_matches_percent_on_random_doubles():
+    values = random_finite_doubles(0, 1 << 17)
+    assert values.size > 10**5
+    assert_batch_matches_percent(values)
+    scaled = np.random.default_rng(1).normal(size=1 << 15) * np.logspace(-30, 30, 1 << 15)
+    assert_batch_matches_percent(scaled)
+    # few significant bits: short exact expansions and ties at the 17th digit
+    bits = random_finite_doubles(2, 1 << 15).view(np.uint64)
+    assert_batch_matches_percent((bits & ~np.uint64((1 << 40) - 1)).view(np.float64))
+
+
+def test_certificate_rejects_almost_no_in_window_value():
+    """The fast path does the work: of the sweep's values inside the fast
+    window, fewer than 1 in 10^4 fall back to %.17g."""
+    a = np.abs(random_finite_doubles(0, 1 << 17))
+    a = a[(a >= matio._FAST_MIN) & (a < matio._FAST_MAX)]
+    assert a.size > 10**5
+    _, _, certified = matio._decimal_digits(a, matio._tables()[0])
+    assert (~certified).sum() < a.size / 10**4
+
+
+def test_pow10_table_is_exact_to_double_double():
+    from fractions import Fraction
+
+    pow10 = matio._tables()[0]
+    for column, x in zip(pow10.T, range(-matio._X_SPAN, matio._X_SPAN + 1)):
+        hi, high, low, lo = column.tolist()
+        exact = Fraction(10) ** (16 - x)
+        assert abs(Fraction(hi) + Fraction(lo) - exact) <= exact * Fraction(1, 2**106)
+        assert high + low == hi
+        for half in (high, low):  # at most 26 significant bits
+            num = Fraction(half).numerator
+            assert num == 0 or (num // (num & -num)).bit_length() <= 26
+        assert (lo == 0) == (-6 <= x <= 16)  # where the digit path calls products exact
+
+
+@pytest.mark.parametrize("shape", [(3 * 1000 + 1, 7), (1, 10**5), (5, 0), (0, 5), (0, 0),
+                                   (600, 1), (1, 511), (1, 512)])
+def test_block_edges_match_reference(shape):
+    """Blocks of _BLOCK_VALUES values split rows (7 does not divide 4096);
+    one row of 10^5 values spans blocks; small blocks take %.17g directly."""
+    rng = np.random.default_rng(shape[0] * 31 + shape[1])
+    matrix = rng.normal(size=shape) * 10.0 ** rng.integers(-20, 20, size=shape)
+    assert dumps_matrix(matrix, ("c",)) == reference_dumps(matrix, ("c",))
+
+
+def test_float32_arrays_format_as_their_doubles():
+    matrix = np.random.default_rng(3).normal(size=(30, 40)).astype(np.float32)
+    assert _format_rows(matrix) == [" ".join(format_float(v) for v in row) for row in matrix]
+
+
+def test_forced_fallback_gives_the_same_text():
+    """With a certificate that rejects every value, every value is printed
+    by %.17g and written over its slots: the text does not change."""
+    matrix = np.random.default_rng(4).normal(size=(300, 40)) * 1e-3
+    matrix[::7, 3] = 0.0
+    matrix[1::7, 5] = -0.0
+    matrix[2, :4] = [1e300, -5e-324, 1e-300, 2.0**60]
+    expected = reference_dumps(matrix)
+    real = matio._decimal_digits
+    calls = []
+
+    def reject_all(a, pow10):
+        x, digits, certified = real(a, pow10)
+        calls.append(a.size)
+        return x, digits, np.zeros_like(certified)
+
+    with mock.patch.object(matio, "_decimal_digits", reject_all):
+        assert dumps_matrix(matrix) == expected
+    assert sum(calls) == matrix.size
+    assert dumps_matrix(matrix) == expected
+
+
+def test_dumps_memory_does_not_grow_with_the_matrix():
+    """Besides its output, dumps_matrix holds one block's work, not the rows'
+    texts: its tracemalloc peak minus its output's size does not grow from a
+    1000 x 40 matrix to an 8000 x 40 one."""
+    extra = []
+    for rows in (1000, 8000):
+        matrix = np.random.default_rng(rows).normal(size=(rows, 40))
+        dumps_matrix(matrix[:200])  # tables built before measuring
+        tracemalloc.start()
+        try:
+            text = dumps_matrix(matrix)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        extra.append(peak - len(text))
+    # holding every row's text as well would add over 6 MB at 8000 rows
+    assert extra[1] < 1.25 * extra[0]
 
 
 # every input goes through both parsers: the fast path must return the
