@@ -31,11 +31,17 @@ def main() -> int:
          # large enough that reports and member files take matio's batch formatter
          "ens_big": rng.normal(size=(300, 24)) * np.logspace(-6, 6, 300)[:, None],
          "H_big": np.eye(300)[::10], "R_big": np.eye(30), "y_big": rng.normal(size=30)}
+    # a dense 40x40 R (rank-20 correlated part plus white noise); the enkf
+    # perturbations go through its Cholesky factor
+    d = rng.normal(size=(40, 20))
+    p |= {"ens_dense": rng.normal(size=(12, 10)), "H_dense": rng.normal(size=(40, 12)),
+          "R_dense": d @ d.T + np.eye(40), "y_dense": rng.normal(size=40)}
     for name, value in p.items():
         p[name] = str(out / "inputs" / f"{name}.txt")
         matio.write_matrix(p[name], value)
     obs, ens = [p["H"], p["R"], p["y"]], [p["ens"], p["H_ens"], p["R_ens"], p["y_ens"]]
     big = [p["ens_big"], p["H_big"], p["R_big"], p["y_big"]]
+    dense = [p["ens_dense"], p["H_dense"], p["R_dense"], p["y_dense"]]
     runs = {"condition": ["condition", p["mean"], p["cov"], *obs],
             "ens-cgp": ["ens-cgp", *ens],
             "enkf": ["enkf", *ens, "--seed", "3"],
@@ -43,6 +49,7 @@ def main() -> int:
             "enkf-unperturbed": ["enkf", *ens, "--disable-perturbations"],
             "ens-cgp-big": ["ens-cgp", *big],
             "enkf-big": ["enkf", *big, "--seed", "7"],
+            "enkf-dense-r": ["enkf", *dense, "--seed", "9"],
             "equivalence-seed0": ["equivalence", "--count", "100", "--seed", "0"],
             "equivalence-seed5": ["equivalence", "--count", "100", "--seed", "5"],
             "collapse": ["collapse", p["mean"], p["spd"], *obs, "--k-max", "200"],

@@ -13,7 +13,8 @@ import sys
 
 import numpy as np
 
-from enscgp import Ensemble, NormalStream, ObservationModel, enkf_perturbed_obs
+from enscgp import (Ensemble, NormalStream, ObservationModel, enkf_perturbed_obs,
+                    ensemble_stats, kalman_gain)
 
 
 def standardized_scalar_ensemble(size, seed):
@@ -36,7 +37,8 @@ def main() -> int:
         errs = []
         for seed in range(args.seed0, args.seed0 + args.seeds):
             ens = standardized_scalar_ensemble(size, seed)
-            updated = enkf_perturbed_obs(ens, obs, [2.0], seed)
+            gain = kalman_gain(ensemble_stats(ens), obs)
+            updated = enkf_perturbed_obs(ens, obs, [2.0], gain, seed)
             errs.append(abs(float(updated.members.mean()) - 1.0))
         mean_err = float(np.mean(errs))
         bound = 3.0 * np.sqrt(0.5) / np.sqrt(size)

@@ -90,6 +90,24 @@ def _load_data(y_path, obs: ObservationModel):
     return y
 
 
+def _load_moments_problem(args: argparse.Namespace):
+    """Prior law, observation model and data from MEAN COV H R Y, in that order."""
+    mean_p, cov_p, h_p, r_p, y_p = args.inputs
+    mean = matio.read_vector(mean_p)
+    cov = matio.read_matrix(cov_p)
+    prior = GaussianLaw.from_moments(mean, cov, args.rank_tol)
+    obs = _load_observation(h_p, r_p, prior.dim)
+    return prior, obs, _load_data(y_p, obs)
+
+
+def _load_ensemble_problem(args: argparse.Namespace):
+    """Ensemble, observation model and data from MEMBERS H R Y, in that order."""
+    members_p, h_p, r_p, y_p = args.inputs
+    members = ens_mod.Ensemble(matio.read_matrix(members_p))
+    obs = _load_observation(h_p, r_p, members.dim)
+    return members, obs, _load_data(y_p, obs)
+
+
 def _law_report(prefix: str, law: GaussianLaw) -> list[tuple[str, object]]:
     return [
         (f"{prefix}_mean", law.mean),
@@ -100,12 +118,7 @@ def _law_report(prefix: str, law: GaussianLaw) -> list[tuple[str, object]]:
 
 
 def _run_condition(args: argparse.Namespace):
-    mean_p, cov_p, h_p, r_p, y_p = args.inputs
-    mean = matio.read_vector(mean_p)
-    cov = matio.read_matrix(cov_p)
-    prior = GaussianLaw.from_moments(mean, cov, args.rank_tol)
-    obs = _load_observation(h_p, r_p, prior.dim)
-    y = _load_data(y_p, obs)
+    prior, obs, y = _load_moments_problem(args)
 
     def compute():
         posterior = condition(prior, obs, y, args.rank_tol)
@@ -119,10 +132,7 @@ def _run_condition(args: argparse.Namespace):
 
 
 def _run_ens_cgp(args: argparse.Namespace):
-    members_p, h_p, r_p, y_p = args.inputs
-    members = ens_mod.Ensemble(matio.read_matrix(members_p))
-    obs = _load_observation(h_p, r_p, members.dim)
-    y = _load_data(y_p, obs)
+    members, obs, y = _load_ensemble_problem(args)
 
     def compute():
         prior = ens_mod.ensemble_stats(members, args.rank_tol)
@@ -164,12 +174,7 @@ def _run_equivalence(args: argparse.Namespace):
 
 
 def _run_collapse(args: argparse.Namespace):
-    mean_p, cov_p, h_p, r_p, y_p = args.inputs
-    mean = matio.read_vector(mean_p)
-    cov = matio.read_matrix(cov_p)
-    prior = GaussianLaw.from_moments(mean, cov, args.rank_tol)
-    obs = _load_observation(h_p, r_p, prior.dim)
-    y = _load_data(y_p, obs)
+    prior, obs, y = _load_moments_problem(args)
 
     def compute():
         trace = experiments.repeated_reuse(prior, obs, y, args.k_max)
@@ -191,8 +196,8 @@ def _run_collapse(args: argparse.Namespace):
 
 def _run_kl_sample(args: argparse.Namespace):
     (points_p,) = args.inputs
-    points = matio.read_matrix(points_p)
     spec = kernels.KernelSpec(args.family, args.variance, args.lengthscale)
+    points = matio.read_matrix(points_p)
 
     def compute():
         gram = kernels.gram_matrix(spec, points)
@@ -217,10 +222,7 @@ def _run_kl_sample(args: argparse.Namespace):
 
 
 def _run_enkf(args: argparse.Namespace):
-    members_p, h_p, r_p, y_p = args.inputs
-    members = ens_mod.Ensemble(matio.read_matrix(members_p))
-    obs = _load_observation(h_p, r_p, members.dim)
-    y = _load_data(y_p, obs)
+    members, obs, y = _load_ensemble_problem(args)
     perturb = not args.disable_perturbations
 
     def compute():
@@ -229,7 +231,7 @@ def _run_enkf(args: argparse.Namespace):
         prior = ens_mod.ensemble_stats(members, args.rank_tol)
         gain = kalman_gain(prior, obs)
         exact = prior.mean + gain @ (y - obs.H @ prior.mean)
-        updated = ens_mod._perturbed_members(members, obs, y, gain, args.seed, perturb,
+        updated = ens_mod.enkf_perturbed_obs(members, obs, y, gain, args.seed, perturb,
                                              args.center_perturbations)
         sample_mean = updated.members.mean(axis=1)
         pairs = [("command", "enkf"), ("seed", args.seed),

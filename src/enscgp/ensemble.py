@@ -4,19 +4,17 @@ An ensemble of E members in R^n defines an empirical mean and the scaled
 anomaly matrix A = [f_e - mean] / sqrt(E - 1), so that K = A A^T is the
 divisor-(E-1) empirical covariance with rank at most E - 1;
 ``ensemble_stats`` returns this empirical law. Conditioning it gives the
-exact posterior law on the ensemble span; the stochastic perturbed-observation
-update is a Monte Carlo realization whose sample mean matches that
-posterior mean up to O(1/sqrt(E)) noise.
+exact posterior law on the ensemble span. Its gain belongs to that law; the
+stochastic perturbed-observation update is one way to apply it, a Monte
+Carlo realization whose sample mean matches the posterior mean up to
+O(1/sqrt(E)) noise.
 
-Localization and inflation are deliberately absent: callers who want a
-modified prior covariance pass ``cov_transform``, which edits the dense K
-before conditioning.
+Localization and inflation are out of scope.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -58,64 +56,49 @@ def ensemble_stats(ens: Ensemble, rank_tol: float | None = None) -> GaussianLaw:
     return GaussianLaw(mean, psd.canonicalize_factor(anomaly, rank_tol))
 
 
-def _prior_law(prior: GaussianLaw, rank_tol: float | None,
-               cov_transform: Callable[[np.ndarray], np.ndarray] | None) -> GaussianLaw:
-    if cov_transform is None:
-        return prior
-    return GaussianLaw.from_moments(prior.mean, cov_transform(prior.covariance), rank_tol)
-
-
-def ens_cgp(ens: Ensemble, obs: ObservationModel, y, rank_tol: float | None = None,
-            cov_transform: Callable[[np.ndarray], np.ndarray] | None = None) -> GaussianLaw:
+def ens_cgp(ens: Ensemble, obs: ObservationModel, y,
+            rank_tol: float | None = None) -> GaussianLaw:
     """Condition the ensemble-defined prior N(mean, A A^T) on the data.
 
     The posterior mean shift is confined to the anomaly span. A zero-spread
     ensemble has zero gain, so the posterior collapses to the prior point
     mass at the empirical mean.
     """
-    prior = _prior_law(ensemble_stats(ens, rank_tol), rank_tol, cov_transform)
-    return gaussian.condition(prior, obs, y, rank_tol)
+    return gaussian.condition(ensemble_stats(ens, rank_tol), obs, y, rank_tol)
 
 
-def enkf_mean_update(prior: GaussianLaw, obs: ObservationModel, y,
-                     cov_transform: Callable[[np.ndarray], np.ndarray] | None = None,
-                     rank_tol: float | None = None) -> np.ndarray:
+def enkf_mean_update(prior: GaussianLaw, obs: ObservationModel, y) -> np.ndarray:
     """Gain-form mean update mean + G (y - H mean) with the prior's K."""
-    prior = _prior_law(prior, rank_tol, cov_transform)
     y = gaussian._check_data(obs, y)
     gain = gaussian.kalman_gain(prior, obs)
     return prior.mean + gain @ (y - obs.H @ prior.mean)
 
 
-def enkf_perturbed_obs(ens: Ensemble, obs: ObservationModel, y, seed: int,
-                       perturb: bool = True, center_perturbations: bool = False,
-                       rank_tol: float | None = None,
-                       cov_transform: Callable[[np.ndarray], np.ndarray] | None = None,
-                       ) -> Ensemble:
+def enkf_perturbed_obs(ens: Ensemble, obs: ObservationModel, y, gain, seed: int,
+                       perturb: bool = True,
+                       center_perturbations: bool = False) -> Ensemble:
     """Stochastic analysis update f_e <- f_e + G (y + eta_e - H f_e).
 
-    The gain comes from the prior ensemble's empirical covariance and is
-    shared by all members. Perturbations eta_e ~ N(0, R) are drawn from
+    The gain G, shape (n, m), belongs to the conditional law and is shared by
+    all members; normally it is ``kalman_gain(ensemble_stats(ens), obs)``.
+    Perturbations eta_e ~ N(0, R) are R's cached Cholesky factor applied to
     per-member counter substreams (substream index = member index): member
     e's draw depends only on (seed, e), so results are reproducible and
     member updates could run in parallel. ``perturb=False`` sets eta = 0,
     the deterministic limit of the scheme; ``center_perturbations``
     subtracts the perturbation sample mean.
     """
-    prior = _prior_law(ensemble_stats(ens, rank_tol), rank_tol, cov_transform)
     y = gaussian._check_data(obs, y)
-    gain = gaussian.kalman_gain(prior, obs)
-    return _perturbed_members(ens, obs, y, gain, seed, perturb, center_perturbations)
-
-
-def _perturbed_members(ens: Ensemble, obs: ObservationModel, y: np.ndarray,
-                       gain: np.ndarray, seed: int, perturb: bool,
-                       center_perturbations: bool) -> Ensemble:
-    """Apply a given gain to every member: f_e + G (y + eta_e - H f_e)."""
-    m = obs.n_obs
+    gain = np.asarray(gain, dtype=float)
+    n, m = ens.dim, obs.n_obs
+    if obs.state_dim != n:
+        raise DimensionError(f"observation model expects state dim {obs.state_dim}, "
+                             f"ensemble has {n}")
+    if gain.shape != (n, m):
+        raise DimensionError(f"gain must have shape ({n}, {m}), got {gain.shape}")
     if perturb and m > 0:
-        chol = np.linalg.cholesky(obs.R)
-        eta = chol @ blocked_normals(seed, m, ens.size)
+        # potrf leaves R's upper triangle in the cached factor
+        eta = np.tril(obs._noise_chol) @ blocked_normals(seed, m, ens.size)
         if center_perturbations:
             eta = eta - eta.mean(axis=1, keepdims=True)
     else:

@@ -9,6 +9,7 @@ z_i iid standard normal from a seeded deterministic stream.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,8 +41,8 @@ class KernelSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "family", KernelFamily(self.family))
-        if not self.variance > 0:
-            raise ValueError(f"variance must be positive, got {self.variance}")
+        if not 0 < self.variance < math.inf:
+            raise ValueError(f"variance must be positive and finite, got {self.variance}")
         if self.family in _STATIONARY and not self.lengthscale > 0:
             raise ValueError(f"lengthscale must be positive, got {self.lengthscale}")
 

@@ -94,9 +94,9 @@ def _chol_lower(a: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor L (L L^T = a) of a float64 SPD matrix, by potrf.
 
     As with scipy's ``cho_factor``, a's strict upper triangle is left in the
-    returned array; every reader of the factor (the two solves below) reads
-    only the lower triangle. Raises ``LinAlgError`` when a is not positive
-    definite.
+    returned array; the two solves below read only the lower triangle, and
+    any other reader takes ``np.tril`` of it. Raises ``LinAlgError`` when a
+    is not positive definite.
     """
     _check_finite(a)
     if a.size == 0:

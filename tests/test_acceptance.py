@@ -11,7 +11,8 @@ import pytest
 
 from enscgp import (Ensemble, GaussianLaw, NormalStream, ObservationModel,
                     canonicalize_factor, condition, enkf_perturbed_obs,
-                    gradient, hessian, kl_truncate, matio, objective,
+                    ensemble_stats, gradient, hessian, kalman_gain, kl_truncate,
+                    matio, objective,
                     repeated_reuse, sample_kl, solve_qp)
 from enscgp.cli import main
 from enscgp.experiments import equivalence_corpus, make_instance
@@ -164,7 +165,8 @@ def test_perturbed_obs_enkf_consistency():
         errs = []
         for seed in ENKF_SEEDS:
             ens = _standardized_scalar_ensemble(size, seed)
-            updated = enkf_perturbed_obs(ens, obs, [2.0], seed)
+            gain = kalman_gain(ensemble_stats(ens), obs)
+            updated = enkf_perturbed_obs(ens, obs, [2.0], gain, seed)
             errs.append(abs(float(updated.members.mean()) - 1.0))
         errors[size] = np.asarray(errs)
     bound = 3.0 * posterior_std / np.sqrt(10_000)

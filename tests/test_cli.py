@@ -120,6 +120,12 @@ class TestExitCodes:
         (["equivalence", "--count", "100001"], "--count"),
         (["kl-sample", "ghost.txt", "--family", "exponential", "--members", "10001"],
          "--members"),
+        (["kl-sample", "ghost.txt", "--family", "exponential", "--variance", "inf"],
+         "variance"),
+        (["kl-sample", "ghost.txt", "--family", "exponential", "--variance", "-1"],
+         "variance"),
+        (["kl-sample", "ghost.txt", "--family", "squared-exponential",
+          "--lengthscale", "0"], "lengthscale"),
     ])
     def test_out_of_range_flag_is_input_error(self, argv, flag, capsys):
         # the input files do not exist, so the flag must be checked before any read

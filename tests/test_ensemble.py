@@ -1,16 +1,23 @@
 import numpy as np
 import pytest
 
-from enscgp import (Ensemble, GaussianLaw, NormalStream, ObservationModel,
-                    canonicalize_factor, condition, enkf_mean_update,
-                    enkf_perturbed_obs, ens_cgp, ensemble_stats)
-from enscgp.rng import blocked_member_normals
+from enscgp import (DimensionError, Ensemble, GaussianLaw, NormalStream,
+                    ObservationModel, canonicalize_factor, condition,
+                    enkf_mean_update, enkf_perturbed_obs, ens_cgp, ensemble_stats,
+                    kalman_gain)
+from enscgp.rng import blocked_member_normals, blocked_normals
 
 from conftest import random_orthogonal, random_psd
 
 
 def scalar_obs():
     return ObservationModel([[1.0]], [[1.0]])
+
+
+def perturbed(ens, obs, y, seed, **kwargs):
+    """The perturbed update with the ensemble's own gain, as its callers use it."""
+    gain = kalman_gain(ensemble_stats(ens), obs)
+    return enkf_perturbed_obs(ens, obs, y, gain, seed, **kwargs)
 
 
 class TestEnsembleType:
@@ -88,18 +95,6 @@ class TestEnsCgp:
         complement = u[:, (s > 1e-12).sum():]
         assert np.linalg.norm(complement.T @ shift) <= 1e-10 * max(1.0, np.linalg.norm(shift))
 
-    def test_cov_transform_hook(self, rng):
-        members = rng.normal(size=(3, 8))
-        ens = Ensemble(members)
-        prior = ensemble_stats(ens)
-        obs = ObservationModel(rng.normal(size=(2, 3)), np.eye(2))
-        y = rng.normal(size=2)
-        inflated = ens_cgp(ens, obs, y, cov_transform=lambda k: 2.0 * k)
-        manual = condition(GaussianLaw.from_moments(prior.mean, 2.0 * prior.covariance),
-                           obs, y)
-        np.testing.assert_allclose(inflated.mean, manual.mean, atol=1e-12)
-        np.testing.assert_allclose(inflated.covariance, manual.covariance, atol=1e-12)
-
 
 class TestMeanUpdate:
     def test_zero_innovation(self, rng):
@@ -137,7 +132,7 @@ class TestPerturbedObs:
         ens = Ensemble(members)
         obs = ObservationModel(rng.normal(size=(2, 4)), np.eye(2))
         y = rng.normal(size=2)
-        updated = enkf_perturbed_obs(ens, obs, y, seed=0, perturb=False)
+        updated = perturbed(ens, obs, y, seed=0, perturb=False)
         exact = enkf_mean_update(ensemble_stats(ens), obs, y)
         np.testing.assert_allclose(updated.members.mean(axis=1), exact, atol=1e-13)
 
@@ -146,22 +141,22 @@ class TestPerturbedObs:
         ens = Ensemble(members)
         obs = ObservationModel(rng.normal(size=(2, 3)), np.eye(2))
         y = rng.normal(size=2)
-        updated = enkf_perturbed_obs(ens, obs, y, seed=4, center_perturbations=True)
+        updated = perturbed(ens, obs, y, seed=4, center_perturbations=True)
         exact = enkf_mean_update(ensemble_stats(ens), obs, y)
         np.testing.assert_allclose(updated.members.mean(axis=1), exact, atol=1e-12)
 
     def test_zero_spread_leaves_members_unchanged(self):
         ens = Ensemble(np.full((2, 5), 1.5))
         obs = ObservationModel(np.eye(2), np.eye(2))
-        updated = enkf_perturbed_obs(ens, obs, [7.0, 7.0], seed=3)
+        updated = perturbed(ens, obs, [7.0, 7.0], seed=3)
         np.testing.assert_array_equal(updated.members, ens.members)
 
     def test_seed_determinism_bitwise(self, rng):
         ens = Ensemble(rng.normal(size=(3, 10)))
         obs = ObservationModel(rng.normal(size=(2, 3)), np.eye(2))
         y = rng.normal(size=2)
-        a = enkf_perturbed_obs(ens, obs, y, seed=11)
-        b = enkf_perturbed_obs(ens, obs, y, seed=11)
+        a = perturbed(ens, obs, y, seed=11)
+        b = perturbed(ens, obs, y, seed=11)
         assert a.members.tobytes() == b.members.tobytes()
 
     def test_member_update_depends_only_on_seed_and_index(self, rng):
@@ -170,12 +165,9 @@ class TestPerturbedObs:
         ens = Ensemble(rng.normal(size=(2, 6)))
         obs = ObservationModel(rng.normal(size=(3, 2)), np.diag([1.0, 2.0, 0.5]))
         y = rng.normal(size=3)
-        updated = enkf_perturbed_obs(ens, obs, y, seed=21)
-        prior = ensemble_stats(ens)
-        from enscgp.gaussian import kalman_gain
-        from enscgp.rng import blocked_normals
+        updated = perturbed(ens, obs, y, seed=21)
         batch = blocked_normals(21, 3, ens.size)
-        gain = kalman_gain(prior, obs)
+        gain = kalman_gain(ensemble_stats(ens), obs)
         chol = np.linalg.cholesky(obs.R)
         for e in range(ens.size):
             draws = blocked_member_normals(21, e, 3)
@@ -192,10 +184,39 @@ class TestPerturbedObs:
         ens = Ensemble(z)
         obs = scalar_obs()
         post = ens_cgp(ens, obs, [2.0])
-        updated = enkf_perturbed_obs(ens, obs, [2.0], seed=5)
+        updated = perturbed(ens, obs, [2.0], seed=5)
         emp = np.cov(updated.members)
         exact = post.covariance[0, 0]
         assert abs(float(emp) - exact) <= 0.10 * exact
+
+    def test_perturbations_use_the_cached_noise_factor_bitwise(self):
+        # a dense 40x40 R on which numpy's cholesky and LAPACK's potrf (the
+        # factor ObservationModel caches) differ in the last bits on x86-64
+        # OpenBLAS; the update must draw eta through the cached factor
+        rng = np.random.default_rng(0)
+        m, n, size = 40, 8, 12
+        b = rng.normal(size=(m, m))
+        obs = ObservationModel(rng.normal(size=(m, n)), b @ b.T + np.eye(m))
+        ens = Ensemble(rng.normal(size=(n, size)))
+        y = rng.normal(size=m)
+        gain = kalman_gain(ensemble_stats(ens), obs)
+        eta = np.tril(obs._noise_chol) @ blocked_normals(2, m, size)
+        expected = ens.members + gain @ (y[:, None] + eta - obs.H @ ens.members)
+        updated = enkf_perturbed_obs(ens, obs, y, gain, 2)
+        assert updated.members.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("shape", [(3, 2), (2, 3), (2,), (2, 2, 1)])
+    def test_gain_of_wrong_shape_is_dimension_error(self, shape):
+        ens = Ensemble(np.arange(6.0).reshape(2, 3))
+        obs = ObservationModel(np.eye(2), np.eye(2))
+        with pytest.raises(DimensionError):
+            enkf_perturbed_obs(ens, obs, [0.0, 0.0], np.zeros(shape), 0)
+
+    def test_observation_model_of_wrong_state_dim_is_dimension_error(self):
+        ens = Ensemble(np.arange(6.0).reshape(2, 3))
+        obs = ObservationModel(np.eye(3), np.eye(3))
+        with pytest.raises(DimensionError):
+            enkf_perturbed_obs(ens, obs, np.zeros(3), np.zeros((2, 3)), 0)
 
 
 class TestFactorRouteIndependence:

@@ -18,6 +18,11 @@ class TestKernelSpec:
         with pytest.raises(ValueError):
             KernelSpec("squared-exponential", variance)
 
+    @pytest.mark.parametrize("variance", [np.inf, np.nan])
+    def test_rejects_non_finite_variance(self, variance):
+        with pytest.raises(ValueError, match="variance"):
+            KernelSpec("white", variance)
+
     @pytest.mark.parametrize("lengthscale", [0.0, -2.0])
     def test_rejects_nonpositive_lengthscale(self, lengthscale):
         with pytest.raises(ValueError):
