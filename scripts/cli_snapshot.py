@@ -54,7 +54,10 @@ def main() -> int:
             "equivalence-seed5": ["equivalence", "--count", "100", "--seed", "5"],
             "collapse": ["collapse", p["mean"], p["spd"], *obs, "--k-max", "200"],
             "kl-sample": ["kl-sample", p["points"], "--family", "squared-exponential",
-                          "--lengthscale", "0.5", "--modes", "5", "--members", "4"]}
+                          "--lengthscale", "0.5", "--modes", "5", "--members", "4"],
+            # three modes of a white kernel leave 17 rows of exact zeros
+            "kl-sample-white": ["kl-sample", p["points"], "--family", "white",
+                                "--modes", "3", "--members", "6"]}
     failed = 0
     for name, argv in runs.items():
         for fmt in ("text", "structured"):

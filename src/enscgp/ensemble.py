@@ -81,12 +81,12 @@ def enkf_perturbed_obs(ens: Ensemble, obs: ObservationModel, y, gain, seed: int,
 
     The gain G, shape (n, m), belongs to the conditional law and is shared by
     all members; normally it is ``kalman_gain(ensemble_stats(ens), obs)``.
-    Perturbations eta_e ~ N(0, R) are R's cached Cholesky factor applied to
-    per-member counter substreams (substream index = member index): member
-    e's draw depends only on (seed, e), so results are reproducible and
-    member updates could run in parallel. ``perturb=False`` sets eta = 0,
-    the deterministic limit of the scheme; ``center_perturbations``
-    subtracts the perturbation sample mean.
+    Perturbations eta_e ~ N(0, R) come from ``ObservationModel.noise``
+    applied to per-member counter substreams (substream index = member
+    index): member e's draw depends only on (seed, e), so results are
+    reproducible and member updates could run in parallel.
+    ``perturb=False`` sets eta = 0, the deterministic limit of the scheme;
+    ``center_perturbations`` subtracts the perturbation sample mean.
     """
     y = gaussian._check_data(obs, y)
     gain = np.asarray(gain, dtype=float)
@@ -97,8 +97,7 @@ def enkf_perturbed_obs(ens: Ensemble, obs: ObservationModel, y, gain, seed: int,
     if gain.shape != (n, m):
         raise DimensionError(f"gain must have shape ({n}, {m}), got {gain.shape}")
     if perturb and m > 0:
-        # potrf leaves R's upper triangle in the cached factor
-        eta = np.tril(obs._noise_chol) @ blocked_normals(seed, m, ens.size)
+        eta = obs.noise(blocked_normals(seed, m, ens.size))
         if center_perturbations:
             eta = eta - eta.mean(axis=1, keepdims=True)
     else:

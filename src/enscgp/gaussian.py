@@ -69,8 +69,7 @@ class GaussianLaw:
     @classmethod
     def from_moments(cls, mean, cov, rank_tol: float | None = None) -> "GaussianLaw":
         """Build from a dense covariance; symmetrizes and factors on ingestion."""
-        return cls(np.asarray(mean, dtype=float),
-                   psd.canonical_sqrt(symmetrize(cov), rank_tol))
+        return cls(np.asarray(mean, dtype=float), psd.canonical_sqrt(cov, rank_tol))
 
 
 @dataclass(frozen=True)
@@ -78,8 +77,10 @@ class ObservationModel:
     """Linear observation model y = H f + e with e ~ N(0, R), R SPD.
 
     R is symmetrized on construction and must admit a Cholesky
-    factorization, which is kept for every later solve with R. An empty
-    model (zero observations) is allowed and acts as "no data" throughout.
+    factorization L L^T. The model is the only code that applies R: every
+    solve with R, every R^(-1)-weighted Gram matrix and every N(0, R) draw
+    goes through L. An empty model (zero observations) is allowed and acts
+    as "no data" throughout: the LAPACK helpers return empty solves for it.
     """
 
     H: np.ndarray
@@ -114,15 +115,20 @@ class ObservationModel:
 
     def noise_solve(self, b: np.ndarray) -> np.ndarray:
         """R^(-1) b via the Cholesky factor of R."""
-        if self.n_obs == 0:
-            return np.zeros_like(np.asarray(b, dtype=float))
         return _chol_solve(self._noise_chol, np.asarray(b, dtype=float))
+
+    def weighted_gram(self, x: np.ndarray) -> np.ndarray:
+        """X^T R^(-1) X for X with n_obs rows, symmetrized."""
+        return symmetrize(x.T @ self.noise_solve(x))
+
+    def noise(self, z: np.ndarray) -> np.ndarray:
+        """N(0, R) draws L z from standard normals z with n_obs rows."""
+        # potrf leaves R's upper triangle in the cached factor
+        return np.tril(self._noise_chol) @ z
 
     def information(self) -> np.ndarray:
         """Observation information matrix H^T R^(-1) H."""
-        if self.n_obs == 0:
-            return np.zeros((self.state_dim, self.state_dim))
-        return symmetrize(self.H.T @ self.noise_solve(self.H))
+        return self.weighted_gram(self.H)
 
 
 def _check_compatible(prior: GaussianLaw, obs: ObservationModel) -> None:
@@ -207,8 +213,7 @@ def _restricted_hessian(factor: PsdFactor, obs: ObservationModel) -> np.ndarray:
     with R's cached Cholesky factor. No n x n matrix is formed, and the
     eps / lambda_min error of a round trip through a dense K^+ is avoided.
     """
-    hu = obs.H @ factor.basis()
-    reduced = symmetrize(hu.T @ obs.noise_solve(hu))
+    reduced = obs.weighted_gram(obs.H @ factor.basis())
     # symmetrize returns a fresh C-ordered array, so ravel() is a view and
     # every (rank + 1)-th entry of it is a diagonal entry
     reduced.ravel()[:: factor.rank + 1] += 1.0 / factor.eigenvalues
@@ -229,8 +234,6 @@ def posterior_cov_via_hessian(prior: GaussianLaw, obs: ObservationModel) -> np.n
     solve. Must equal the Schur-complement covariance of :func:`condition`.
     """
     _check_compatible(prior, obs)
-    if prior.rank == 0:
-        return np.zeros((prior.dim, prior.dim))
     chol = _restricted_hessian(prior.cov_factor, obs)
     x = _tril_solve(chol, prior.cov_factor.basis().T)
     return symmetrize(x.T @ x)

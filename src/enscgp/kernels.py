@@ -2,8 +2,8 @@
 
 These are the prior generators: build K from a kernel family on a finite
 point set, keep the leading eigenmodes, and draw Gaussian vectors through
-the truncated expansion f = mean + sum_i sqrt(lambda_i) z_i psi_i with
-z_i iid standard normal from a seeded deterministic stream.
+the truncated expansion f = sum_i sqrt(lambda_i) z_i psi_i with z_i iid
+standard normal from a seeded deterministic stream.
 """
 
 from __future__ import annotations
@@ -80,12 +80,11 @@ def gram_matrix(spec: KernelSpec, points) -> np.ndarray:
 @dataclass(frozen=True)
 class KlModes:
     """Truncated eigenmodes of a covariance: orthonormal modes, descending
-    positive eigenvalues, the mean vector, and the relative Frobenius
-    reconstruction residual left by the truncation."""
+    positive eigenvalues, and the relative Frobenius reconstruction
+    residual left by the truncation."""
 
     eigenvalues: np.ndarray
     modes: np.ndarray
-    mean: np.ndarray
     residual: float
 
     @property
@@ -97,7 +96,7 @@ class KlModes:
         return self.modes.shape[1]
 
 
-def kl_truncate(cov, r, mean=None, rank_tol: float | None = None) -> KlModes:
+def kl_truncate(cov, r, rank_tol: float | None = None) -> KlModes:
     """Keep the top eigenmodes of a PSD matrix.
 
     ``r`` is either an integer mode count in [1, rank] or a float energy
@@ -108,14 +107,6 @@ def kl_truncate(cov, r, mean=None, rank_tol: float | None = None) -> KlModes:
     """
     k = symmetrize(cov)
     values, vectors, rank = psd.eig_psd(k, rank_tol)
-    if mean is None:
-        mean = np.zeros(k.shape[0])
-    else:
-        mean = np.asarray(mean, dtype=float)
-        if mean.shape != (k.shape[0],):
-            raise DimensionError(
-                f"mean must have shape ({k.shape[0]},), got {mean.shape}"
-            )
     if isinstance(r, (bool, np.bool_)):
         raise ValueError("r must be an integer count or a float energy fraction")
     if isinstance(r, (int, np.integer)):
@@ -140,8 +131,7 @@ def kl_truncate(cov, r, mean=None, rank_tol: float | None = None) -> KlModes:
     else:
         recon = (kept_modes * kept_values) @ kept_modes.T
         residual = float(np.linalg.norm(k - recon)) / norm_k
-    return KlModes(eigenvalues=kept_values, modes=kept_modes, mean=mean,
-                   residual=residual)
+    return KlModes(eigenvalues=kept_values, modes=kept_modes, residual=residual)
 
 
 # most samples the CLI's kl-sample command draws: sample_kl holds
@@ -150,7 +140,7 @@ MEMBERS_CAP = 10**4
 
 
 def sample_kl(modes: KlModes, count: int, seed: int) -> np.ndarray:
-    """Draw ``count`` vectors mean + Psi sqrt(Lambda) z, one per column.
+    """Draw ``count`` zero-mean vectors Psi sqrt(Lambda) z, one per column.
 
     Identical seeds give bitwise-identical output.
     """
@@ -158,4 +148,4 @@ def sample_kl(modes: KlModes, count: int, seed: int) -> np.ndarray:
         raise ValueError(f"count must be >= 1, got {count}")
     z = NormalStream(seed).normals((modes.n_modes, count))
     scaled = modes.modes * np.sqrt(modes.eigenvalues)
-    return modes.mean[:, None] + scaled @ z
+    return scaled @ z

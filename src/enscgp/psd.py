@@ -248,10 +248,9 @@ class PsdFactor:
         return symmetrize((u / self.eigenvalues) @ u.T)
 
 
-def canonical_sqrt(matrix, rank_tol: float | None = None,
-                   scale_floor: float = 0.0) -> PsdFactor:
+def canonical_sqrt(matrix, rank_tol: float | None = None) -> PsdFactor:
     """Canonical square root A = U_r diag(sqrt(lambda_r)) of a PSD matrix."""
-    values, vectors, _ = eig_psd(matrix, rank_tol, scale_floor)
+    values, vectors, _ = eig_psd(matrix, rank_tol)
     return PsdFactor(factor=vectors * np.sqrt(values), eigenvalues=values)
 
 

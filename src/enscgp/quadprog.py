@@ -62,24 +62,17 @@ def build_qp(prior: GaussianLaw, obs: ObservationModel, y) -> QuadraticObjective
     _check_compatible(prior, obs)
     y = _check_data(obs, y)
     d = y - obs.H @ prior.mean
-    if obs.n_obs > 0:
-        rinv_d = obs.noise_solve(d)
-        q = -(obs.H.T @ rinv_d)
-        c = 0.5 * float(d @ rinv_d)
-    else:
-        q = np.zeros(prior.dim)
-        c = 0.0
-    a = prior.cov_factor.factor
-    if obs.n_obs > 0 and prior.rank > 0:
-        ha = obs.H @ a
-        reduced_gram = symmetrize(ha.T @ obs.noise_solve(ha))
-    else:
-        reduced_gram = np.zeros((prior.rank, prior.rank))
-    return QuadraticObjective(q=q, c=c,
-                              range_basis=prior.cov_factor.basis(),
+    rinv_d = obs.noise_solve(d)
+    factor = prior.cov_factor
+    # with no observations every product below is an empty sum: q and the
+    # reduced Gram matrix are +0.0 zeros and c is 0.0. Negating rinv_d rather
+    # than the product keeps every zero entry of q +0.0 with data too.
+    return QuadraticObjective(q=obs.H.T @ -rinv_d, c=0.5 * float(d @ rinv_d),
+                              range_basis=factor.basis(),
                               prior_mean=prior.mean.copy(), data_shift=d,
-                              cov_factor=prior.cov_factor,
-                              reduced_gram=reduced_gram, obs=obs)
+                              cov_factor=factor,
+                              reduced_gram=obs.weighted_gram(obs.H @ factor.factor),
+                              obs=obs)
 
 
 def solve_qp(obj: QuadraticObjective):

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from enscgp import (DimensionError, Ensemble, GaussianLaw, NotSpdError,
-                    ObservationModel, PsdFactor, canonical_sqrt,
+from enscgp import (DimensionError, DiscreteRkhs, Ensemble, GaussianLaw, NotSpdError,
+                    ObservationModel, PsdFactor, build_qp, canonical_sqrt,
                     canonicalize_factor, condition, default_rank_tol, eig_psd,
                     enkf_mean_update, ens_cgp, ensemble_stats, kalman_gain,
-                    posterior_cov_via_hessian)
+                    posterior_cov_via_hessian, rkhs_solve, symmetrize)
 from enscgp.experiments import make_instance
 
 from conftest import random_psd
@@ -82,6 +82,20 @@ class TestObservationModel:
         for bad in (np.nan, np.inf, -np.inf):
             with pytest.raises(ValueError, match="infs or NaNs"):
                 obs.noise_solve(np.array([1.0, bad]))
+
+    def test_weighted_gram_and_noise_are_the_factor_expressions_bitwise(self, rng):
+        b = rng.normal(size=(5, 5))
+        obs = ObservationModel(rng.normal(size=(5, 4)), b @ b.T + np.eye(5))
+        x = rng.normal(size=(5, 3))
+        gram = obs.weighted_gram(x)
+        assert gram.tobytes() == symmetrize(x.T @ obs.noise_solve(x)).tobytes()
+        info = symmetrize(obs.H.T @ obs.noise_solve(obs.H))
+        assert obs.information().tobytes() == info.tobytes()
+        z = rng.normal(size=(5, 7))
+        eta = obs.noise(z)
+        assert eta.tobytes() == (np.tril(obs._noise_chol) @ z).tobytes()
+        # the cached potrf factor keeps R's upper triangle; noise must drop it
+        np.testing.assert_allclose(eta, np.linalg.cholesky(obs.R) @ z, rtol=1e-12)
 
 
 class TestNonFiniteInputs:
@@ -241,7 +255,7 @@ class TestConditionInRangeBasis:
         lam_max = float(prior.cov_factor.eigenvalues[0])
         small = eig_psd(basis.T @ dense @ basis, default_rank_tol(2), scale_floor=lam_max)[0]
         assert 2 * default_rank_tol(2) < small[-1] / lam_max < default_rank_tol(n) / 2
-        assert post.rank == canonical_sqrt(dense, scale_floor=lam_max).rank == 1
+        assert post.rank == eig_psd(dense, scale_floor=lam_max)[2] == 1
 
     def test_ens_cgp_mean_is_the_gain_form_mean_bitwise(self, rng):
         ens, obs, y = ensemble_instance(rng, 300)
@@ -297,3 +311,93 @@ class TestMarginalConsistency:
 
         np.testing.assert_allclose(route_a.mean, route_b.mean, atol=1e-10)
         np.testing.assert_allclose(route_a.covariance, route_b.covariance, atol=1e-10)
+
+
+def assert_bits(actual, expected):
+    """Same shape and the same bits, so zero signs count."""
+    expected = np.asarray(expected, dtype=float)
+    assert actual.shape == expected.shape
+    assert actual.tobytes() == expected.tobytes(), (actual, expected)
+
+
+class TestDegenerateShapes:
+    """Every R-applying route over m in {0, 1, 3} and prior rank in {0, 1, n}.
+
+    Zero observations and rank-0 priors go through the same products as any
+    other shape: empty sums give +0.0 zeros, and early returns keep the
+    prior mean's -0.0 entries. n = 3, R = 4 I and dyadic factors keep most
+    results exact, so the arrays are written out bit for bit.
+    """
+
+    MEAN = np.array([-0.0, 1.0, -0.0])
+    FACTORS = {0: np.zeros((3, 0)), 1: np.array([[2.0], [0.0], [0.0]]),
+               3: np.diag([2.0, 1.0, 0.5])}
+    H = {0: np.zeros((0, 3)), 1: np.array([[1.0, 1.0, 1.0]]), 3: np.eye(3)}
+    Y = {0: np.zeros(0), 1: np.array([3.0]), 3: np.array([1.0, 3.0, -2.0])}
+    # per m: information, R^(-1) y, q, c
+    BY_M = {0: (np.zeros((3, 3)), np.zeros(0), [0.0, 0.0, 0.0], 0.0),
+            1: (np.full((3, 3), 0.25), [0.75], [-0.5, -0.5, -0.5], 0.5),
+            3: (0.25 * np.eye(3), [0.25, 0.75, -0.5], [-0.25, -0.5, 0.5], 1.125)}
+    # per (m, rank) with m > 0 and rank > 0: reduced Gram, Hessian covariance,
+    # posterior mean (RKHS and Schur agree bitwise here), posterior eigenvalues
+    SOLVED = {
+        (1, 1): ([[1.0]], np.diag([1.9999999999999996, 0.0, 0.0]),
+                 [0.9999999999999998, 1.0, 0.0], [2.0000000000000004]),
+        (3, 1): ([[1.0]], np.diag([1.9999999999999996, 0.0, 0.0]),
+                 [0.4999999999999999, 1.0, 0.0], [2.0000000000000004]),
+        (3, 3): (np.diag([1.0, 0.25, 0.0625]),
+                 np.diag([1.9999999999999996, 0.7999999999999999, 0.23529411764705882]),
+                 [0.4999999999999999, 1.4, -0.11764705882352941],
+                 [2.0000000000000004, 0.8, 0.23529411764705882]),
+    }
+
+    def instance(self, m, rank):
+        f = self.FACTORS[rank]
+        prior = GaussianLaw(self.MEAN, PsdFactor(f, np.sum(f * f, axis=0)))
+        return prior, ObservationModel(self.H[m], 4.0 * np.eye(m)), self.Y[m]
+
+    @pytest.mark.parametrize("m", [0, 1, 3])
+    @pytest.mark.parametrize("rank", [0, 1, 3])
+    def test_zero_size_shapes_are_pinned(self, m, rank):
+        prior, obs, y = self.instance(m, rank)
+        info, rinv_y, q, c = self.BY_M[m]
+        assert_bits(obs.information(), info)
+        assert_bits(obs.noise_solve(y), rinv_y)
+        qp = build_qp(prior, obs, y)
+        assert_bits(qp.q, q)
+        assert qp.c == c and not np.signbit(qp.c)
+        hess_cov = posterior_cov_via_hessian(prior, obs)
+        rkhs_mean = rkhs_solve(DiscreteRkhs.from_factor(prior.cov_factor), self.MEAN, obs, y)
+        post = condition(prior, obs, y)
+        if m == 0:
+            assert_bits(qp.reduced_gram, np.zeros((rank, rank)))
+            assert_bits(hess_cov, self.FACTORS[rank] @ self.FACTORS[rank].T)
+            assert_bits(rkhs_mean, self.MEAN)
+            assert post is prior
+        elif rank == 0:
+            assert_bits(qp.reduced_gram, np.zeros((0, 0)))
+            assert_bits(hess_cov, np.zeros((3, 3)))
+            assert_bits(rkhs_mean, self.MEAN)
+            # the gain-form update adds a +0.0 shift to the -0.0 entries
+            assert_bits(post.mean, [0.0, 1.0, 0.0])
+            assert post.rank == 0
+        elif (m, rank) in self.SOLVED:
+            gram, cov, mean, eigenvalues = self.SOLVED[m, rank]
+            assert_bits(qp.reduced_gram, gram)
+            assert_bits(hess_cov, cov)
+            assert_bits(rkhs_mean, mean)
+            assert_bits(post.mean, mean)
+            assert_bits(post.cov_factor.eigenvalues, eigenvalues)
+        else:
+            # one dense observation of a full-rank prior: no zeros to pin,
+            # so the eigendecomposed results are checked to round-off
+            assert_bits(qp.reduced_gram, [[1.0, 0.5, 0.25], [0.5, 0.25, 0.125],
+                                          [0.25, 0.125, 0.0625]])
+            expected_cov = [[2.2702702702702697, -0.4324324324324324, -0.1081081081081081],
+                            [-0.4324324324324324, 0.8918918918918921, -0.027027027027027046],
+                            [-0.1081081081081081, -0.027027027027027046, 0.2432432432432433]]
+            expected_mean = [0.8648648648648649, 1.2162162162162162, 0.05405405405405406]
+            np.testing.assert_allclose(hess_cov, expected_cov, rtol=1e-13)
+            np.testing.assert_allclose(post.covariance, expected_cov, rtol=1e-13)
+            np.testing.assert_allclose(rkhs_mean, expected_mean, rtol=1e-13)
+            np.testing.assert_allclose(post.mean, expected_mean, rtol=1e-13)

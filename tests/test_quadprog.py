@@ -28,6 +28,14 @@ class TestBuildQp:
         assert qp.q[0] == pytest.approx(-2.0)
         assert qp.c == pytest.approx(2.0)
 
+    def test_unobserved_components_of_q_are_positive_zero(self):
+        # q = H^T (-R^(-1) d): a zero column of H gives a sum of zero
+        # products, which is +0.0 with or without data
+        prior = GaussianLaw.from_moments(np.zeros(3), np.eye(3))
+        for h, y in ((np.array([[1.0, 0.0, 0.0]]), [2.0]), (np.zeros((0, 3)), [])):
+            qp = build_qp(prior, ObservationModel(h, np.eye(h.shape[0])), y)
+            assert not np.signbit(qp.q[1:]).any()
+
     def test_zero_data_shift(self):
         prior = GaussianLaw.from_moments([1.0, 2.0], np.eye(2))
         obs = ObservationModel(np.eye(2), np.eye(2))
