@@ -101,28 +101,33 @@ def kl_truncate(cov, r, rank_tol: float | None = None) -> KlModes:
 
     ``r`` is either an integer mode count in [1, rank] or a float energy
     fraction in (0, 1], in which case the smallest count reaching that
-    fraction of the trace is kept. The reported residual
-    |K - Psi Lambda Psi^T|_F / |K|_F is computed on the actual
-    reconstruction and is nonincreasing in the kept count.
+    fraction of the trace is kept. A bool ``r`` or a fraction outside
+    (0, 1] is rejected before the matrix is eigendecomposed; a count is
+    checked against the rank that the eigendecomposition finds. The matrix
+    is symmetrized once, and that symmetric K is both eigendecomposed and
+    measured. The reported residual |K - Psi Lambda Psi^T|_F / |K|_F is
+    computed on the actual reconstruction and is nonincreasing in the kept
+    count.
     """
-    k = symmetrize(cov)
-    values, vectors, rank = psd.eig_psd(k, rank_tol)
     if isinstance(r, (bool, np.bool_)):
         raise ValueError("r must be an integer count or a float energy fraction")
-    if isinstance(r, (int, np.integer)):
-        count = int(r)
-        if rank == 0 or not 1 <= count <= rank:
-            raise ValueError(f"mode count {count} outside [1, rank={rank}]")
-    else:
+    by_count = isinstance(r, (int, np.integer))
+    if not by_count:
         fraction = float(r)
         if not 0.0 < fraction <= 1.0:
             raise ValueError(f"energy fraction {fraction} outside (0, 1]")
-        if rank == 0:
-            count = 0
-        else:
-            ratios = np.cumsum(values) / np.sum(values)
-            # tiny slack so fraction=1.0 is reached despite rounding
-            count = int(np.argmax(ratios >= fraction - 1e-12)) + 1
+    k = symmetrize(cov)
+    values, vectors, rank = psd._eig_symmetric(k, rank_tol, 0.0)
+    if by_count:
+        count = int(r)
+        if rank == 0 or not 1 <= count <= rank:
+            raise ValueError(f"mode count {count} outside [1, rank={rank}]")
+    elif rank == 0:
+        count = 0
+    else:
+        ratios = np.cumsum(values) / np.sum(values)
+        # tiny slack so fraction=1.0 is reached despite rounding
+        count = int(np.argmax(ratios >= fraction - 1e-12)) + 1
     kept_values = values[:count].copy()
     kept_modes = vectors[:, :count].copy()
     norm_k = float(np.linalg.norm(k))

@@ -17,10 +17,21 @@ holds one block's work.
 
 Reading tries a one-pass parse of a well-formed file first; on anything
 irregular it starts over with the line-by-line checked parser, which alone
-decides what is accepted and what each error says. The one-pass parse
-splits the text into lines a bounded chunk at a time and converts a
-bounded block of rows per numpy call, so besides the text and the result
-it holds an amount of memory that does not grow with the file.
+decides what is accepted and what each error says. The one-pass parse reads
+the text after the header about _CHUNK_CHARS characters at a time, each
+chunk ending with a line. A plain chunk (ASCII lines of decimal tokens
+``[+-](digits[.[digits]]|.digits)[(e|E)[+-]digits]`` between single spaces,
+each line ended by a line feed) is converted without float(): numpy checks
+its bytes and finds each token's end, point and exponent mark,
+np.fromstring reads its digits and exponents as int64 integers d and e, and
+each value d·10^e is rounded by Clinger's exact path or by a double-double
+product that certifies the rounding. The few tokens left uncertified (ties,
+digits beyond int64, 17-digit magnitudes outside about 1e-250..1e305) are
+read by float() one by one. Any other chunk, and any shorter than
+_PLAIN_MIN, is split into tokens and converted by
+``np.array(tokens, dtype=float)``, which applies float() to each. Either
+way every value has float(token)'s bits. Besides the text and the result,
+a parse holds one chunk's work.
 """
 
 from __future__ import annotations
@@ -259,68 +270,215 @@ def loads_matrix(text: str, name: str = "<string>") -> np.ndarray:
     return _loads_checked(text, name) if matrix is None else matrix
 
 
-# The one-pass parse converts whole rows, at most this many values (or one
-# row, if a row has more) per numpy call ...
+# Writing prints at most this many values per numpy call; reading takes the
+# text about _CHUNK_CHARS characters at a time
 _BLOCK_VALUES = 1 << 12
-# ... and splits the text into lines about this many characters at a time.
 _CHUNK_CHARS = 1 << 16
+# _plain_values costs about 0.1 ms a chunk however short; float() per token
+# costs less below about 250 17-digit tokens (5000 characters) or 400
+# one-digit ones (800 characters), so shorter chunks are read that way
+_PLAIN_MIN = 1 << 12
+# _plain_values's byte classes: a separator (space or line feed), a sign, the
+# point, an exponent mark, anything else
+_SEP, _SIGN, _POINT, _MARK, _OTHER = range(5)
+_CLASS = np.full(256, _OTHER, np.uint8)
+for _chars, _kind in ((b" \n", _SEP), (b"+-", _SIGN), (b".", _POINT), (b"eE", _MARK)):
+    _CLASS[list(_chars)] = _kind
+# _FOLLOWS[10 p + 2 q + g]: whether a byte of class q may follow one of
+# class p with no digits (g = 0) or some digits (g = 1) between them in a
+# chunk of tokens [+-](digits[.[digits]]|.digits)[(e|E)[+-]digits]. Two
+# rules span more than a pair and are checked on their own: a sign after an
+# exponent mark must be followed by a separator, and a point must have a
+# digit on one side
+_FOLLOWS = np.zeros(50, bool)
+for _pair in ((_SEP, _SEP, 1), (_SEP, _SIGN, 0), (_SEP, _POINT, 0), (_SEP, _POINT, 1),
+              (_SEP, _MARK, 1), (_SIGN, _SEP, 1), (_SIGN, _POINT, 0), (_SIGN, _POINT, 1),
+              (_SIGN, _MARK, 1), (_POINT, _SEP, 0), (_POINT, _SEP, 1), (_POINT, _MARK, 0),
+              (_POINT, _MARK, 1), (_MARK, _SIGN, 0), (_MARK, _SEP, 1)):
+    _FOLLOWS[_pair[0] * 10 + _pair[1] * 2 + _pair[2]] = True
+# np.fromstring reads a plain chunk's integers once its points are deleted
+# and its exponent marks made separators
+_INTEGERS = bytes.maketrans(b"eE", b"  ")
+# d·10^e is converted as a double-double for 0 <= d < _D_MAX (d's nearest
+# double is then below 2^63, so it casts back to int64) and e where pow10
+# holds 10^e and any such d·10^e is below the largest double
+_D_MAX = 2**63 - 2**10
+_E_MIN, _E_MAX = 16 - _X_SPAN, 289
 
 
-def _lines(text: str):
-    """Yield ``text.splitlines()``, splitting a bounded chunk at a time.
+def _chunks(text: str, start: int = 0):
+    """Yield ``text[start:]`` in pieces of about _CHUNK_CHARS characters.
 
-    Each chunk ends just after a line feed, which always ends a line (a
-    CRLF pair ends there too), so the lines are those of the whole text.
+    Each piece but the last ends just after a line feed, which always ends
+    a line (a CRLF pair ends there too), so the pieces' lines are those of
+    the whole text.
     """
-    start = 0
     while start < len(text):
         end = text.find("\n", start + _CHUNK_CHARS) + 1 or len(text)
-        yield from text[start:end].splitlines()
+        yield text[start:end]
         start = end
+
+
+def _to_double(d: np.ndarray, e: np.ndarray):
+    """(values, certified) for int64 arrays d and e: each value is the
+    double nearest d·10^e wherever certified.
+
+    Clinger's path: where 0 <= d <= 2^53 and |e| <= 22, d and 10^|e| are
+    doubles and one product or quotient rounds correctly. It converts the
+    arrays when all of them are in its domain. Otherwise, for 0 <= d <
+    _D_MAX and _E_MIN <= e <= _E_MAX: d = a + a_lo exactly with a the
+    double nearest d, and a·10^e (Dekker's two-product against pow10's
+    double-double) plus a_lo·10^e is a double-double hi + lo within
+    8·2^-106·d·10^e of d·10^e: the table's error, three roundings of terms
+    under 2^-52 of it, and the dropped product of a_lo and the table's low
+    part. Rounding is monotone, so when hi + (lo - m) and hi + (lo + m)
+    round to the same double for m = 2^-100·hi, so does d·10^e: that value
+    is certified. Exact ties are not; Clinger's path then takes what is
+    left in its domain.
+    """
+    pow10 = _tables()[0]
+    d = np.minimum(d, _D_MAX)
+    a = d.astype(float)
+    if d.view(np.uint64).max() <= 2**53 and -22 <= e.min() and e.max() <= 22:
+        values, certified, clinger = np.empty(d.size), np.empty(d.size, bool), slice(None)
+    else:
+        x = 16 - np.minimum(np.maximum(e, _E_MIN), _E_MAX)
+        hi, lo = _scaled(a, x, pow10)
+        lo += (d - a.astype(np.int64)) * np.take(pow10[0], x + _X_SPAN)
+        margin = hi * 2.0**-100
+        values = hi + (lo - margin)
+        certified = (values == hi + (lo + margin)) & (d.view(np.uint64) < _D_MAX) & (x == 16 - e)
+        clinger = np.flatnonzero(~certified)  # Clinger's path for what is left
+        clinger = clinger[(d[clinger].view(np.uint64) <= 2**53)
+                          & ((e[clinger] + 22).view(np.uint64) <= 44)]
+    a, e = a[clinger], e[clinger]
+    power = np.take(pow10[0], _X_SPAN + 16 - np.abs(e))
+    values[clinger] = np.where(e < 0, a / power, a * power)
+    certified[clinger] = True
+    return values, certified
+
+
+def _plain_tokens(chunk: str, cols: int):
+    """(ends, negative, d, e) for a plain chunk; None if it is not plain.
+
+    A plain chunk is ASCII lines of ``cols`` tokens, single spaces between
+    the tokens and a line feed after each line, and each token a decimal
+    that ``float()`` reads: [+-](digits[.[digits]]|.digits)[(e|E)[+-]digits].
+    ends holds each token's end, negative whether it starts with a minus,
+    and the int64 arrays d and e give its magnitude as d·10^e: np.fromstring
+    reads its digits as d (saturating beyond int64) and its exponent, less
+    the count of digits after the point, as e.
+    """
+    if not (chunk.isascii() and chunk.endswith("\n")):
+        return None
+    raw = chunk.encode("ascii")
+    b = np.frombuffer(raw, np.uint8)
+    # the bytes other than digits, after a separator before the chunk (b[-1]
+    # is a line feed)
+    at = np.concatenate(([-1], np.flatnonzero(b - 48 > 9)))
+    gaps = np.diff(at) - 1  # digits between each and the next
+    digits = gaps > 0
+    kinds = np.take(_CLASS, np.take(b, at))
+    points = np.flatnonzero(kinds == _POINT)
+    marks = np.flatnonzero(kinds == _MARK)
+    signed = marks[kinds[marks + 1] == _SIGN]  # marks followed by a sign
+    if not (np.take(_FOLLOWS, kinds[:-1] * 10 + kinds[1:] * 2 + digits).all()
+            and (digits[points - 1] | digits[points]).all()
+            and (kinds[signed + 2] == _SEP).all()):
+        return None
+    ends = np.compress(kinds[1:] == _SEP, at[1:])
+    count = ends.size
+    line_ends = np.take(b, ends) == 10
+    if (count % cols or not line_ends[cols - 1::cols].all()
+            or np.count_nonzero(line_ends) != count // cols):
+        return None
+    ints = np.fromstring(raw.translate(_INTEGERS, b"."), np.int64, sep=" ")
+    if ints.size != count + marks.size:
+        return None
+    places = gaps[points]  # digits after each point
+    if points.size == count:  # a point in every token (there is at most one)
+        power = -places
+    else:
+        power = np.zeros(count, np.int64)
+        power[np.searchsorted(ends, at[points])] = -places
+    if marks.size:
+        marked = np.searchsorted(ends, at[marks])  # the tokens with exponents
+        exponents = marked + np.arange(1, marks.size + 1)  # their places in ints
+        power[marked] += ints[exponents]
+        ints = np.delete(ints, exponents)
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    return ends, np.take(b, starts) == 45, np.abs(ints), power
+
+
+def _plain_values(chunk: str, cols: int) -> np.ndarray | None:
+    """The values of a plain chunk (see _plain_tokens), in order; None if
+    the chunk is not plain. _to_double converts each token, and ``float()``
+    each whose value it does not certify. (_plain_tokens's byte-level
+    arrays are freed before the conversion runs.)"""
+    tokens = _plain_tokens(chunk, cols)
+    if tokens is None:
+        return None
+    ends, negative, d, e = tokens
+    values, certified = _to_double(d, e)
+    if negative.any():
+        values = np.copysign(values, 0.5 - negative)
+    for i in np.flatnonzero(~certified).tolist():
+        values[i] = float(chunk[ends[i - 1] + 1 if i else 0:ends[i]])
+    return values
 
 
 def _loads_fast(text: str) -> np.ndarray | None:
     """Parse a well-formed file in one pass; None on any irregularity.
 
     Accepts only what ``_loads_checked`` accepts, with the same values, so
-    a None costs time but never changes a result or an error message. Each
-    line's tokens are checked as it is read; a block of rows is converted
-    by one ``np.array(tokens, dtype=float)``, which applies ``float()`` to
+    a None costs time but never changes a result or an error message. The
+    header is looked for one line feed at a time, and must be the only line
+    with tokens up to its line feed. The text after it is read a chunk at a
+    time: a plain chunk by _plain_values, any other by its lines' tokens
+    and one ``np.array(tokens, dtype=float)``, which applies ``float()`` to
     each token as the checked parser does.
     """
-    out = None
-    read = filled = 0  # rows read, rows converted into out
-    pending: list[str] = []  # the tokens of rows filled..read
-    for raw in _lines(text):
-        tokens = raw.split("#", 1)[0].split()
-        if not tokens:
-            continue
-        if out is None:
-            if len(tokens) != 2:
-                return None
-            try:
-                rows, cols = int(tokens[0]), int(tokens[1])
-            except ValueError:
-                return None
-            # a value takes at least two characters (a digit and a separator),
-            # so a header declaring more than the text holds is left to the
-            # checked parser, and nothing is allocated from it
-            if min(rows, cols) < 0 or max(rows, cols, rows * cols) > len(text) // 2:
-                return None
-            out = np.empty((rows, cols))
-            block = max(1, _BLOCK_VALUES // max(cols, 1))
-            continue
-        if read == rows or len(tokens) != cols:
+    start, header = 0, []
+    while not header:
+        if start == len(text):
             return None
-        pending += tokens
-        read += 1
-        if read - filled == block or read == rows:
+        end = text.find("\n", start) + 1 or len(text)
+        header = [tokens for tokens in (line.split("#", 1)[0].split()
+                                        for line in text[start:end].splitlines()) if tokens]
+        start = end
+    if len(header) != 1 or len(header[0]) != 2:
+        return None
+    try:
+        rows, cols = int(header[0][0]), int(header[0][1])
+    except ValueError:
+        return None
+    # a value takes at least two characters (a digit and a separator), so a
+    # header declaring more than the text holds is left to the checked
+    # parser, and nothing is allocated from it
+    if min(rows, cols) < 0 or max(rows, cols, rows * cols) > len(text) // 2:
+        return None
+    out = np.empty((rows, cols))
+    read = 0  # rows converted into out
+    for chunk in _chunks(text, start):
+        values = _plain_values(chunk, cols) if cols and len(chunk) >= _PLAIN_MIN else None
+        if values is None:
+            tokens = []
+            for raw in chunk.splitlines():
+                line = raw.split("#", 1)[0].split()
+                if line and len(line) != cols:
+                    return None
+                tokens += line
             try:
-                out[filled:read] = np.array(pending, dtype=float).reshape(-1, cols)
+                values = np.array(tokens, dtype=float)
             except ValueError:
                 return None
-            filled, pending = read, []
-    if out is None or (cols and filled != rows) or not np.isfinite(out).all():
+        if values.size:
+            count = values.size // cols
+            if read + count > rows:
+                return None
+            out[read:read + count] = values.reshape(count, cols)
+            read += count
+    if (cols and read != rows) or not np.isfinite(out).all():
         return None
     return out
 

@@ -178,7 +178,13 @@ def eig_psd(matrix, rank_tol: float | None = None, scale_floor: float = 0.0):
     factoring a posterior covariance), since round-off lives at that scale
     rather than at the output's own.
     """
-    k = symmetrize(matrix)
+    return _eig_symmetric(symmetrize(matrix), rank_tol, scale_floor)
+
+
+def _eig_symmetric(k: np.ndarray, rank_tol: float | None, scale_floor: float):
+    """:func:`eig_psd` of a float matrix ``k`` that is already exactly
+    symmetric, such as :func:`symmetrize`'s result, without symmetrizing it
+    again (which would return the same bits)."""
     _check_finite(k)
     if rank_tol is None:
         rank_tol = default_rank_tol(k.shape[0])

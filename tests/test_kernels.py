@@ -1,6 +1,9 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from enscgp import psd
 from enscgp import (KernelFamily, KernelSpec, eig_psd, gram_matrix, kl_truncate,
                     sample_kl)
 from enscgp.errors import NotPsdError
@@ -141,6 +144,14 @@ class TestKlTruncate:
     def test_fraction_out_of_range(self, fraction):
         with pytest.raises(ValueError):
             kl_truncate(np.eye(2), fraction)
+
+    @pytest.mark.parametrize("r", [True, np.bool_(False), 0.0, 1.5, -0.2, float("nan")])
+    def test_bad_r_is_rejected_before_the_eigendecomposition(self, r):
+        ran = AssertionError("the matrix was eigendecomposed")
+        with mock.patch.object(psd, "eig_psd", side_effect=ran), \
+                mock.patch.object(psd, "_eig_symmetric", side_effect=ran):
+            with pytest.raises(ValueError, match="r must be|energy fraction"):
+                kl_truncate(np.eye(3), r)
 
 
 class TestSampleKl:

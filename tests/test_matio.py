@@ -1,4 +1,7 @@
+import io
+import itertools
 import tracemalloc
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -303,7 +306,15 @@ def test_fast_parse_matches_checked_parser(text):
     assert_parsers_agree(text)
 
 
-# the fast path converts BLOCK rows of BLOCK_COLS values per numpy call
+@pytest.mark.parametrize("text", PARITY_CASES.values(), ids=PARITY_CASES.keys())
+def test_plain_path_matches_checked_parser(text):
+    """The same with every chunk, however short, offered to _plain_values."""
+    with mock.patch.object(matio, "_PLAIN_MIN", 0):
+        assert_parsers_agree(text)
+
+
+# a file of BLOCK rows of BLOCK_COLS values, 80 KB, spans two of the
+# reader's chunks (the writer's blocks hold BLOCK rows)
 BLOCK_COLS = 4
 BLOCK = _BLOCK_VALUES // BLOCK_COLS
 SECOND_BLOCK_FAULTS = {
@@ -351,12 +362,15 @@ def test_second_block_faults_match_checked_parser(fault, rows, at):
        st.integers(0, 9))
 def test_chunked_lines_are_splitlines(text, chunk):
     with mock.patch.object(matio, "_CHUNK_CHARS", chunk):
-        assert list(matio._lines(text)) == text.splitlines()
+        pieces = list(matio._chunks(text))
+    assert "".join(pieces) == text
+    assert all(piece.endswith("\n") for piece in pieces[:-1])
+    assert [line for piece in pieces for line in piece.splitlines()] == text.splitlines()
 
 
 def test_fast_parse_memory_is_bounded_by_blocks():
-    """Besides the text and the result, the fast path holds one chunk of
-    lines and one block of tokens, not a list that grows with the file."""
+    """Besides the text and the result, the fast path holds one chunk's
+    work, not a list that grows with the file."""
     text = dumps_matrix(np.random.default_rng(0).normal(size=(5000, 40)))
     tracemalloc.start()
     try:
@@ -411,6 +425,210 @@ def test_numpy_rejects_what_float_rejects(token):
         float(token)
     with pytest.raises(ValueError):
         np.array(["1.5", token, "2"], dtype=float)
+
+
+# the reader: plain chunks are converted by _plain_values, every value
+# bitwise float(token), and whatever it declines or cannot certify is read
+# by float() itself
+PLAIN_CHARS = set("0123456789+-.eE")
+
+
+def text_of(tokens, cols=1):
+    """A matrix file of ``tokens``, ``cols`` to a line."""
+    rows = [" ".join(tokens[i:i + cols]) for i in range(0, len(tokens), cols)]
+    return f"{len(rows)} {cols}\n" + "".join(row + "\n" for row in rows)
+
+
+def assert_reads_like_float(tokens, cols=1):
+    """loads_matrix reads each token as float() does, bit for bit; a chunk
+    of tokens that float() reads and that are all plain is read by
+    _plain_values."""
+    tokens = list(tokens)[:len(tokens) // cols * cols]
+    expected = np.array([float(t) for t in tokens]).reshape(-1, cols)
+    text = text_of(tokens, cols)
+    got = loads_matrix(text)
+    bad = np.flatnonzero(got.view(np.uint64) != expected.view(np.uint64))
+    assert not bad.size, [(tokens[i], got.flat[i], expected.flat[i]) for i in bad[:5]]
+    if all(set(t) <= PLAIN_CHARS for t in tokens):
+        plain = matio._plain_values(text.split("\n", 1)[1], cols)
+        assert plain is not None and plain.tobytes() == expected.tobytes()
+
+
+def test_reader_matches_float_on_numpy_float_tokens():
+    finite = [t for t in NUMPY_FLOAT_TOKENS if np.isfinite(float(t))]
+    assert len(finite) > 30
+    for token in finite:
+        assert_reads_like_float([token])
+    assert_reads_like_float(finite)
+    for token in set(NUMPY_FLOAT_TOKENS) - set(finite):
+        with pytest.raises(MatrixParseError, match="non-finite"):
+            loads_matrix(text_of([token]))
+
+
+def test_reader_matches_float_on_long_and_saturating_mantissas():
+    """np.fromstring saturates an int64 overflow (on numpy 2, to +2^63-1 for
+    either sign): such tokens fall back to float()."""
+    rng = np.random.default_rng(5)
+    tokens = ["9223372036854775808", "-9223372036854775809", "9223372036854775807",
+              "-9223372036854775808", "9223372036854774784", "9223372036854774783",
+              "18446744073709551616", "-0000000000000000000000001"]
+    for count in range(17, 24):  # 17 to 23 digits, some with a point and an exponent
+        for _ in range(40):
+            digits = "".join(rng.choice(list("0123456789"), count))
+            point = int(rng.integers(0, count + 1))
+            tokens += [digits, f"-{digits[:point]}.{digits[point:]}",
+                       f"{digits[:point]}.{digits[point:]}e{int(rng.integers(-300, 290))}"]
+    assert_reads_like_float(tokens)
+    for token in tokens[:8]:  # on their own, beside Clinger-sized values
+        assert_reads_like_float(["1", token, "-0", "2.5"], 4)
+
+
+def test_reader_matches_float_on_savetxt_forms():
+    values = np.concatenate([random_finite_doubles(6, 1 << 12),
+                             np.random.default_rng(7).normal(size=1 << 12)])
+    out = io.StringIO()
+    np.savetxt(out, values.reshape(-1, 8))  # %.18e: 19-digit mantissas
+    tokens = out.getvalue().split()
+    assert tokens[0].count("e") == 1 and len(tokens[0].split("e")[0].lstrip("-")) == 20
+    assert_reads_like_float(tokens, 8)
+    assert loads_matrix(text_of(tokens, 8)).tobytes() == values.tobytes()
+
+
+def test_reader_matches_float_on_exact_halfway_cases():
+    """Ties round to even; the double-double certificate leaves them to
+    float(), except where Clinger's path is exact."""
+    ties = ["9007199254740993", "-9007199254740993", "9007199254740995",
+            "4503599627370497.5", "2.4703282292062328e-324", "2.4703282292062327e-324",
+            "1.00000000000000011102230246251565404236316680908203125",
+            "1.00000000000000011102230246251565404236316680908203124",
+            "1.00000000000000011102230246251565404236316680908203126"]
+    assert_reads_like_float(ties)
+    d = np.array([9007199254740993, 45035996273704975])
+    assert not matio._to_double(d, np.array([0, -1]))[1].any()
+
+
+def test_reader_matches_float_on_random_bit_patterns(rng):
+    tokens = random_float_tokens(rng, 1 << 15)
+    assert len(tokens) > 30000
+    assert_reads_like_float(tokens, 7)
+    scaled = rng.normal(size=1 << 14) * 10.0 ** rng.uniform(-300, 300, size=1 << 14)
+    assert_reads_like_float([f"{v:.17g}" for v in scaled.tolist()], 16)
+
+
+def test_to_double_certifies_only_correct_roundings():
+    """Across the edges of Clinger's path, of the double-double's domain and
+    of int64, every certified value is the nearest double to d·10^e."""
+    ds = [0, 1, 7, 2**53 - 1, 2**53, 2**53 + 1, 10**17 - 1, 2**62 + 1, matio._D_MAX - 1,
+          matio._D_MAX, 2**63 - 1, -2**63]
+    es = [-400, matio._E_MIN - 1, matio._E_MIN, -23, -22, -1, 0, 1, 22, 23, matio._E_MAX,
+          matio._E_MAX + 1, 400, 2**63 - 1, -2**63]
+    d, e = (np.array(v, dtype=np.int64).ravel() for v in np.meshgrid(ds, es))
+    values, certified = matio._to_double(d, e)
+    for dv, ev, value in zip(d[certified].tolist(), e[certified].tolist(),
+                             values[certified].tolist()):
+        assert dv >= 0 and value == float(Fraction(dv) * Fraction(10) ** ev), (dv, ev)
+    # the domain is certified but for a tie (2^53 + 1) and 10^23, which lies
+    # within 2^-100 of a midpoint between doubles
+    inside = (d >= 0) & (d < matio._D_MAX) & (e >= matio._E_MIN) & (e <= matio._E_MAX)
+    assert not (certified & ~inside).any()
+    assert set(zip(d[inside & ~certified].tolist(), e[inside & ~certified].tolist())) == {
+        (2**53 + 1, 0), (1, 23), (2**53, 23)}
+
+
+def test_certificate_leaves_almost_no_token_to_float():
+    """Of random 17-digit tokens whose 10^e the table holds, fewer than 1
+    in 10^4 fall back to float()."""
+    values = random_finite_doubles(8, 1 << 16)
+    values = values[(np.abs(values) > 1e-250) & (np.abs(values) < 1e280)]
+    text = "".join(f"{v:.17g}\n" for v in values.tolist())
+    _, _, d, e = matio._plain_tokens(text, 1)
+    values, certified = matio._to_double(d, e)
+    assert values.size > 50000 and (~certified).sum() < values.size / 10**4
+
+
+def test_plain_grammar_is_float_grammar():
+    """Every token of up to five characters from 1 + - . e E: _plain_values
+    reads it as float() does if float() reads it, and declines it if not."""
+    valid = []
+    for size in range(1, 6):
+        for token in map("".join, itertools.product("1+-.eE", repeat=size)):
+            try:
+                float(token)
+            except ValueError:
+                assert matio._plain_values(token + "\n", 1) is None, token
+            else:
+                valid.append(token)
+    assert len(valid) > 100
+    expected = np.array([float(t) for t in valid])
+    assert matio._plain_values("\n".join(valid) + "\n", 1).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("token", ["1e+", "1-2", "+-1", "1.2.3", "1e5.0", "1e+5e3", "-.",
+                                   "1e--2", ".e5", "1.5e", "1.5.", "e5"])
+def test_bad_plain_tokens_fall_back_and_fail(token):
+    lines = block_file(3 * BLOCK).split("\n")
+    lines[1 + 2 * BLOCK] = f"1 2 {token} 4"
+    text = "\n".join(lines)
+    assert matio._plain_values(token + "\n", 1) is None
+    with pytest.raises(MatrixParseError, match=f"{2 * BLOCK + 2}: column 3: invalid number"):
+        loads_matrix(text, "m.txt")
+    assert_parsers_agree(text)
+
+
+def test_short_integer_read_declines_the_chunk():
+    """np.fromstring reads less than the tokens hold where older numpy only
+    warns about unmatched text: the chunk goes to float() per token."""
+    text = block_file(BLOCK)
+    real = np.fromstring
+    with mock.patch.object(matio.np, "fromstring", lambda *a, **k: real(*a, **k)[:-1]):
+        assert matio._plain_values(text.split("\n", 1)[1], BLOCK_COLS) is None
+        assert assert_parsers_agree(text) is not None
+
+
+@pytest.mark.parametrize("chunk", ["1 2\r\n", "1\t2\n", "1  2\n", " 1 2\n", "1 2 \n", "1 2",
+                                   "1 2 # c\n", "1 ٢\n", "1_0 2\n", "1 2 3\n", "1\n2\n",
+                                   "1 2\n\n", "inf 2\n", "1 0x2\n"])
+def test_non_plain_chunks_are_declined(chunk):
+    assert matio._plain_values(chunk * 2000, 2) is None
+
+
+def test_forced_fallback_gives_the_same_array():
+    """With a certificate that certifies nothing, every value is read by
+    float() over NaN-filled conversions: the array does not change."""
+    matrix = np.random.default_rng(9).normal(size=(400, 30)) * 10.0 ** np.arange(-15, 15)
+    matrix[::5, 3] = 0.0
+    matrix[1::5, 4] = -0.0
+    matrix[7, :4] = [5e-324, -1e300, 2.0**53 + 2, 1.0]
+    text = dumps_matrix(matrix)
+    real = matio._to_double
+    converted = []
+
+    def certify_nothing(d, e):
+        values, certified = real(d, e)
+        converted.append(values.size)
+        return np.full_like(values, np.nan), np.zeros_like(certified)
+
+    with mock.patch.object(matio, "_to_double", certify_nothing):
+        got = _loads_fast(text)
+    assert sum(converted) == matrix.size
+    assert got.tobytes() == matrix.tobytes() == _loads_checked(text, "m").tobytes()
+
+
+@pytest.mark.parametrize("fault", SECOND_BLOCK_FAULTS)
+def test_chunk_boundary_faults_match_checked_parser(fault):
+    """Faults in the first and the last row of a chunk, and in a last
+    chunk too short for _plain_values, are those of the checked parser."""
+    text = block_file(2 * BLOCK)
+    lines = text.splitlines(keepends=True)
+    with mock.patch.object(matio, "_CHUNK_CHARS", 1 << 12):
+        pieces = list(matio._chunks(text, len(lines[0])))
+        firsts = np.cumsum([0] + [piece.count("\n") for piece in pieces])
+        assert len(pieces) > 10 and len(pieces[-1]) < matio._PLAIN_MIN
+        for at in (firsts[3], firsts[4] - 1, firsts[-2]):
+            faulty = block_file(2 * BLOCK, fault, at)
+            fast = assert_parsers_agree(faulty)
+            assert (fast is not None) == (fault == "underscore")
+        assert assert_parsers_agree(text).tobytes() == loads_matrix(text).tobytes()
 
 
 def test_hostile_header_allocates_nothing():
