@@ -39,10 +39,21 @@ def main() -> int:
     for name, value in p.items():
         p[name] = str(out / "inputs" / f"{name}.txt")
         matio.write_matrix(p[name], value)
+    # the condition inputs laid out by hand: tab separators, CRLF line ends,
+    # a comment after the header and blank lines, which only the checked
+    # parser reads
+    hand = {}
+    for name in ("mean", "cov", "H", "R", "y"):
+        header, body = Path(p[name]).read_text().split("\n", 1)
+        text = f"{header}  # rows cols\n\n" + body.replace(" ", "\t").replace("\n", "\n\n")
+        hand[name] = str(out / "inputs" / f"{name}_hand.txt")
+        Path(hand[name]).write_bytes(text.replace("\n", "\r\n").encode("ascii"))
     obs, ens = [p["H"], p["R"], p["y"]], [p["ens"], p["H_ens"], p["R_ens"], p["y_ens"]]
     big = [p["ens_big"], p["H_big"], p["R_big"], p["y_big"]]
     dense = [p["ens_dense"], p["H_dense"], p["R_dense"], p["y_dense"]]
     runs = {"condition": ["condition", p["mean"], p["cov"], *obs],
+            "condition-hand-formatted": ["condition", *(hand[name] for name in
+                                                        ("mean", "cov", "H", "R", "y"))],
             "ens-cgp": ["ens-cgp", *ens],
             "enkf": ["enkf", *ens, "--seed", "3"],
             "enkf-centered": ["enkf", *ens, "--seed", "4", "--center-perturbations"],

@@ -56,10 +56,6 @@ def _fmt_value(value) -> str:
         return rows if arr.ndim == 1 else f"[{rows}]"
     if arr.ndim == 1:
         return "[" + " ".join(_fmt_value(v) for v in arr) + "]"
-    if arr.ndim == 2:
-        return "[" + "".join(
-            "[" + " ".join(_fmt_value(v) for v in row) + "]" for row in arr
-        ) + "]"
     raise ValueError(f"cannot format value of shape {arr.shape}")
 
 

@@ -96,7 +96,7 @@ def enkf_perturbed_obs(ens: Ensemble, obs: ObservationModel, y, gain, seed: int,
                              f"ensemble has {n}")
     if gain.shape != (n, m):
         raise DimensionError(f"gain must have shape ({n}, {m}), got {gain.shape}")
-    if perturb and m > 0:
+    if perturb:
         eta = obs.noise(blocked_normals(seed, m, ens.size))
         if center_perturbations:
             eta = eta - eta.mean(axis=1, keepdims=True)

@@ -147,10 +147,7 @@ def _check_data(obs: ObservationModel, y) -> np.ndarray:
 
 
 def _gain_and_innovation(prior: GaussianLaw, obs: ObservationModel):
-    """Gain G and the lower Cholesky factor of H K H^T + R (None when G = 0)."""
-    n, m = prior.dim, obs.n_obs
-    if m == 0 or prior.rank == 0:
-        return np.zeros((n, m)), None
+    """Gain G and the lower Cholesky factor of H K H^T + R."""
     a = prior.cov_factor.factor
     kht = a @ (a.T @ obs.H.T)
     innovation_cov = symmetrize(obs.H @ kht) + obs.R
@@ -194,10 +191,9 @@ def condition(prior: GaussianLaw, obs: ObservationModel, y,
     gain, chol = _gain_and_innovation(prior, obs)
     mean = prior.mean + gain @ (y - obs.H @ prior.mean)
     core = np.diag(prior.cov_factor.eigenvalues)
-    if chol is not None:
-        ws = _tril_solve(chol, obs.H @ prior.cov_factor.factor)
-        ws *= np.sqrt(prior.cov_factor.eigenvalues)  # W S
-        core -= ws.T @ ws
+    ws = _tril_solve(chol, obs.H @ prior.cov_factor.factor)
+    ws *= np.sqrt(prior.cov_factor.eigenvalues)  # W S
+    core -= ws.T @ ws
     # round-off in the update lives at the prior's scale, so the
     # re-factoring threshold is floored there
     scale = float(prior.cov_factor.eigenvalues[0]) if prior.rank else 0.0

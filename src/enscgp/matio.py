@@ -15,11 +15,10 @@ them; it prints every value it cannot certify, and every block of fewer
 than _BATCH_MIN values, with ``%.17g`` itself. Besides the text, a write
 holds one block's work.
 
-Reading tries a one-pass parse of a well-formed file first; on anything
-irregular it starts over with the line-by-line checked parser, which alone
-decides what is accepted and what each error says. The one-pass parse reads
-the text after the header about _CHUNK_CHARS characters at a time, each
-chunk ending with a line. A plain chunk (ASCII lines of decimal tokens
+Reading takes one of two routes. A text of _PLAIN_MIN characters or more
+goes first to a one-pass parse of the text after the header, about
+_CHUNK_CHARS characters at a time, each chunk ending with a line. A plain
+chunk (ASCII lines of decimal tokens
 ``[+-](digits[.[digits]]|.digits)[(e|E)[+-]digits]`` between single spaces,
 each line ended by a line feed) is converted without float(): numpy checks
 its bytes and finds each token's end, point and exponent mark,
@@ -27,15 +26,18 @@ np.fromstring reads its digits and exponents as int64 integers d and e, and
 each value d·10^e is rounded by Clinger's exact path or by a double-double
 product that certifies the rounding. The few tokens left uncertified (ties,
 digits beyond int64, 17-digit magnitudes outside about 1e-250..1e305) are
-read by float() one by one. Any other chunk, and any shorter than
-_PLAIN_MIN, is split into tokens and converted by
-``np.array(tokens, dtype=float)``, which applies float() to each. Either
-way every value has float(token)'s bits. Besides the text and the result,
-a parse holds one chunk's work.
+read by float() one by one. At the first chunk that is not plain, or on
+anything else irregular, the parse gives up. That text, and every shorter
+one, goes to the line-by-line checked parser, which alone decides what is
+accepted and what each error says. Either way every value has
+float(token)'s bits. Besides the text and the result, the one-pass parse
+holds one chunk's work; the checked parser holds one chunk's lines and a
+flat buffer of the values, which the result copies.
 """
 
 from __future__ import annotations
 
+import array
 import functools
 import math
 from pathlib import Path
@@ -76,15 +78,13 @@ _RANKS = np.arange(17)[:, None]
 
 
 @functools.cache
-def _tables():
-    """(pow10, quads, sig, exps), built on first use.
+def _pow10():
+    """The reader's and the writer's table of 10^(16-X), built on first use.
 
     pow10[:, X + _X_SPAN] is 10^(16-X) as a double-double (hi, lo) with hi
     split by _SPLIT: rows hi, hi's high half, hi's low half, lo. hi and lo
     are rounded from the exact integer or quotient (float(int) and int / int
-    round correctly). quads[q] holds the 4 ASCII digits of q < 10^4 in its
-    bytes, sig[q] counts them up to the last nonzero one, and
-    exps[:, X + _X_SPAN] is an exponent's sign and 3 digits.
+    round correctly).
     """
     pow10 = []
     for x in range(-_X_SPAN, _X_SPAN + 1):
@@ -100,6 +100,19 @@ def _tables():
     hi, lo = np.array(pow10).T
     big = hi * _SPLIT
     high = big - (big - hi)
+    table = np.array([hi, high, hi - high, lo])
+    table.flags.writeable = False  # shared by every caller
+    return table
+
+
+@functools.cache
+def _digit_tables():
+    """(quads, sig, exps), the writer's digit tables, built on first use.
+
+    quads[q] holds the 4 ASCII digits of q < 10^4 in its bytes, sig[q]
+    counts them up to the last nonzero one, and exps[:, X + _X_SPAN] is an
+    exponent's sign and 3 digits.
+    """
     ranks = 10 ** np.arange(3, -1, -1)
     q = np.arange(10**4)[:, None]
     quads = (q // ranks % 10 + 48).astype(np.uint8)
@@ -107,8 +120,7 @@ def _tables():
     x = np.arange(-_X_SPAN, _X_SPAN + 1)
     exps = np.vstack([np.where(x < 0, 45, 43),
                       np.abs(x) // ranks[1:, None] % 10 + 48]).astype(np.uint8)
-    tables = (np.array([hi, high, hi - high, lo]), quads.view(np.uint32).ravel(),
-              sig.astype(np.uint8), exps)
+    tables = (quads.view(np.uint32).ravel(), sig.astype(np.uint8), exps)
     for table in tables:  # shared by every caller
         table.flags.writeable = False
     return tables
@@ -181,7 +193,8 @@ def _format_values(values: np.ndarray, start: int, cols: int) -> str:
     """
     if values.size < _BATCH_MIN:
         return _template(values.size, start, cols) % tuple(values.tolist())
-    pow10, quads, sig, exps = _tables()
+    pow10 = _pow10()
+    quads, sig, exps = _digit_tables()
     a = np.abs(values)
     fast = (a >= _FAST_MIN) & (a < _FAST_MAX)
     a[~fast] = 3.0  # any in-window value: keeps the arithmetic quiet
@@ -266,7 +279,7 @@ def write_matrix(path, matrix, comments: tuple[str, ...] = ()) -> None:
 
 
 def loads_matrix(text: str, name: str = "<string>") -> np.ndarray:
-    matrix = _loads_fast(text)
+    matrix = _loads_fast(text) if len(text) >= _PLAIN_MIN else None
     return _loads_checked(text, name) if matrix is None else matrix
 
 
@@ -274,9 +287,9 @@ def loads_matrix(text: str, name: str = "<string>") -> np.ndarray:
 # text about _CHUNK_CHARS characters at a time
 _BLOCK_VALUES = 1 << 12
 _CHUNK_CHARS = 1 << 16
-# _plain_values costs about 0.1 ms a chunk however short; float() per token
-# costs less below about 250 17-digit tokens (5000 characters) or 400
-# one-digit ones (800 characters), so shorter chunks are read that way
+# _plain_values costs about 0.1 ms a chunk however short; the checked
+# parser's float() per token costs less below a few hundred tokens, so
+# shorter texts are read by it alone
 _PLAIN_MIN = 1 << 12
 # _plain_values's byte classes: a separator (space or line feed), a sign, the
 # point, an exponent mark, anything else
@@ -336,7 +349,7 @@ def _to_double(d: np.ndarray, e: np.ndarray):
     is certified. Exact ties are not; Clinger's path then takes what is
     left in its domain.
     """
-    pow10 = _tables()[0]
+    pow10 = _pow10()
     d = np.minimum(d, _D_MAX)
     a = d.astype(float)
     if d.view(np.uint64).max() <= 2**53 and -22 <= e.min() and e.max() <= 22:
@@ -434,9 +447,8 @@ def _loads_fast(text: str) -> np.ndarray | None:
     a None costs time but never changes a result or an error message. The
     header is looked for one line feed at a time, and must be the only line
     with tokens up to its line feed. The text after it is read a chunk at a
-    time: a plain chunk by _plain_values, any other by its lines' tokens
-    and one ``np.array(tokens, dtype=float)``, which applies ``float()`` to
-    each token as the checked parser does.
+    time by _plain_values; the first chunk that is not plain, and a matrix
+    with no columns, return None.
     """
     start, header = 0, []
     while not header:
@@ -455,39 +467,30 @@ def _loads_fast(text: str) -> np.ndarray | None:
     # a value takes at least two characters (a digit and a separator), so a
     # header declaring more than the text holds is left to the checked
     # parser, and nothing is allocated from it
-    if min(rows, cols) < 0 or max(rows, cols, rows * cols) > len(text) // 2:
+    if rows < 0 or cols <= 0 or max(cols, rows * cols) > len(text) // 2:
         return None
-    out = np.empty((rows, cols))
-    read = 0  # rows converted into out
+    out = np.empty(rows * cols)
+    read = 0  # values converted into out
     for chunk in _chunks(text, start):
-        values = _plain_values(chunk, cols) if cols and len(chunk) >= _PLAIN_MIN else None
-        if values is None:
-            tokens = []
-            for raw in chunk.splitlines():
-                line = raw.split("#", 1)[0].split()
-                if line and len(line) != cols:
-                    return None
-                tokens += line
-            try:
-                values = np.array(tokens, dtype=float)
-            except ValueError:
-                return None
-        if values.size:
-            count = values.size // cols
-            if read + count > rows:
-                return None
-            out[read:read + count] = values.reshape(count, cols)
-            read += count
-    if (cols and read != rows) or not np.isfinite(out).all():
+        values = _plain_values(chunk, cols)
+        if values is None or read + values.size > out.size:
+            return None
+        out[read:read + values.size] = values
+        read += values.size
+    if read != out.size or not np.isfinite(out).all():
         return None
-    return out
+    return out.reshape(rows, cols)
 
 
 def _loads_checked(text: str, name: str) -> np.ndarray:
-    """Line-by-line parser that names the line and column of the first error."""
+    """Line-by-line parser that names the line and column of the first
+    error. Its values go into one flat buffer of doubles, not a float object
+    each."""
     header = None
-    rows: list[list[float]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    found = 0  # data rows read
+    values = array.array("d")
+    lines = (line for chunk in _chunks(text) for line in chunk.splitlines())
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -506,7 +509,7 @@ def _loads_checked(text: str, name: str) -> np.ndarray:
             if header[0] < 0 or header[1] < 0:
                 raise MatrixParseError(f"{name}:{lineno}: dimensions must be nonnegative")
             continue
-        if len(rows) >= header[0]:
+        if found >= header[0]:
             raise MatrixParseError(
                 f"{name}:{lineno}: extra data beyond the declared {header[0]} rows"
             )
@@ -514,7 +517,6 @@ def _loads_checked(text: str, name: str) -> np.ndarray:
             raise MatrixParseError(
                 f"{name}:{lineno}: expected {header[1]} values, got {len(tokens)}"
             )
-        values = []
         for col, token in enumerate(tokens, start=1):
             try:
                 value = float(token)
@@ -527,15 +529,15 @@ def _loads_checked(text: str, name: str) -> np.ndarray:
                     f"{name}:{lineno}: column {col}: non-finite value {token!r}"
                 )
             values.append(value)
-        rows.append(values)
+        found += 1
     if header is None:
         raise MatrixParseError(f"{name}: empty file, missing 'rows cols' header")
-    if header[1] > 0 and len(rows) != header[0]:
+    if header[1] > 0 and found != header[0]:
         raise MatrixParseError(
-            f"{name}: declared {header[0]} rows but found {len(rows)}"
+            f"{name}: declared {header[0]} rows but found {found}"
         )
     try:
-        return np.asarray(rows, dtype=float).reshape(header)
+        return np.array(values).reshape(header)
     except ValueError:  # only an empty shape with a dimension numpy cannot hold
         raise MatrixParseError(
             f"{name}: declared {header[0]}x{header[1]} matrix is too large"

@@ -239,17 +239,12 @@ class PsdFactor:
 
     @cached_property
     def _basis(self) -> np.ndarray:
-        if self.rank == 0:
-            u = np.zeros((self.dim, 0))
-        else:
-            u = self.factor / np.sqrt(self.eigenvalues)
+        u = self.factor / np.sqrt(self.eigenvalues)
         u.flags.writeable = False
         return u
 
     def pinv(self) -> np.ndarray:
         """Moore-Penrose pseudoinverse U_r diag(1/eigenvalues) U_r^T."""
-        if self.rank == 0:
-            return np.zeros((self.dim, self.dim))
         u = self.basis()
         return symmetrize((u / self.eigenvalues) @ u.T)
 

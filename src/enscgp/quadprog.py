@@ -36,7 +36,6 @@ class QuadraticObjective:
 
     q: np.ndarray
     c: float
-    range_basis: np.ndarray
     prior_mean: np.ndarray
     data_shift: np.ndarray
     cov_factor: PsdFactor
@@ -68,7 +67,6 @@ def build_qp(prior: GaussianLaw, obs: ObservationModel, y) -> QuadraticObjective
     # reduced Gram matrix are +0.0 zeros and c is 0.0. Negating rinv_d rather
     # than the product keeps every zero entry of q +0.0 with data too.
     return QuadraticObjective(q=obs.H.T @ -rinv_d, c=0.5 * float(d @ rinv_d),
-                              range_basis=factor.basis(),
                               prior_mean=prior.mean.copy(), data_shift=d,
                               cov_factor=factor,
                               reduced_gram=obs.weighted_gram(obs.H @ factor.factor),
@@ -100,7 +98,7 @@ def _feasible_point(obj: QuadraticObjective, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape != (obj.dim,):
         raise DimensionError(f"point must have shape ({obj.dim},), got {x.shape}")
-    u = obj.range_basis
+    u = obj.cov_factor.basis()
     residual = float(np.linalg.norm(x - u @ (u.T @ x)))
     if residual > FEASIBILITY_TOL * (1.0 + float(np.linalg.norm(x))):
         raise InfeasiblePointError(

@@ -45,18 +45,6 @@ class NormalStream:
 _BLOCK_TAG = 0x626C6B  # keeps blocked streams disjoint from NormalStream(seed)
 
 
-def _philox_key(seed: int) -> np.ndarray:
-    seq = np.random.SeedSequence(int(seed), spawn_key=(_BLOCK_TAG,))
-    return seq.generate_state(2, np.uint64)
-
-
-def _member_layout(n: int) -> tuple[int, int]:
-    # each member consumes a whole number of 4-draw Philox counter blocks
-    pairs = (n + 1) // 2
-    blocks = (2 * pairs + 3) // 4
-    return pairs, 4 * blocks
-
-
 def _block_normals(u: np.ndarray, pairs: int, n: int) -> np.ndarray:
     u1 = 1.0 - u[:, :pairs]  # (0, 1], keeps the log finite
     u2 = u[:, pairs : 2 * pairs]
@@ -72,20 +60,15 @@ def blocked_normals(seed: int, n: int, n_members: int) -> np.ndarray:
     """Standard normals in (n, n_members) layout, one member per column.
 
     Column e reads its own fixed window of the Philox counter sequence, so
-    it depends only on (seed, e) and equals
-    :func:`blocked_member_normals`(seed, e, n); per-member consumers can
-    therefore run in parallel and still reproduce this serial batch.
+    it depends only on (seed, e): it is column e of every batch with more
+    than e members, and per-member consumers can run in parallel and still
+    reproduce this serial batch.
     """
-    pairs, stride = _member_layout(n)
-    gen = np.random.Generator(np.random.Philox(key=_philox_key(seed)))
+    # each member consumes a whole number of 4-draw Philox counter blocks
+    pairs = (n + 1) // 2
+    stride = 4 * ((2 * pairs + 3) // 4)
+    seq = np.random.SeedSequence(int(seed), spawn_key=(_BLOCK_TAG,))
+    gen = np.random.Generator(np.random.Philox(key=seq.generate_state(2, np.uint64)))
     u = gen.random(n_members * stride).reshape(n_members, stride)
     return _block_normals(u, pairs, n).T
 
-
-def blocked_member_normals(seed: int, member: int, n: int) -> np.ndarray:
-    """Member ``member``'s column of :func:`blocked_normals`, drawn alone."""
-    pairs, stride = _member_layout(n)
-    bitgen = np.random.Philox(key=_philox_key(seed))
-    bitgen.advance(member * (stride // 4))
-    u = np.random.Generator(bitgen).random(stride).reshape(1, stride)
-    return _block_normals(u, pairs, n)[0]

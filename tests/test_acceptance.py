@@ -101,7 +101,7 @@ def test_gradient_and_hessian_checks():
     for index in range(20):
         prior, obs, y = make_instance(index, base_seed=0)
         qp = build_qp(prior, obs, y)
-        basis = qp.range_basis
+        basis = qp.cov_factor.basis()
         if qp.rank == 0:
             continue
         for _ in range(5):

@@ -5,7 +5,7 @@ from enscgp import (DimensionError, Ensemble, GaussianLaw, NormalStream,
                     ObservationModel, canonicalize_factor, condition,
                     enkf_mean_update, enkf_perturbed_obs, ens_cgp, ensemble_stats,
                     kalman_gain)
-from enscgp.rng import blocked_member_normals, blocked_normals
+from enscgp.rng import blocked_normals
 
 from conftest import random_orthogonal, random_psd
 
@@ -170,7 +170,8 @@ class TestPerturbedObs:
         gain = kalman_gain(ensemble_stats(ens), obs)
         chol = np.linalg.cholesky(obs.R)
         for e in range(ens.size):
-            draws = blocked_member_normals(21, e, 3)
+            # member e's draws are column e of every batch that holds it
+            draws = blocked_normals(21, 3, e + 1)[:, e]
             assert draws.tobytes() == batch[:, e].tobytes()
             eta = chol @ draws
             member = ens.members[:, e] + gain @ (y + eta - obs.H @ ens.members[:, e])

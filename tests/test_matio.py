@@ -1,7 +1,13 @@
+import contextlib
 import io
 import itertools
+import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -168,14 +174,14 @@ def test_certificate_rejects_almost_no_in_window_value():
     a = np.abs(random_finite_doubles(0, 1 << 17))
     a = a[(a >= matio._FAST_MIN) & (a < matio._FAST_MAX)]
     assert a.size > 10**5
-    _, _, certified = matio._decimal_digits(a, matio._tables()[0])
+    _, _, certified = matio._decimal_digits(a, matio._pow10())
     assert (~certified).sum() < a.size / 10**4
 
 
 def test_pow10_table_is_exact_to_double_double():
     from fractions import Fraction
 
-    pow10 = matio._tables()[0]
+    pow10 = matio._pow10()
     for column, x in zip(pow10.T, range(-matio._X_SPAN, matio._X_SPAN + 1)):
         hi, high, low, lo = column.tolist()
         exact = Fraction(10) ** (16 - x)
@@ -308,7 +314,7 @@ def test_fast_parse_matches_checked_parser(text):
 
 @pytest.mark.parametrize("text", PARITY_CASES.values(), ids=PARITY_CASES.keys())
 def test_plain_path_matches_checked_parser(text):
-    """The same with every chunk, however short, offered to _plain_values."""
+    """The same with every text, however short, offered to _loads_fast."""
     with mock.patch.object(matio, "_PLAIN_MIN", 0):
         assert_parsers_agree(text)
 
@@ -350,11 +356,9 @@ def test_block_boundaries_parse_fast(rows):
                                       (2 * BLOCK + 1, 2 * BLOCK - 1)])
 def test_second_block_faults_match_checked_parser(fault, rows, at):
     text = block_file(rows, fault, at)
-    fast = assert_parsers_agree(text)
-    if fault == "underscore":
-        assert fast is not None and fast[at, 2] == 1000.0
-    else:
-        assert fast is None
+    assert assert_parsers_agree(text) is None
+    if fault == "underscore":  # not plain, but float() reads it
+        assert loads_matrix(text)[at, 2] == 1000.0
 
 
 @settings(max_examples=300, deadline=None)
@@ -384,8 +388,88 @@ def test_fast_parse_memory_is_bounded_by_blocks():
     assert peak < 1.5 * out.nbytes
 
 
-# the fast path hands numpy lists of str tokens: numpy must take exactly the
-# values float() gives them, and reject exactly what float() rejects
+def test_texts_are_routed_by_length():
+    """Texts shorter than _PLAIN_MIN never reach _plain_values; a long text
+    that is not plain reads as the checked parser reads it, bit for bit."""
+    short, long = ("%d 1\n" % rows + "1\n" * rows for rows in (2044, 2045))
+    assert len(short) < matio._PLAIN_MIN <= len(long)
+    with mock.patch.object(matio, "_plain_values", wraps=matio._plain_values) as spy:
+        for text in (short, *PARITY_CASES.values()):
+            with contextlib.suppress(MatrixParseError):
+                loads_matrix(text)
+        assert not spy.called
+        assert loads_matrix(long).shape == (2045, 1) and spy.called
+    text = block_file(2 * BLOCK).replace(" ", "\t").replace("\n", "\r\n")
+    assert len(text) >= matio._PLAIN_MIN and _loads_fast(text) is None
+    got = loads_matrix(text)
+    assert got.tobytes() == _loads_checked(text, "m").tobytes()
+    assert got.tobytes() == loads_matrix(block_file(2 * BLOCK)).tobytes()
+
+
+@pytest.mark.parametrize("form", ["crlf_tabs", "bad_last_token"])
+def test_checked_parse_memory_is_bounded(form):
+    """A long text that only the checked parser reads, or that it rejects
+    at its last token, costs at most about twice the result: the parser
+    holds one flat buffer of doubles, not a float object per value."""
+    text = dumps_matrix(np.random.default_rng(0).normal(size=(5000, 40)))
+    nbytes = 5000 * 40 * 8
+    if form == "crlf_tabs":
+        text = text.replace(" ", "\t").replace("\n", "\r\n")
+    else:
+        token = text.rsplit(" ", 1)[1].rstrip("\n") + "x"
+        text = text[:-1] + "x\n"
+    tracemalloc.start()
+    try:
+        if form == "crlf_tabs":
+            assert loads_matrix(text, "m.txt").shape == (5000, 40)
+        else:
+            with pytest.raises(MatrixParseError) as error:
+                loads_matrix(text, "m.txt")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    if form == "bad_last_token":
+        assert str(error.value) == f"m.txt:5001: column 40: invalid number {token!r}"
+    # per-row lists of Python floats would hold about 6.9 times the result
+    assert peak < 2.5 * nbytes
+
+
+READ_WITHOUT_WRITER_TABLES = """
+import json, sys
+from enscgp import cli, matio
+code = cli.main(sys.argv[1:])
+print(json.dumps([code, matio._pow10.cache_info().currsize,
+                  matio._digit_tables.cache_info().currsize]))
+"""
+
+
+def test_reading_builds_only_the_pow10_table(tmp_path):
+    """In a fresh interpreter, a command that reads a text of _PLAIN_MIN
+    characters or more and writes no block of _BATCH_MIN values builds the
+    reader's pow10 table but not the writer's digit tables."""
+    rng = np.random.default_rng(4)
+    a = rng.normal(size=(16, 16))
+    inputs = {"mean": rng.normal(size=16), "cov": a @ a.T, "H": rng.normal(size=(3, 16)),
+              "R": np.eye(3), "y": rng.normal(size=3)}
+    paths = []
+    for name, value in inputs.items():
+        paths.append(str(tmp_path / f"{name}.txt"))
+        write_matrix(paths[-1], value)
+    assert len(dumps_matrix(inputs["cov"])) >= matio._PLAIN_MIN
+    assert inputs["cov"].size < matio._BATCH_MIN
+    root = Path(__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", READ_WITHOUT_WRITER_TABLES, "collapse", *paths,
+         "--k-max", "3", "--out", str(tmp_path / "report.txt")],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout) == [0, 1, 0]
+
+
+# tokens float() accepts, among them forms that numpy's own text parsers
+# read otherwise or not at all: underscores, non-ASCII digits, signed zeros,
+# subnormals, overflow, non-finite words, halfway cases
 NUMPY_FLOAT_TOKENS = [
     "1_000", "2_5.0_1", "1_0e1_0", "-0_0.5",
     "\u0663", "\u0661\u0662.5", "-\u0661e\u0662", "\u0661_\u0662", "\uff11\uff12",
@@ -413,18 +497,19 @@ def random_float_tokens(rng, count):
             + [f"{v:.6e}" for v in values[:1000]])
 
 
-def test_numpy_converts_str_tokens_like_float(rng):
-    tokens = NUMPY_FLOAT_TOKENS + random_float_tokens(rng, 20000)
-    expected = np.array([float(t) for t in tokens])
-    assert np.array(tokens, dtype=float).tobytes() == expected.tobytes()
-
-
 @pytest.mark.parametrize("token", NOT_FLOAT_TOKENS)
 def test_numpy_rejects_what_float_rejects(token):
+    """The numpy-based plain path declines every token that float() rejects,
+    and a long file holding it fails as the checked parser says."""
     with pytest.raises(ValueError):
         float(token)
-    with pytest.raises(ValueError):
-        np.array(["1.5", token, "2"], dtype=float)
+    assert matio._plain_values(f"1.5 {token} 2\n", 3) is None
+    lines = block_file(3 * BLOCK).split("\n")
+    lines[1 + 2 * BLOCK] = f"1 2 {token} 4"
+    text = "\n".join(lines)
+    with pytest.raises(MatrixParseError):
+        loads_matrix(text, "m.txt")
+    assert_parsers_agree(text)
 
 
 # the reader: plain chunks are converted by _plain_values, every value
@@ -577,12 +662,13 @@ def test_bad_plain_tokens_fall_back_and_fail(token):
 
 def test_short_integer_read_declines_the_chunk():
     """np.fromstring reads less than the tokens hold where older numpy only
-    warns about unmatched text: the chunk goes to float() per token."""
+    warns about unmatched text: the chunk is declined and the whole text
+    goes to the checked parser."""
     text = block_file(BLOCK)
     real = np.fromstring
     with mock.patch.object(matio.np, "fromstring", lambda *a, **k: real(*a, **k)[:-1]):
         assert matio._plain_values(text.split("\n", 1)[1], BLOCK_COLS) is None
-        assert assert_parsers_agree(text) is not None
+        assert assert_parsers_agree(text) is None
 
 
 @pytest.mark.parametrize("chunk", ["1 2\r\n", "1\t2\n", "1  2\n", " 1 2\n", "1 2 \n", "1 2",
@@ -617,7 +703,7 @@ def test_forced_fallback_gives_the_same_array():
 @pytest.mark.parametrize("fault", SECOND_BLOCK_FAULTS)
 def test_chunk_boundary_faults_match_checked_parser(fault):
     """Faults in the first and the last row of a chunk, and in a last
-    chunk too short for _plain_values, are those of the checked parser."""
+    chunk shorter than _PLAIN_MIN, are those of the checked parser."""
     text = block_file(2 * BLOCK)
     lines = text.splitlines(keepends=True)
     with mock.patch.object(matio, "_CHUNK_CHARS", 1 << 12):
@@ -626,8 +712,9 @@ def test_chunk_boundary_faults_match_checked_parser(fault):
         assert len(pieces) > 10 and len(pieces[-1]) < matio._PLAIN_MIN
         for at in (firsts[3], firsts[4] - 1, firsts[-2]):
             faulty = block_file(2 * BLOCK, fault, at)
-            fast = assert_parsers_agree(faulty)
-            assert (fast is not None) == (fault == "underscore")
+            assert assert_parsers_agree(faulty) is None
+            if fault == "underscore":  # not plain, but float() reads it
+                assert loads_matrix(faulty)[at, 2] == 1000.0
         assert assert_parsers_agree(text).tobytes() == loads_matrix(text).tobytes()
 
 

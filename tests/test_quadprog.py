@@ -70,7 +70,8 @@ class TestObjectiveInvariants:
     def test_restricted_matrix_is_spd(self):
         prior, obs, y = rank_deficient_instance()
         qp = build_qp(prior, obs, y)
-        restricted = qp.range_basis.T @ qp.Q @ qp.range_basis
+        u = qp.cov_factor.basis()
+        restricted = u.T @ qp.Q @ u
         assert np.all(np.linalg.eigvalsh(restricted) > 0)
 
     def test_constant_term_nonnegative(self, rng):
@@ -82,7 +83,7 @@ class TestObjectiveInvariants:
     def test_restricted_hessian_inverse_is_posterior_covariance(self):
         prior, obs, y = rank_deficient_instance()
         qp = build_qp(prior, obs, y)
-        u = qp.range_basis
+        u = qp.cov_factor.basis()
         restricted = u.T @ hessian(qp) @ u
         recon = u @ np.linalg.inv(restricted) @ u.T
         exact = condition(prior, obs, y).covariance
@@ -100,7 +101,7 @@ class TestSolveQp:
         prior, obs, y = rank_deficient_instance()
         qp = build_qp(prior, obs, y)
         x_star, _ = solve_qp(qp)
-        residual = qp.range_basis.T @ (qp.Q @ x_star + qp.q)
+        residual = qp.cov_factor.basis().T @ (qp.Q @ x_star + qp.q)
         assert np.linalg.norm(residual) <= 1e-10 * np.linalg.norm(qp.q)
 
     def test_matches_conditioning(self):
@@ -163,7 +164,7 @@ class TestGradient:
         x_star, _ = solve_qp(qp)
         grad = gradient(qp, x_star)
         # stationarity holds on Range(K); off-range components of q persist
-        on_range = qp.range_basis.T @ grad
+        on_range = qp.cov_factor.basis().T @ grad
         assert np.linalg.norm(on_range) <= 1e-10 * np.linalg.norm(qp.q)
 
     def test_vanishes_fully_for_spd_prior(self, rng):
@@ -181,7 +182,7 @@ class TestGradient:
     def test_finite_difference_oracle(self, rng):
         prior, obs, y = rank_deficient_instance()
         qp = build_qp(prior, obs, y)
-        basis = qp.range_basis
+        basis = qp.cov_factor.basis()
         for _ in range(5):
             x = qp.cov_factor.factor @ rng.normal(size=qp.rank)
             step = 1e-5 * (1.0 + np.linalg.norm(x))
