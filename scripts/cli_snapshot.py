@@ -68,7 +68,12 @@ def main() -> int:
                           "--lengthscale", "0.5", "--modes", "5", "--members", "4"],
             # three modes of a white kernel leave 17 rows of exact zeros
             "kl-sample-white": ["kl-sample", p["points"], "--family", "white",
-                                "--modes", "3", "--members", "6"]}
+                                "--modes", "3", "--members", "6"],
+            # the energy branch picks the mode count and its residual
+            "kl-sample-energy-0.9": ["kl-sample", p["points"], "--family", "exponential",
+                                     "--energy", "0.9"],
+            "kl-sample-energy-0.5": ["kl-sample", p["points"], "--family", "exponential",
+                                     "--energy", "0.5"]}
     failed = 0
     for name, argv in runs.items():
         for fmt in ("text", "structured"):

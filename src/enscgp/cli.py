@@ -194,6 +194,9 @@ def _run_kl_sample(args: argparse.Namespace):
     (points_p,) = args.inputs
     spec = kernels.KernelSpec(args.family, args.variance, args.lengthscale)
     points = matio.read_matrix(points_p)
+    if not 1 <= points.shape[0] <= kernels.POINTS_CAP:
+        raise ValueError(f"{points_p}: POINTS must have 1 to {kernels.POINTS_CAP} rows, "
+                         f"got {points.shape[0]}")
 
     def compute():
         gram = kernels.gram_matrix(spec, points)
@@ -208,7 +211,7 @@ def _run_kl_sample(args: argparse.Namespace):
         comments = (
             f"kl-sample family={spec.family.value} variance={format_float(spec.variance)}"
             f" lengthscale={format_float(spec.lengthscale)}",
-            f"seed={args.seed} members={args.members} n_modes={modes.n_modes}"
+            f"seed={args.seed} members={args.members} n_modes={modes.factor.rank}"
             f" residual={format_float(modes.residual)}",
         )
         # the output is itself a matrix file, in either --format
@@ -336,7 +339,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
 
     p = sub.add_parser("kl-sample", help="sample through truncated covariance eigenmodes")
-    p.add_argument("inputs", nargs=1, help="POINTS matrix file (one point per row)")
+    p.add_argument("inputs", nargs=1, help="POINTS matrix file (one point per row, "
+                                            f"1 to {kernels.POINTS_CAP} rows)")
     p.add_argument("--family", choices=[f.value for f in kernels.KernelFamily],
                    required=True)
     p.add_argument("--variance", type=float, default=1.0)

@@ -3,7 +3,9 @@
 These are the prior generators: build K from a kernel family on a finite
 point set, keep the leading eigenmodes, and draw Gaussian vectors through
 the truncated expansion f = sum_i sqrt(lambda_i) z_i psi_i with z_i iid
-standard normal from a seeded deterministic stream.
+standard normal from a seeded deterministic stream. The kept modes are a
+truncated :class:`psd.PsdFactor`: the leading columns of the canonical
+factor of K, with the rank decided by :func:`psd.eig_psd`.
 """
 
 from __future__ import annotations
@@ -79,21 +81,12 @@ def gram_matrix(spec: KernelSpec, points) -> np.ndarray:
 
 @dataclass(frozen=True)
 class KlModes:
-    """Truncated eigenmodes of a covariance: orthonormal modes, descending
-    positive eigenvalues, and the relative Frobenius reconstruction
-    residual left by the truncation."""
+    """Truncated eigenmodes of a covariance, held as the canonical factor
+    Psi sqrt(Lambda) of the kept modes, and the relative Frobenius
+    reconstruction residual left by the truncation."""
 
-    eigenvalues: np.ndarray
-    modes: np.ndarray
+    factor: psd.PsdFactor
     residual: float
-
-    @property
-    def dim(self) -> int:
-        return self.modes.shape[0]
-
-    @property
-    def n_modes(self) -> int:
-        return self.modes.shape[1]
 
 
 def kl_truncate(cov, r, rank_tol: float | None = None) -> KlModes:
@@ -104,8 +97,9 @@ def kl_truncate(cov, r, rank_tol: float | None = None) -> KlModes:
     fraction of the trace is kept. A bool ``r`` or a fraction outside
     (0, 1] is rejected before the matrix is eigendecomposed; a count is
     checked against the rank that the eigendecomposition finds. The matrix
-    is symmetrized once, and that symmetric K is both eigendecomposed and
-    measured. The reported residual |K - Psi Lambda Psi^T|_F / |K|_F is
+    is symmetrized twice, by :func:`psd.eig_psd` and, once that has
+    returned, again for the residual, so no two n x n copies of it are held
+    at once. The reported residual |K - Psi Lambda Psi^T|_F / |K|_F is
     computed on the actual reconstruction and is nonincreasing in the kept
     count.
     """
@@ -116,8 +110,8 @@ def kl_truncate(cov, r, rank_tol: float | None = None) -> KlModes:
         fraction = float(r)
         if not 0.0 < fraction <= 1.0:
             raise ValueError(f"energy fraction {fraction} outside (0, 1]")
-    k = symmetrize(cov)
-    values, vectors, rank = psd._eig_symmetric(k, rank_tol, 0.0)
+    values, vectors = psd.eig_psd(cov, rank_tol)
+    rank = values.size
     if by_count:
         count = int(r)
         if rank == 0 or not 1 <= count <= rank:
@@ -128,20 +122,22 @@ def kl_truncate(cov, r, rank_tol: float | None = None) -> KlModes:
         ratios = np.cumsum(values) / np.sum(values)
         # tiny slack so fraction=1.0 is reached despite rounding
         count = int(np.argmax(ratios >= fraction - 1e-12)) + 1
-    kept_values = values[:count].copy()
-    kept_modes = vectors[:, :count].copy()
+    values, modes = values[:count], vectors[:, :count]
+    k = symmetrize(cov)
     norm_k = float(np.linalg.norm(k))
     if norm_k == 0.0:
         residual = 0.0
     else:
-        recon = (kept_modes * kept_values) @ kept_modes.T
-        residual = float(np.linalg.norm(k - recon)) / norm_k
-    return KlModes(eigenvalues=kept_values, modes=kept_modes, residual=residual)
+        residual = float(np.linalg.norm(k - (modes * values) @ modes.T)) / norm_k
+    return KlModes(psd.PsdFactor(modes * np.sqrt(values), values), residual)
 
 
 # most samples the CLI's kl-sample command draws: sample_kl holds
-# n_modes x count normals and an n x count result before anything is written
+# rank x count normals and an n x count result before anything is written
 MEMBERS_CAP = 10**4
+# most POINTS rows kl-sample reads: the n x n Gram matrix and its
+# eigendecomposition take about 0.8 GB at the cap
+POINTS_CAP = 4096
 
 
 def sample_kl(modes: KlModes, count: int, seed: int) -> np.ndarray:
@@ -151,6 +147,5 @@ def sample_kl(modes: KlModes, count: int, seed: int) -> np.ndarray:
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    z = NormalStream(seed).normals((modes.n_modes, count))
-    scaled = modes.modes * np.sqrt(modes.eigenvalues)
-    return scaled @ z
+    factor = modes.factor.factor
+    return factor @ NormalStream(seed).normals((factor.shape[1], count))

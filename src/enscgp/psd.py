@@ -10,7 +10,10 @@ Rank convention: an eigenvalue (or singular value) counts toward the rank
 when it exceeds ``rank_tol * largest_magnitude_eigenvalue``. The default
 ``rank_tol`` is ``max(n_rows, n_cols) * machine_epsilon``, the standard
 numerical-rank rule. All ``rank_tol`` arguments in this package are this
-relative cutoff.
+relative cutoff, and every rank decision is made here: one private rule
+resolves ``rank_tol`` for :func:`eig_psd`, :func:`canonical_sqrt_in_basis`
+and :func:`canonicalize_factor`, and every symmetric eigendecomposition in
+the package is :func:`eig_psd`'s.
 
 This module is also the package's only caller of LAPACK's Cholesky and
 triangular-solve kernels (``dpotrf``, ``dpotrs``, ``dtrtrs``), through
@@ -66,6 +69,15 @@ def default_rank_tol(n_rows: int, n_cols: int | None = None) -> float:
     if n_cols is None:
         n_cols = n_rows
     return max(int(n_rows), int(n_cols)) * EPS
+
+
+def _rank_tol(rank_tol: float | None, n_rows: int, n_cols: int | None = None) -> float:
+    """``rank_tol``, or the default for the shape; negative or NaN raises."""
+    if rank_tol is None:
+        return default_rank_tol(n_rows, n_cols)
+    if not rank_tol >= 0:
+        raise ValueError("rank_tol must be nonnegative")
+    return rank_tol
 
 
 def symmetrize(matrix) -> np.ndarray:
@@ -166,9 +178,9 @@ def _order_descending(values: np.ndarray, vectors: np.ndarray):
 def eig_psd(matrix, rank_tol: float | None = None, scale_floor: float = 0.0):
     """Eigendecompose a PSD matrix with a numerical rank decision.
 
-    Returns ``(eigenvalues, eigenvectors, rank)`` where the eigenvalues are
-    the ``rank`` values above threshold in descending order and the
-    eigenvectors are the matching orthonormal columns. Raises
+    Returns ``(eigenvalues, eigenvectors)``: the eigenvalues above threshold
+    in descending order (their count is the rank) and the matching
+    orthonormal columns. The matrix is symmetrized first. Raises
     :class:`NotPsdError` when some eigenvalue falls below minus the
     effective threshold, and ``ValueError`` on non-finite entries (a NaN
     matrix would otherwise come out as rank 0).
@@ -178,20 +190,11 @@ def eig_psd(matrix, rank_tol: float | None = None, scale_floor: float = 0.0):
     factoring a posterior covariance), since round-off lives at that scale
     rather than at the output's own.
     """
-    return _eig_symmetric(symmetrize(matrix), rank_tol, scale_floor)
-
-
-def _eig_symmetric(k: np.ndarray, rank_tol: float | None, scale_floor: float):
-    """:func:`eig_psd` of a float matrix ``k`` that is already exactly
-    symmetric, such as :func:`symmetrize`'s result, without symmetrizing it
-    again (which would return the same bits)."""
+    k = symmetrize(matrix)
     _check_finite(k)
-    if rank_tol is None:
-        rank_tol = default_rank_tol(k.shape[0])
-    elif not rank_tol >= 0:
-        raise ValueError("rank_tol must be nonnegative")
+    rank_tol = _rank_tol(rank_tol, k.shape[0])
     if k.shape[0] == 0:
-        return np.zeros(0), np.zeros((0, 0)), 0
+        return np.zeros(0), np.zeros((0, 0))
     values, vectors = np.linalg.eigh(k)
     values, vectors = _order_descending(values, vectors)
     scale = max(float(np.max(np.abs(values))), float(scale_floor))
@@ -201,7 +204,7 @@ def _eig_symmetric(k: np.ndarray, rank_tol: float | None, scale_floor: float):
             f"matrix has eigenvalue {values[-1]:.3e} below -{threshold:.3e}; not PSD"
         )
     rank = int(np.sum(values > threshold))
-    return values[:rank].copy(), vectors[:, :rank].copy(), rank
+    return values[:rank].copy(), vectors[:, :rank].copy()
 
 
 @dataclass(frozen=True)
@@ -226,8 +229,9 @@ class PsdFactor:
         return self.eigenvalues.size
 
     def gram(self) -> np.ndarray:
-        """Reconstruct K = A A^T (symmetrized to absorb round-off)."""
-        return symmetrize(self.factor @ self.factor.T)
+        """Reconstruct K = A A^T; numpy's product of A with its own
+        transpose is exactly symmetric."""
+        return self.factor @ self.factor.T
 
     def basis(self) -> np.ndarray:
         """Orthonormal basis U_r of Range(K), shape (dim, rank).
@@ -251,7 +255,7 @@ class PsdFactor:
 
 def canonical_sqrt(matrix, rank_tol: float | None = None) -> PsdFactor:
     """Canonical square root A = U_r diag(sqrt(lambda_r)) of a PSD matrix."""
-    values, vectors, _ = eig_psd(matrix, rank_tol)
+    values, vectors = eig_psd(matrix, rank_tol)
     return PsdFactor(factor=vectors * np.sqrt(values), eigenvalues=values)
 
 
@@ -266,9 +270,7 @@ def canonical_sqrt_in_basis(basis, core, rank_tol: float | None = None,
     are fixed on the embedded n-vectors B Z.
     """
     b = np.asarray(basis, dtype=float)
-    if rank_tol is None:
-        rank_tol = default_rank_tol(b.shape[0])
-    values, vectors, _ = eig_psd(core, rank_tol, scale_floor)
+    values, vectors = eig_psd(core, _rank_tol(rank_tol, b.shape[0]), scale_floor)
     values, vectors = _order_descending(values, b @ vectors)
     return PsdFactor(factor=vectors * np.sqrt(values), eigenvalues=values)
 
@@ -287,10 +289,7 @@ def canonicalize_factor(factor, rank_tol: float | None = None) -> PsdFactor:
         raise DimensionError(f"expected a matrix factor, got shape {a.shape}")
     _check_finite(a)
     n, p = a.shape
-    if rank_tol is None:
-        rank_tol = default_rank_tol(n, p)
-    elif not rank_tol >= 0:
-        raise ValueError("rank_tol must be nonnegative")
+    rank_tol = _rank_tol(rank_tol, n, p)
     if p == 0 or n == 0 or not np.any(a):
         return PsdFactor(factor=np.zeros((n, 0)), eigenvalues=np.zeros(0))
     u, s, _ = np.linalg.svd(a, full_matrices=False)

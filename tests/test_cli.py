@@ -277,6 +277,28 @@ class TestKlSample:
         assert main([*argv, str(kernels.MEMBERS_CAP)]) == 0
         assert drawn == [kernels.MEMBERS_CAP]
 
+    def test_points_cap_checked_before_the_gram_matrix(self, tmp_path, monkeypatch, capsys):
+        formed = []
+        monkeypatch.setattr(kernels, "gram_matrix",
+                            lambda spec, points: formed.append(len(points)) or np.eye(2))
+        points = tmp_path / "pts.txt"
+        argv = ["kl-sample", str(points), "--family", "exponential",
+                "--out", str(tmp_path / "s.txt")]
+        # one column of integers, so cap + 1 rows are a small file
+        matio.write_matrix(points, np.arange(kernels.POINTS_CAP + 1.0)[:, None])
+        assert main(argv) == 2
+        assert f"1 to {kernels.POINTS_CAP} rows" in capsys.readouterr().err
+        assert formed == [] and not (tmp_path / "s.txt").exists()
+        matio.write_matrix(points, np.arange(float(kernels.POINTS_CAP))[:, None])
+        assert main(argv) == 0
+        assert formed == [kernels.POINTS_CAP]
+
+    def test_points_without_rows_are_an_input_error(self, tmp_path, capsys):
+        points = tmp_path / "pts.txt"
+        points.write_text("0 2\n")
+        assert main(["kl-sample", str(points), "--family", "exponential"]) == 2
+        assert "got 0" in capsys.readouterr().err
+
     def test_bad_kernel_parameters_are_input_errors(self, tmp_path, capsys):
         points = tmp_path / "pts.txt"
         matio.write_matrix(points, np.zeros(3))

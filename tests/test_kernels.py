@@ -1,11 +1,12 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
 
 from enscgp import psd
-from enscgp import (KernelFamily, KernelSpec, eig_psd, gram_matrix, kl_truncate,
-                    sample_kl)
+from enscgp import (KernelFamily, KernelSpec, NormalStream, canonical_sqrt, eig_psd,
+                    gram_matrix, kl_truncate, sample_kl)
 from enscgp.errors import NotPsdError
 
 FAMILIES = [f.value for f in KernelFamily]
@@ -111,7 +112,7 @@ class TestKlTruncate:
         k = b @ b.T
         by_energy = kl_truncate(k, 1.0)
         by_count = kl_truncate(k, 4)
-        assert by_energy.n_modes == by_count.n_modes == 4
+        assert by_energy.factor.rank == by_count.factor.rank == 4
 
     def test_residual_matches_frobenius_tail_identity(self, rng):
         b = rng.normal(size=(6, 6))
@@ -132,7 +133,31 @@ class TestKlTruncate:
     def test_modes_orthonormal(self, rng):
         b = rng.normal(size=(6, 3))
         modes = kl_truncate(b @ b.T, 3)
-        np.testing.assert_allclose(modes.modes.T @ modes.modes, np.eye(3), atol=1e-12)
+        basis = modes.factor.basis()
+        np.testing.assert_allclose(basis.T @ basis, np.eye(3), atol=1e-12)
+
+    @pytest.mark.parametrize("r", [3, 0.8])
+    def test_modes_are_the_leading_columns_of_the_canonical_factor(self, r, rng):
+        b = rng.normal(size=(8, 5))
+        k = b @ b.T
+        kept = kl_truncate(k, r).factor
+        full = canonical_sqrt(k)
+        assert 1 <= kept.rank < full.rank
+        assert np.array_equal(kept.factor, full.factor[:, :kept.rank])
+        assert np.array_equal(kept.eigenvalues, full.eigenvalues[:kept.rank])
+
+    def test_peak_memory_holds_one_symmetric_copy(self):
+        # K is symmetrized for the residual only after eig_psd has returned;
+        # symmetrizing it first would peak near 5.1 n^2 doubles
+        n = 300
+        k = gram_matrix(KernelSpec("exponential", 1.0, 0.3), np.linspace(0.0, 1.0, n))
+        tracemalloc.start()
+        try:
+            kl_truncate(k, 0.9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4.5 * n * n * 8
 
     @pytest.mark.parametrize("r", [0, 7, -1])
     def test_count_out_of_range(self, r, rng):
@@ -148,8 +173,7 @@ class TestKlTruncate:
     @pytest.mark.parametrize("r", [True, np.bool_(False), 0.0, 1.5, -0.2, float("nan")])
     def test_bad_r_is_rejected_before_the_eigendecomposition(self, r):
         ran = AssertionError("the matrix was eigendecomposed")
-        with mock.patch.object(psd, "eig_psd", side_effect=ran), \
-                mock.patch.object(psd, "_eig_symmetric", side_effect=ran):
+        with mock.patch.object(psd, "eig_psd", side_effect=ran):
             with pytest.raises(ValueError, match="r must be|energy fraction"):
                 kl_truncate(np.eye(3), r)
 
@@ -157,7 +181,7 @@ class TestKlTruncate:
 class TestSampleKl:
     def test_zero_spectrum_gives_positive_zeros(self):
         modes = kl_truncate(np.zeros((3, 3)), 1.0)
-        assert modes.n_modes == 0
+        assert modes.factor.rank == 0
         samples = sample_kl(modes, 7, seed=0)
         assert samples.shape == (3, 7)
         assert samples.tobytes() == np.zeros((3, 7)).tobytes()
@@ -183,6 +207,14 @@ class TestSampleKl:
         samples = sample_kl(modes, 100_000, seed=0)
         emp = np.cov(samples)
         assert np.linalg.norm(emp - k) <= 0.05 * np.linalg.norm(k)
+
+    @pytest.mark.parametrize("r", [2, 0.7])
+    def test_samples_are_the_factor_times_the_stream_bitwise(self, r, rng):
+        b = rng.normal(size=(6, 4))
+        modes = kl_truncate(b @ b.T, r)
+        factor = modes.factor.factor
+        expected = factor @ NormalStream(5).normals((factor.shape[1], 9))
+        assert sample_kl(modes, 9, seed=5).tobytes() == expected.tobytes()
 
     def test_rejects_nonpositive_count(self):
         modes = kl_truncate(np.eye(2), 1)

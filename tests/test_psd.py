@@ -4,8 +4,9 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from enscgp import (DimensionError, NotPsdError, canonical_sqrt, canonicalize_factor,
-                    eig_psd, symmetrize)
+from enscgp import (DimensionError, GaussianLaw, NotPsdError, ObservationModel,
+                    PsdFactor, canonical_sqrt, canonicalize_factor, condition, eig_psd,
+                    kl_truncate, psd, symmetrize)
 from enscgp.psd import _chol_lower, _chol_solve, _tril_solve
 
 from conftest import random_orthogonal, random_psd
@@ -28,22 +29,21 @@ class TestSymmetrize:
 
 class TestEigPsd:
     def test_diagonal(self):
-        values, vectors, rank = eig_psd(np.diag([4.0, 1.0, 0.0]))
-        assert rank == 2
+        values, vectors = eig_psd(np.diag([4.0, 1.0, 0.0]))
+        assert values.size == 2
         np.testing.assert_allclose(values, [4.0, 1.0])
         np.testing.assert_allclose(vectors.T @ vectors, np.eye(2), atol=1e-12)
 
     def test_zero_matrix(self):
-        values, vectors, rank = eig_psd(np.zeros((2, 2)))
-        assert rank == 0
+        values, vectors = eig_psd(np.zeros((2, 2)))
         assert values.size == 0
         assert vectors.shape == (2, 0)
 
     def test_low_rank_matches_independent_svd(self, rng):
         # oracle: eigenvalues of A A^T are the squared singular values of A
         a = rng.normal(size=(5, 2))
-        values, vectors, rank = eig_psd(a @ a.T)
-        assert rank == 2
+        values, vectors = eig_psd(a @ a.T)
+        assert values.size == 2
         singular = np.linalg.svd(a, compute_uv=False)
         np.testing.assert_allclose(values, singular**2, rtol=1e-12)
         recon = (vectors * values) @ vectors.T
@@ -63,8 +63,8 @@ class TestEigPsd:
 
     def test_deterministic_repeat(self, rng):
         k = random_psd(rng, 6, rank=3)
-        v1, u1, _ = eig_psd(k)
-        v2, u2, _ = eig_psd(k)
+        v1, u1 = eig_psd(k)
+        v2, u2 = eig_psd(k)
         assert np.array_equal(v1, v2) and np.array_equal(u1, u2)
 
     def test_rejects_non_finite(self):
@@ -76,9 +76,34 @@ class TestEigPsd:
     def test_rank_invariant_under_permutation(self, rng):
         k = random_psd(rng, 7, rank=4)
         perm = rng.permutation(7)
-        _, _, rank = eig_psd(k)
-        _, _, rank_p = eig_psd(k[np.ix_(perm, perm)])
-        assert rank == rank_p
+        assert eig_psd(k)[0].size == eig_psd(k[np.ix_(perm, perm)])[0].size
+
+
+class TestOneEigenPath:
+    """Every symmetric eigendecomposition in the package is eig_psd's."""
+
+    @pytest.mark.parametrize("case", ["from_moments", "condition", "kl_count", "kl_energy"])
+    def test_every_eigh_runs_inside_eig_psd(self, case, rng, monkeypatch):
+        k = random_psd(rng, 12, rank=7)
+        prior = GaussianLaw.from_moments(np.zeros(12), k)
+        obs = ObservationModel(rng.normal(size=(3, 12)), np.eye(3))
+        run = {"from_moments": lambda: GaussianLaw.from_moments(np.zeros(12), k),
+               "condition": lambda: condition(prior, obs, np.ones(3)),
+               "kl_count": lambda: kl_truncate(k, 4),
+               "kl_energy": lambda: kl_truncate(k, 0.9)}[case]
+        calls = {"eig_psd": 0, "eigh": 0}
+        real_eig_psd, real_eigh = psd.eig_psd, np.linalg.eigh
+
+        def spy(name, fn):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(psd, "eig_psd", spy("eig_psd", real_eig_psd))
+        monkeypatch.setattr(np.linalg, "eigh", spy("eigh", real_eigh))
+        run()
+        assert calls == {"eig_psd": 1, "eigh": 1}
 
 
 class TestPseudoinverse:
@@ -119,7 +144,7 @@ class TestCanonicalSqrt:
         cov = deviations @ deviations.T / 3
         factor = canonical_sqrt(cov)
         assert factor.factor.shape[1] <= 3
-        assert factor.rank == eig_psd(cov)[2]
+        assert factor.rank == eig_psd(cov)[0].size
 
     def test_reconstruction(self, rng):
         k = random_psd(rng, 6, rank=4)
@@ -127,6 +152,13 @@ class TestCanonicalSqrt:
         assert np.linalg.norm(factor.gram() - k) <= 1e-10 * np.linalg.norm(k)
         norms_sq = np.sum(factor.factor**2, axis=0)
         np.testing.assert_allclose(norms_sq, factor.eigenvalues, rtol=1e-12)
+
+    @pytest.mark.parametrize("layout", ["C", "F", "strided"])
+    def test_gram_is_exactly_symmetric(self, layout, rng):
+        a = rng.normal(size=(80, 30))
+        a = {"C": a, "F": np.asfortranarray(a), "strided": a[::2, ::3]}[layout]
+        g = PsdFactor(a, np.ones(a.shape[1])).gram()
+        assert np.array_equal(g, g.T)
 
     def test_refactor_idempotent_on_gram(self, rng):
         factor = canonical_sqrt(random_psd(rng, 5, rank=2))
