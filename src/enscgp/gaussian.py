@@ -18,6 +18,14 @@ Hessian restricted to Range(K), which in the range basis is
 diag(1/lambda) + (H U)^T R^(-1) (H U); the two must agree, and tests
 enforce it.
 
+R is factored once, R = L_R L_R^T, when the observation model is built.
+Every R^(-1)-weighted Gram matrix X^T R^(-1) X (the restricted Hessian's,
+the quadratic program's, the information matrix) is formed from the
+whitened X, L_R^(-1) X, as an exactly symmetric product of that matrix
+with its own transpose. The Schur route keeps R itself: the innovation
+covariance is H K H^T + R, so a fault in the whitening cannot cancel out
+of the audit.
+
 Every Cholesky factorization and triangular solve here goes through the
 LAPACK helpers in :mod:`enscgp.psd`, which check their inputs for
 finiteness. Non-finite values are also rejected with ``ValueError`` where
@@ -76,11 +84,12 @@ class GaussianLaw:
 class ObservationModel:
     """Linear observation model y = H f + e with e ~ N(0, R), R SPD.
 
-    R is symmetrized on construction and must admit a Cholesky
-    factorization L L^T. The model is the only code that applies R: every
-    solve with R, every R^(-1)-weighted Gram matrix and every N(0, R) draw
-    goes through L. An empty model (zero observations) is allowed and acts
-    as "no data" throughout: the LAPACK helpers return empty solves for it.
+    R is symmetrized on construction and factored once, R = L L^T. The
+    model is the only code that applies R: every solve with R, every
+    whitening L^(-1) X (and through it every R^(-1)-weighted Gram matrix)
+    and every N(0, R) draw goes through L. An empty model (zero
+    observations) is allowed and acts as "no data" throughout: the LAPACK
+    helpers return empty solves for it.
     """
 
     H: np.ndarray
@@ -117,9 +126,17 @@ class ObservationModel:
         """R^(-1) b via the Cholesky factor of R."""
         return _chol_solve(self._noise_chol, np.asarray(b, dtype=float))
 
+    def whiten(self, x: np.ndarray) -> np.ndarray:
+        """L^(-1) X for X with n_obs rows: one triangular solve with R's factor."""
+        return _tril_solve(self._noise_chol, np.asarray(x, dtype=float))
+
     def weighted_gram(self, x: np.ndarray) -> np.ndarray:
-        """X^T R^(-1) X for X with n_obs rows, symmetrized."""
-        return symmetrize(x.T @ self.noise_solve(x))
+        """X^T R^(-1) X = W^T W with W = L^(-1) X, for X with n_obs rows.
+
+        numpy's product of W^T with W is exactly symmetric.
+        """
+        w = self.whiten(x)
+        return w.T @ w
 
     def noise(self, z: np.ndarray) -> np.ndarray:
         """N(0, R) draws L z from standard normals z with n_obs rows."""
@@ -206,11 +223,13 @@ def _restricted_hessian(factor: PsdFactor, obs: ObservationModel) -> np.ndarray:
 
     In the factor's own range basis, U_r^T K^+ U_r is exactly diag(1/lambda),
     so the restriction is assembled as diag(1/lambda) + (H U_r)^T R^(-1) (H U_r)
-    with R's cached Cholesky factor. No n x n matrix is formed, and the
+    from the whitened L^(-1) H U_r. No n x n matrix is formed, and the
     eps / lambda_min error of a round trip through a dense K^+ is avoided.
+    One audit factors it once and hands the factor to both routes that
+    solve with it (:func:`posterior_cov_via_hessian` and ``rkhs_solve``).
     """
     reduced = obs.weighted_gram(obs.H @ factor.basis())
-    # symmetrize returns a fresh C-ordered array, so ravel() is a view and
+    # the Gram product is a fresh C-ordered array, so ravel() is a view and
     # every (rank + 1)-th entry of it is a diagonal entry
     reduced.ravel()[:: factor.rank + 1] += 1.0 / factor.eigenvalues
     try:
@@ -221,15 +240,20 @@ def _restricted_hessian(factor: PsdFactor, obs: ObservationModel) -> np.ndarray:
         ) from None
 
 
-def posterior_cov_via_hessian(prior: GaussianLaw, obs: ObservationModel) -> np.ndarray:
+def posterior_cov_via_hessian(prior: GaussianLaw, obs: ObservationModel, *,
+                              hessian_chol: np.ndarray | None = None) -> np.ndarray:
     """Posterior covariance as the inverse Hessian on Range(K).
 
     With the restricted Hessian U_r^T (K^+ + H^T R^(-1) H) U_r = L L^T (see
     :func:`_restricted_hessian`), the inverse re-embedded in R^n is
     U_r (L L^T)^(-1) U_r^T = X^T X with X = L^(-1) U_r^T, one triangular
-    solve. Must equal the Schur-complement covariance of :func:`condition`.
+    solve; X^T X is exactly symmetric. Must equal the Schur-complement
+    covariance of :func:`condition`. ``hessian_chol`` is L as
+    :func:`_restricted_hessian` returns it for this prior and model, for a
+    caller that already holds it; by default it is computed here.
     """
     _check_compatible(prior, obs)
-    chol = _restricted_hessian(prior.cov_factor, obs)
-    x = _tril_solve(chol, prior.cov_factor.basis().T)
-    return symmetrize(x.T @ x)
+    if hessian_chol is None:
+        hessian_chol = _restricted_hessian(prior.cov_factor, obs)
+    x = _tril_solve(hessian_chol, prior.cov_factor.basis().T)
+    return x.T @ x

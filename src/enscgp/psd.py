@@ -145,21 +145,31 @@ def _tril_solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def _fix_signs(vectors: np.ndarray) -> np.ndarray:
-    """Make each column's largest-magnitude entry positive (deterministic basis)."""
+def _fix_signs(vectors: np.ndarray) -> None:
+    """Make each column's largest-magnitude entry positive (deterministic
+    basis), in place."""
     if vectors.shape[1] == 0:
-        return vectors
-    lead = np.argmax(np.abs(vectors), axis=0)
+        return
+    # a column-major |V| lets argmax walk each column in place, without the
+    # copy it makes of a row-major one
+    lead = np.argmax(np.abs(vectors, order="F"), axis=0)
     signs = np.sign(vectors[lead, np.arange(vectors.shape[1])])
     signs[signs == 0.0] = 1.0
-    return vectors * signs
+    vectors *= signs
 
 
 def _order_descending(values: np.ndarray, vectors: np.ndarray):
-    """Stable descending sort; exact ties ordered by eigenvector entries."""
-    order = np.argsort(-values, kind="stable")
-    values = values[order]
-    vectors = _fix_signs(vectors[:, order])
+    """Stable descending sort; exact ties ordered by eigenvector entries.
+
+    ``vectors`` must be an array the caller owns and hands over (an eigh or
+    SVD result, a fresh product): signs and ties are fixed in place, and
+    values that already descend are not permuted, so no copy is made then.
+    """
+    if (values[1:] > values[:-1]).any():
+        order = np.argsort(-values, kind="stable")
+        values = values[order]
+        vectors = vectors.take(order, axis=1)
+    _fix_signs(vectors)
     if not (values[1:] == values[:-1]).any():
         return values, vectors
     i = 0
@@ -204,6 +214,9 @@ def eig_psd(matrix, rank_tol: float | None = None, scale_floor: float = 0.0):
             f"matrix has eigenvalue {values[-1]:.3e} below -{threshold:.3e}; not PSD"
         )
     rank = int(np.sum(values > threshold))
+    if rank == values.size:
+        return values, vectors
+    # copies, so that the dropped part of eigh's arrays is freed
     return values[:rank].copy(), vectors[:, :rank].copy()
 
 
@@ -256,6 +269,8 @@ class PsdFactor:
 def canonical_sqrt(matrix, rank_tol: float | None = None) -> PsdFactor:
     """Canonical square root A = U_r diag(sqrt(lambda_r)) of a PSD matrix."""
     values, vectors = eig_psd(matrix, rank_tol)
+    # scaled into a new array: scaling eigh's vectors in place ran slightly
+    # faster but raised kernel-dense's peak RSS by 1.8 MiB (2%)
     return PsdFactor(factor=vectors * np.sqrt(values), eigenvalues=values)
 
 
@@ -296,5 +311,5 @@ def canonicalize_factor(factor, rank_tol: float | None = None) -> PsdFactor:
     s, u = _order_descending(s, u)  # SVD is already descending; this pins ties/signs
     threshold = rank_tol * float(s[0])
     rank = int(np.sum(s > threshold))
-    return PsdFactor(factor=u[:, :rank] * s[:rank], eigenvalues=(s[:rank] ** 2).copy())
+    return PsdFactor(factor=u[:, :rank] * s[:rank], eigenvalues=s[:rank] ** 2)
 

@@ -7,7 +7,10 @@ range basis U_r, where the RKHS penalty is exactly diag(1/lambda), so its
 normal equations diag(1/lambda) + (H U_r)^T R^(-1) (H U_r) never form K^+.
 That system is a diag(lambda^(1/2)) rescaling of the quadratic program's
 I + (H A)^T R^(-1) (H A), so the two routes are close relatives rather
-than independent computations.
+than independent computations. It is also the restricted Hessian whose
+inverse is the posterior covariance
+(:func:`enscgp.gaussian.posterior_cov_via_hessian`), so one audit factors
+it once, with R whitened, and passes the factor to both.
 """
 
 from __future__ import annotations
@@ -40,13 +43,17 @@ class DiscreteRkhs:
         return self.kernel_factor.rank
 
 
-def rkhs_solve(space: DiscreteRkhs, prior_mean, obs: ObservationModel, y) -> np.ndarray:
+def rkhs_solve(space: DiscreteRkhs, prior_mean, obs: ObservationModel, y, *,
+               hessian_chol: np.ndarray | None = None) -> np.ndarray:
     """Regularized regression over g in prior_mean + Range(K).
 
     Minimizes |y - H g|^2 weighted by R^(-1) plus the squared RKHS norm of
     g - prior_mean. The normal equations are solved in the orthonormal
     basis of Range(K), where the penalty is diag(1/lambda) from the kernel
-    factor's own eigenvalues.
+    factor's own eigenvalues. ``hessian_chol`` is the Cholesky factor of
+    that system as ``gaussian._restricted_hessian(space.kernel_factor, obs)``
+    returns it, for a caller that already holds it; by default it is
+    computed here.
     """
     prior_mean = np.asarray(prior_mean, dtype=float)
     if prior_mean.shape != (space.dim,):
@@ -62,6 +69,7 @@ def rkhs_solve(space: DiscreteRkhs, prior_mean, obs: ObservationModel, y) -> np.
         return prior_mean.copy()
     d = y - obs.H @ prior_mean
     u = space.kernel_factor.basis()
-    chol = _restricted_hessian(space.kernel_factor, obs)
+    if hessian_chol is None:
+        hessian_chol = _restricted_hessian(space.kernel_factor, obs)
     rhs = u.T @ (obs.H.T @ obs.noise_solve(d))
-    return prior_mean + u @ _chol_solve(chol, rhs)
+    return prior_mean + u @ _chol_solve(hessian_chol, rhs)

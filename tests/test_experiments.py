@@ -6,7 +6,7 @@ import scipy.linalg
 
 from enscgp import (GaussianLaw, KernelSpec, NormalStream, NotSpdError,
                     ObservationModel, condition, experiments, gaussian, gram_matrix,
-                    posterior_cov_via_hessian, quadprog, repeated_reuse, rkhs,
+                    posterior_cov_via_hessian, psd, quadprog, repeated_reuse, rkhs,
                     run_equivalence)
 from enscgp.experiments import (COV_KINDS, MEAN_PAIRS, MEAN_ROUTES, MEAN_TOL,
                                 OBS_KINDS, equivalence_corpus, make_instance)
@@ -219,6 +219,32 @@ class TestLapackHelpersInAudit:
         through_scipy = acceptance_audit()
         assert all(calls.values()), calls
         assert_same_audit_bits(shipped_audit, through_scipy)
+
+
+class TestOneRestrictedHessianPerAudit:
+    def test_audit_factors_four_matrices(self, monkeypatch):
+        """Innovation twice (Schur, gain), restricted Hessian once, QP once."""
+        prior, obs, y = make_instance(0)  # full-rank prior, tall H
+        assert prior.rank == prior.dim and obs.n_obs > 0
+        factored, dpotrf = [], psd.dpotrf
+
+        def counting(a, *args, **kwargs):
+            factored.append(a.shape)
+            return dpotrf(a, *args, **kwargs)
+
+        monkeypatch.setattr(psd, "dpotrf", counting)
+        assert run_equivalence(prior, obs, y).passed
+        assert len(factored) == 4, factored
+
+    @pytest.mark.parametrize("index", range(9))
+    def test_passed_factor_gives_the_same_bits(self, index):
+        prior, obs, y = make_instance(index)
+        chol = gaussian._restricted_hessian(prior.cov_factor, obs)
+        space = rkhs.DiscreteRkhs.from_factor(prior.cov_factor)
+        assert (rkhs.rkhs_solve(space, prior.mean, obs, y, hessian_chol=chol).tobytes()
+                == rkhs.rkhs_solve(space, prior.mean, obs, y).tobytes())
+        assert (posterior_cov_via_hessian(prior, obs, hessian_chol=chol).tobytes()
+                == posterior_cov_via_hessian(prior, obs).tobytes())
 
 
 class TestRepeatedReuse:

@@ -5,8 +5,9 @@ from enscgp import (DimensionError, DiscreteRkhs, Ensemble, GaussianLaw, NotSpdE
                     ObservationModel, PsdFactor, build_qp, canonical_sqrt,
                     canonicalize_factor, condition, default_rank_tol, eig_psd,
                     enkf_mean_update, ens_cgp, ensemble_stats, kalman_gain,
-                    posterior_cov_via_hessian, rkhs_solve, symmetrize)
+                    posterior_cov_via_hessian, rkhs_solve)
 from enscgp.experiments import make_instance
+from enscgp.psd import _tril_solve
 
 from conftest import random_psd
 
@@ -87,15 +88,29 @@ class TestObservationModel:
         b = rng.normal(size=(5, 5))
         obs = ObservationModel(rng.normal(size=(5, 4)), b @ b.T + np.eye(5))
         x = rng.normal(size=(5, 3))
-        gram = obs.weighted_gram(x)
-        assert gram.tobytes() == symmetrize(x.T @ obs.noise_solve(x)).tobytes()
-        info = symmetrize(obs.H.T @ obs.noise_solve(obs.H))
-        assert obs.information().tobytes() == info.tobytes()
+        w = obs.whiten(x)
+        assert w.tobytes() == _tril_solve(obs._noise_chol, x).tobytes()
+        assert obs.weighted_gram(x).tobytes() == (w.T @ w).tobytes()
+        assert obs.information().tobytes() == obs.weighted_gram(obs.H).tobytes()
+        np.testing.assert_allclose(obs.weighted_gram(x), x.T @ np.linalg.solve(obs.R, x),
+                                   rtol=1e-12)
         z = rng.normal(size=(5, 7))
         eta = obs.noise(z)
         assert eta.tobytes() == (np.tril(obs._noise_chol) @ z).tobytes()
         # the cached potrf factor keeps R's upper triangle; noise must drop it
         np.testing.assert_allclose(eta, np.linalg.cholesky(obs.R) @ z, rtol=1e-12)
+
+    @pytest.mark.parametrize("cols", [3, 8, 0])
+    @pytest.mark.parametrize("rows", [6, 2, 0])
+    def test_weighted_gram_exactly_symmetric(self, rows, cols, rng):
+        # tall, wide and zero-row X; no symmetrize pass follows the product
+        b = rng.normal(size=(rows, rows))
+        obs = ObservationModel(np.zeros((rows, 1)), b @ b.T + np.eye(rows))
+        g = obs.weighted_gram(rng.normal(size=(rows, cols)))
+        assert g.shape == (cols, cols)
+        assert np.array_equal(g, g.T)
+        if rows == 0:
+            assert g.tobytes() == np.zeros((cols, cols)).tobytes()
 
 
 class TestNonFiniteInputs:

@@ -196,6 +196,35 @@ class TestCanonicalizeFactor:
         assert np.linalg.norm(factor.gram() - emp) <= 1e-12 * np.linalg.norm(emp)
 
 
+class TestCanonicalizationLeavesInputsAlone:
+    """Signs and ties are fixed in place, on arrays each function owns."""
+
+    SPECTRA = {"full": lambda rng: random_psd(rng, 6),
+               "truncated": lambda rng: random_psd(rng, 6, rank=3),
+               "tied": lambda rng: np.diag([3.0, 1.0, 3.0, 1.0, 1.0, 0.0]),
+               # eigh's order already descends, so nothing is permuted
+               "equal": lambda rng: 2.0 * np.eye(6)}
+
+    @pytest.mark.parametrize("spectrum", SPECTRA)
+    @pytest.mark.parametrize("case", ["eig_psd", "canonical_sqrt", "in_basis",
+                                      "canonicalize_factor"])
+    def test_inputs_unchanged_and_unshared(self, case, spectrum, rng):
+        k = self.SPECTRA[spectrum](rng)
+        basis = random_orthogonal(rng, 8)[:, :6]
+        run = {"eig_psd": lambda: eig_psd(k),
+               "canonical_sqrt": lambda: canonical_sqrt(k),
+               "in_basis": lambda: psd.canonical_sqrt_in_basis(basis, k),
+               "canonicalize_factor": lambda: canonicalize_factor(k)}[case]
+        before = k.tobytes(), basis.tobytes()
+        out = run()
+        if isinstance(out, PsdFactor):
+            out = out.factor, out.eigenvalues
+        assert (k.tobytes(), basis.tobytes()) == before
+        for result in out:
+            assert not np.shares_memory(result, k)
+            assert not np.shares_memory(result, basis)
+
+
 class TestRangeProjector:
     def test_full_rank_is_identity(self, rng):
         u = canonical_sqrt(random_psd(rng, 4)).basis()
