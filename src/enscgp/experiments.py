@@ -85,8 +85,10 @@ def run_equivalence(prior: GaussianLaw, obs: ObservationModel, y,
 
     means = {"schur": posterior.mean, "qp": qp_mean, "rkhs": rkhs_mean,
              "gain": gain_mean}
-    mean_disc = {pair: rel_vec_diff(means[pair[0]], means[pair[1]])
-                 for pair in MEAN_PAIRS}
+    # rel_vec_diff's arithmetic, with each mean's norm taken once, not per pair
+    norms = {route: _norm(mean) for route, mean in means.items()}
+    mean_disc = {(a, b): _norm(means[a] - means[b]) / max(1.0, norms[a], norms[b])
+                 for a, b in MEAN_PAIRS}
     cov_disc = rel_vec_diff(posterior.covariance, gaussian.posterior_cov_via_hessian(
         prior, obs, hessian_chol=hessian_chol))
     passed = max(mean_disc.values()) <= MEAN_TOL and cov_disc <= COV_TOL

@@ -27,9 +27,11 @@ covariance is H K H^T + R, so a fault in the whitening cannot cancel out
 of the audit.
 
 Every Cholesky factorization and triangular solve here goes through the
-LAPACK helpers in :mod:`enscgp.psd`, which check their inputs for
-finiteness. Non-finite values are also rejected with ``ValueError`` where
-they enter: a law's mean, the model's H and R, and the data y.
+LAPACK helpers in :mod:`enscgp.psd`, which check every matrix they factor
+and every right-hand side for finiteness (a factor, made only by potrf, is
+not checked again). Non-finite values are also rejected with
+``ValueError`` where they enter: a law's mean, the model's H and R, and
+the data y.
 """
 
 from __future__ import annotations

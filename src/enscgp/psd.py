@@ -13,13 +13,18 @@ numerical-rank rule. All ``rank_tol`` arguments in this package are this
 relative cutoff, and every rank decision is made here: one private rule
 resolves ``rank_tol`` for :func:`eig_psd`, :func:`canonical_sqrt_in_basis`
 and :func:`canonicalize_factor`, and every symmetric eigendecomposition in
-the package is :func:`eig_psd`'s.
+the package is :func:`eig_psd`'s. The one exception is a check, not a rank
+decision: ``experiments.repeated_reuse`` takes spectral norms with
+``np.linalg.eigvalsh``.
 
-This module is also the package's only caller of LAPACK's Cholesky and
-triangular-solve kernels (``dpotrf``, ``dpotrs``, ``dtrtrs``), through
-three private helpers that take scipy.linalg's arguments without its
-per-call wrapper work. Like scipy's default, they reject non-finite input
-with ``ValueError``; so do :func:`eig_psd` and :func:`canonicalize_factor`.
+This module is also the package's only caller of LAPACK's symmetric
+eigensolver, Cholesky and triangular-solve kernels (``dsyevd``, ``dpotrf``,
+``dpotrs``, ``dtrtrs``): :func:`eig_psd` calls ``dsyevd`` (divide and
+conquer, the kernel behind ``np.linalg.eigh``), and three private helpers
+call the others, all with scipy.linalg's arguments but without its or
+numpy's per-call wrapper work. Like scipy's default, they reject
+non-finite input with ``ValueError``; so do :func:`eig_psd` and
+:func:`canonicalize_factor`.
 
 The kernels are bound from scipy's compiled f2py module
 ``scipy.linalg._flapack``, loaded from its file without running the
@@ -49,7 +54,8 @@ EPS = float(np.finfo(float).eps)
 
 
 def _flapack_kernels():
-    """(dpotrf, dpotrs, dtrtrs) of scipy.linalg._flapack, loaded by file location."""
+    """(dsyevd, dpotrf, dpotrs, dtrtrs) of scipy.linalg._flapack, loaded by
+    file location."""
     name = "scipy.linalg._flapack"
     module = sys.modules.get(name)
     if module is None:
@@ -58,10 +64,10 @@ def _flapack_kernels():
         module = importlib.util.module_from_spec(spec)
         sys.modules[name] = module
         spec.loader.exec_module(module)
-    return module.dpotrf, module.dpotrs, module.dtrtrs
+    return module.dsyevd, module.dpotrf, module.dpotrs, module.dtrtrs
 
 
-dpotrf, dpotrs, dtrtrs = _flapack_kernels()
+dsyevd, dpotrf, dpotrs, dtrtrs = _flapack_kernels()
 
 
 def default_rank_tol(n_rows: int, n_cols: int | None = None) -> float:
@@ -135,9 +141,11 @@ def _chol_solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _tril_solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:
     """L^(-1) b for a lower factor from :func:`_chol_lower`, by trtrs.
 
-    potrf returns a Fortran-ordered factor, which trtrs takes as it is.
+    potrf returns a Fortran-ordered factor, which trtrs takes as it is. As
+    in :func:`_chol_solve`, only b is checked for finiteness: every c comes
+    from :func:`_chol_lower`, and R's cached factor whitens often.
     """
-    _check_finite(c, b)
+    _check_finite(b)
     if b.size == 0:
         return np.empty_like(b, dtype=float)
     x, info = dtrtrs(c, b, lower=1)
@@ -161,7 +169,7 @@ def _fix_signs(vectors: np.ndarray) -> None:
 def _order_descending(values: np.ndarray, vectors: np.ndarray):
     """Stable descending sort; exact ties ordered by eigenvector entries.
 
-    ``vectors`` must be an array the caller owns and hands over (an eigh or
+    ``vectors`` must be an array the caller owns and hands over (a dsyevd or
     SVD result, a fresh product): signs and ties are fixed in place, and
     values that already descend are not permuted, so no copy is made then.
     """
@@ -205,18 +213,24 @@ def eig_psd(matrix, rank_tol: float | None = None, scale_floor: float = 0.0):
     rank_tol = _rank_tol(rank_tol, k.shape[0])
     if k.shape[0] == 0:
         return np.zeros(0), np.zeros((0, 0))
-    values, vectors = np.linalg.eigh(k)
+    # k is symmetric and ours, so its transpose is the Fortran-ordered
+    # input dsyevd overwrites with the eigenvectors, without a copy
+    values, vectors, info = dsyevd(k.T, compute_v=1, lower=1, overwrite_a=1)
+    if info > 0:
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    _lapack_info(info, "syevd")
     values, vectors = _order_descending(values, vectors)
-    scale = max(float(np.max(np.abs(values))), float(scale_floor))
+    # the values descend, so the largest magnitude is at one end
+    scale = max(abs(float(values[0])), abs(float(values[-1])), float(scale_floor))
     threshold = rank_tol * scale
     if values[-1] < -threshold:
         raise NotPsdError(
             f"matrix has eigenvalue {values[-1]:.3e} below -{threshold:.3e}; not PSD"
         )
-    rank = int(np.sum(values > threshold))
+    rank = np.count_nonzero(values > threshold)
     if rank == values.size:
         return values, vectors
-    # copies, so that the dropped part of eigh's arrays is freed
+    # copies, so that the dropped part of dsyevd's arrays is freed
     return values[:rank].copy(), vectors[:, :rank].copy()
 
 
@@ -269,7 +283,7 @@ class PsdFactor:
 def canonical_sqrt(matrix, rank_tol: float | None = None) -> PsdFactor:
     """Canonical square root A = U_r diag(sqrt(lambda_r)) of a PSD matrix."""
     values, vectors = eig_psd(matrix, rank_tol)
-    # scaled into a new array: scaling eigh's vectors in place ran slightly
+    # scaled into a new array: scaling eig_psd's vectors in place ran slightly
     # faster but raised kernel-dense's peak RSS by 1.8 MiB (2%)
     return PsdFactor(factor=vectors * np.sqrt(values), eigenvalues=values)
 

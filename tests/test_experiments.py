@@ -155,6 +155,15 @@ class TestRelVecDiff:
             scale = max(1.0, float(np.linalg.norm(x)), float(np.linalg.norm(y)))
             assert experiments.rel_vec_diff(x, y) == float(np.linalg.norm(x - y)) / scale
 
+    def test_audit_mean_discrepancies_are_rel_vec_diff_bitwise(self):
+        # run_equivalence takes each route mean's norm once instead of per pair
+        for index in range(30):
+            report = run_equivalence(*make_instance(index))
+            assert tuple(report.mean_discrepancies) == MEAN_PAIRS
+            for a, b in MEAN_PAIRS:
+                expected = experiments.rel_vec_diff(report.means[a], report.means[b])
+                assert report.mean_discrepancies[a, b].hex() == expected.hex(), (index, a, b)
+
 
 def acceptance_audit():
     return [run_equivalence(*make_instance(j, 0)) for j in range(100)]

@@ -5,7 +5,7 @@ from enscgp import (DimensionError, DiscreteRkhs, Ensemble, GaussianLaw, NotSpdE
                     ObservationModel, PsdFactor, build_qp, canonical_sqrt,
                     canonicalize_factor, condition, default_rank_tol, eig_psd,
                     enkf_mean_update, ens_cgp, ensemble_stats, kalman_gain,
-                    posterior_cov_via_hessian, rkhs_solve)
+                    posterior_cov_via_hessian, psd, rkhs_solve)
 from enscgp.experiments import make_instance
 from enscgp.psd import _tril_solve
 
@@ -235,16 +235,20 @@ class TestConditionInRangeBasis:
         prior = ensemble_stats(ens)
         r = prior.rank
         shapes = []
-        eigh = np.linalg.eigh
+        dsyevd = psd.dsyevd
 
-        def spy_eigh(matrix, *args, **kwargs):
+        def spy_dsyevd(matrix, *args, **kwargs):
             shapes.append(np.shape(matrix))
-            return eigh(matrix, *args, **kwargs)
+            return dsyevd(matrix, *args, **kwargs)
+
+        def no_eigh(*args, **kwargs):
+            raise AssertionError("an eigendecomposition bypassed psd.dsyevd")
 
         def no_gram(self):
             raise AssertionError("condition formed a dense n x n covariance")
 
-        monkeypatch.setattr(np.linalg, "eigh", spy_eigh)
+        monkeypatch.setattr(psd, "dsyevd", spy_dsyevd)
+        monkeypatch.setattr(np.linalg, "eigh", no_eigh)
         monkeypatch.setattr(PsdFactor, "gram", no_gram)
         post = condition(prior, obs, y)
         assert r == 39 and post.rank == r

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -6,7 +8,8 @@ from hypothesis import strategies as st
 
 from enscgp import (DimensionError, GaussianLaw, NotPsdError, ObservationModel,
                     PsdFactor, canonical_sqrt, canonicalize_factor, condition, eig_psd,
-                    kl_truncate, psd, symmetrize)
+                    gaussian, kl_truncate, psd, quadprog, run_equivalence, symmetrize)
+from enscgp.experiments import make_instance
 from enscgp.psd import _chol_lower, _chol_solve, _tril_solve
 
 from conftest import random_orthogonal, random_psd
@@ -80,7 +83,8 @@ class TestEigPsd:
 
 
 class TestOneEigenPath:
-    """Every symmetric eigendecomposition in the package is eig_psd's."""
+    """Every symmetric eigendecomposition in the package is eig_psd's, by
+    LAPACK's dsyevd; numpy's eigh wrapper is never called."""
 
     @pytest.mark.parametrize("case", ["from_moments", "condition", "kl_count", "kl_energy"])
     def test_every_eigh_runs_inside_eig_psd(self, case, rng, monkeypatch):
@@ -91,19 +95,33 @@ class TestOneEigenPath:
                "condition": lambda: condition(prior, obs, np.ones(3)),
                "kl_count": lambda: kl_truncate(k, 4),
                "kl_energy": lambda: kl_truncate(k, 0.9)}[case]
-        calls = {"eig_psd": 0, "eigh": 0}
-        real_eig_psd, real_eigh = psd.eig_psd, np.linalg.eigh
+        calls = {"eig_psd": 0, "dsyevd": 0, "eigh": 0}
+        callers = []
+        real_eig_psd, real_dsyevd = psd.eig_psd, psd.dsyevd
 
         def spy(name, fn):
             def wrapped(*args, **kwargs):
                 calls[name] += 1
+                if name == "dsyevd":
+                    callers.append(sys._getframe(1).f_code)
                 return fn(*args, **kwargs)
             return wrapped
 
         monkeypatch.setattr(psd, "eig_psd", spy("eig_psd", real_eig_psd))
-        monkeypatch.setattr(np.linalg, "eigh", spy("eigh", real_eigh))
+        monkeypatch.setattr(psd, "dsyevd", spy("dsyevd", real_dsyevd))
+        monkeypatch.setattr(np.linalg, "eigh", spy("eigh", np.linalg.eigh))
         run()
-        assert calls == {"eig_psd": 1, "eigh": 1}
+        assert calls == {"eig_psd": 1, "dsyevd": 1, "eigh": 0}
+        assert callers == [real_eig_psd.__code__]
+
+    def test_unconverged_dsyevd_raises_linalg_error(self, monkeypatch):
+        def unconverged(a, **kwargs):
+            n = a.shape[0]
+            return np.zeros(n), np.zeros((n, n), order="F"), 1
+
+        monkeypatch.setattr(psd, "dsyevd", unconverged)
+        with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+            eig_psd(np.eye(3))
 
 
 class TestPseudoinverse:
@@ -303,7 +321,7 @@ class TestLapackHelpers:
         assert same_bits(_tril_solve(c, rhs), _tril_solve(np.asfortranarray(np.tril(c)), rhs))
 
     def test_non_finite_rejected(self):
-        # _chol_solve checks only b: its factor comes from _chol_lower,
+        # the solves check only b: their factor comes from _chol_lower,
         # which checked the matrix it factored
         a, rhs, _ = spd_and_rhs(3)
         c = _chol_lower(a)
@@ -312,10 +330,32 @@ class TestLapackHelpers:
             a_bad[2, 2] = rhs_bad[1] = bad
             for call in (lambda: _chol_lower(a_bad),
                          lambda: _chol_solve(c, rhs_bad),
-                         lambda: _tril_solve(a_bad, rhs),
                          lambda: _tril_solve(c, rhs_bad)):
                 with pytest.raises(ValueError, match="infs or NaNs"):
                     call()
+
+    def test_every_tril_solve_factor_comes_from_chol_lower(self, rng, monkeypatch):
+        # _tril_solve leaves its factor unchecked; that is safe only while
+        # every factor it is given is one _chol_lower returned
+        factors, solved_with = [], []
+
+        def chol_lower(a):
+            factors.append(_chol_lower(a))
+            return factors[-1]
+
+        def tril_solve(c, b):
+            solved_with.append(c)
+            return _tril_solve(c, b)
+
+        for module in (gaussian, quadprog):
+            monkeypatch.setattr(module, "_chol_lower", chol_lower)
+        monkeypatch.setattr(gaussian, "_tril_solve", tril_solve)
+        for index in range(9):  # every prior kind against every operator kind
+            prior, obs, y = make_instance(index)
+            assert run_equivalence(prior, obs, y).passed
+            obs.whiten(rng.normal(size=(obs.n_obs, 2)))
+        assert solved_with
+        assert all(any(c is f for f in factors) for c in solved_with)
 
     def test_indefinite_and_singular_raise_linalg_error(self):
         with pytest.raises(np.linalg.LinAlgError):
