@@ -48,6 +48,13 @@ def main() -> int:
         text = f"{header}  # rows cols\n\n" + body.replace(" ", "\t").replace("\n", "\n\n")
         hand[name] = str(out / "inputs" / f"{name}_hand.txt")
         Path(hand[name]).write_bytes(text.replace("\n", "\r\n").encode("ascii"))
+    # ens_big (about 151 K characters, three of matio's chunks) with a comment
+    # line after data row 200: the reader takes its first and last chunks in
+    # bulk and the middle one line by line
+    lines = Path(p["ens_big"]).read_text().split("\n")
+    lines.insert(202, "# note")
+    mixed = str(out / "inputs" / "ens_big_mixed.txt")
+    Path(mixed).write_text("\n".join(lines))
     obs, ens = [p["H"], p["R"], p["y"]], [p["ens"], p["H_ens"], p["R_ens"], p["y_ens"]]
     big = [p["ens_big"], p["H_big"], p["R_big"], p["y_big"]]
     dense = [p["ens_dense"], p["H_dense"], p["R_dense"], p["y_dense"]]
@@ -59,6 +66,7 @@ def main() -> int:
             "enkf-centered": ["enkf", *ens, "--seed", "4", "--center-perturbations"],
             "enkf-unperturbed": ["enkf", *ens, "--disable-perturbations"],
             "ens-cgp-big": ["ens-cgp", *big],
+            "ens-cgp-big-mixed": ["ens-cgp", mixed, *big[1:]],
             "enkf-big": ["enkf", *big, "--seed", "7"],
             "enkf-dense-r": ["enkf", *dense, "--seed", "9"],
             "equivalence-seed0": ["equivalence", "--count", "100", "--seed", "0"],

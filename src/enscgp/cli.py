@@ -27,18 +27,16 @@ import numpy as np
 
 from . import ensemble as ens_mod
 from . import experiments, kernels, matio
-from .errors import (DegenerateModelError, DimensionError, InfeasiblePointError,
-                     MatrixParseError, NotPsdError, NotSpdError)
+from .errors import DegenerateModelError, DimensionError
 from .gaussian import GaussianLaw, ObservationModel, condition, kalman_gain
 from .matio import format_float
 
 COMMANDS = ("condition", "ens-cgp", "equivalence", "collapse", "kl-sample", "enkf")
 
-_INPUT_ERRORS = (OSError, MatrixParseError, DimensionError, NotSpdError,
-                 NotPsdError, ValueError)
-_COMPUTE_ERRORS = (NotPsdError, NotSpdError, DegenerateModelError,
-                   InfeasiblePointError, DimensionError, ValueError,
-                   np.linalg.LinAlgError)
+# every package error but DegenerateModelError subclasses ValueError, and
+# so does numpy's LinAlgError
+_INPUT_ERRORS = (OSError, ValueError)
+_COMPUTE_ERRORS = (ValueError, DegenerateModelError)
 
 
 def _fmt_value(value) -> str:

@@ -103,7 +103,8 @@ OBS_KINDS = ("tall", "wide", "zero")
 
 def _spd_matrix(stream: NormalStream, size: int) -> np.ndarray:
     b = stream.normals((size, size))
-    return symmetrize(b @ b.T / size) + (0.5 + float(stream.uniforms(1)[0])) * np.eye(size)
+    # b @ b.T is exactly symmetric (numpy's product of b with its transpose)
+    return b @ b.T / size + (0.5 + float(stream.uniforms(1)[0])) * np.eye(size)
 
 
 def make_instance(index: int, base_seed: int = 0):

@@ -63,20 +63,22 @@ def gram_matrix(spec: KernelSpec, points) -> np.ndarray:
 
     Any principal submatrix equals the Gram matrix of the corresponding
     point subset exactly, because each entry depends only on its own pair.
+    K equals its transpose bit for bit with no symmetrize pass: numpy's
+    product of x with its own transpose is exactly symmetric, and so is
+    every elementwise step after it.
     """
     x = _points_2d(points)
     n = x.shape[0]
     if spec.family is KernelFamily.WHITE:
         return spec.variance * np.eye(n)
     if spec.family is KernelFamily.LINEAR:
-        return symmetrize(spec.variance * (x @ x.T))
+        return spec.variance * (x @ x.T)
     sq = np.sum(x * x, axis=1)
     dist_sq = np.clip(sq[:, None] + sq[None, :] - 2.0 * (x @ x.T), 0.0, None)
     if spec.family is KernelFamily.SQUARED_EXPONENTIAL:
-        k = spec.variance * np.exp(-dist_sq / (2.0 * spec.lengthscale**2))
-    else:  # exponential / Matern-1/2
-        k = spec.variance * np.exp(-np.sqrt(dist_sq) / spec.lengthscale)
-    return symmetrize(k)
+        return spec.variance * np.exp(-dist_sq / (2.0 * spec.lengthscale**2))
+    # exponential / Matern-1/2
+    return spec.variance * np.exp(-np.sqrt(dist_sq) / spec.lengthscale)
 
 
 @dataclass(frozen=True)

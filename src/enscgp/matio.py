@@ -15,29 +15,27 @@ them; it prints every value it cannot certify, and every block of fewer
 than _BATCH_MIN values, with ``%.17g`` itself. Besides the text, a write
 holds one block's work.
 
-Reading takes one of two routes. A text of _PLAIN_MIN characters or more
-goes first to a one-pass parse of the text after the header, about
-_CHUNK_CHARS characters at a time, each chunk ending with a line. A plain
-chunk (ASCII lines of decimal tokens
-``[+-](digits[.[digits]]|.digits)[(e|E)[+-]digits]`` between single spaces,
-each line ended by a line feed) is converted without float(): numpy checks
-its bytes and finds each token's end, point and exponent mark,
-np.fromstring reads its digits and exponents as int64 integers d and e, and
-each value d·10^e is rounded by Clinger's exact path or by a double-double
-product that certifies the rounding. The few tokens left uncertified (ties,
-digits beyond int64, 17-digit magnitudes outside about 1e-250..1e305) are
-read by float() one by one. At the first chunk that is not plain, or on
-anything else irregular, the parse gives up. That text, and every shorter
-one, goes to the line-by-line checked parser, which alone decides what is
-accepted and what each error says. Either way every value has
-float(token)'s bits. Besides the text and the result, the one-pass parse
-holds one chunk's work; the checked parser holds one chunk's lines and a
-flat buffer of the values, which the result copies.
+Reading is one pass, by loads_matrix. The header is looked for one line
+at a time and the result allocated once; the text after the header is
+then read about _CHUNK_CHARS characters at a time, each chunk ending with
+a line. A chunk of _PLAIN_MIN characters or more that is plain (ASCII
+lines of decimal tokens ``[+-](digits[.[digits]]|.digits)[(e|E)[+-]digits]``
+between single spaces, each line ended by a line feed) is converted
+without float(): numpy checks its bytes and finds each token's end, point
+and exponent mark, np.fromstring reads its digits and exponents as int64
+integers d and e, and each value d·10^e is rounded by Clinger's exact path
+(when the whole chunk is in its domain) or by a double-double product that
+certifies the rounding. The few tokens left uncertified (ties, digits
+beyond int64, 17-digit magnitudes outside about 1e-250..1e305) are read by
+float() one by one. Such a chunk is stored in bulk if it fits the declared
+rows and its values are finite. Every other chunk is read line by line,
+with float() on each token, and those rules alone decide what is accepted
+and what each error says. Either way every value has float(token)'s bits.
+Besides the text and the result, a read holds one chunk's work.
 """
 
 from __future__ import annotations
 
-import array
 import functools
 import math
 from pathlib import Path
@@ -278,18 +276,13 @@ def write_matrix(path, matrix, comments: tuple[str, ...] = ()) -> None:
     Path(path).write_text(dumps_matrix(matrix, comments))
 
 
-def loads_matrix(text: str, name: str = "<string>") -> np.ndarray:
-    matrix = _loads_fast(text) if len(text) >= _PLAIN_MIN else None
-    return _loads_checked(text, name) if matrix is None else matrix
-
-
 # Writing prints at most this many values per numpy call; reading takes the
 # text about _CHUNK_CHARS characters at a time
 _BLOCK_VALUES = 1 << 12
 _CHUNK_CHARS = 1 << 16
-# _plain_values costs about 0.1 ms a chunk however short; the checked
-# parser's float() per token costs less below a few hundred tokens, so
-# shorter texts are read by it alone
+# _plain_values costs about 0.1 ms a chunk however short; float() per token
+# costs less below a few hundred tokens, so shorter chunks are read line by
+# line
 _PLAIN_MIN = 1 << 12
 # _plain_values's byte classes: a separator (space or line feed), a sign, the
 # point, an exponent mark, anything else
@@ -336,38 +329,30 @@ def _to_double(d: np.ndarray, e: np.ndarray):
     """(values, certified) for int64 arrays d and e: each value is the
     double nearest d·10^e wherever certified.
 
-    Clinger's path: where 0 <= d <= 2^53 and |e| <= 22, d and 10^|e| are
-    doubles and one product or quotient rounds correctly. It converts the
-    arrays when all of them are in its domain. Otherwise, for 0 <= d <
-    _D_MAX and _E_MIN <= e <= _E_MAX: d = a + a_lo exactly with a the
-    double nearest d, and a·10^e (Dekker's two-product against pow10's
-    double-double) plus a_lo·10^e is a double-double hi + lo within
-    8·2^-106·d·10^e of d·10^e: the table's error, three roundings of terms
-    under 2^-52 of it, and the dropped product of a_lo and the table's low
-    part. Rounding is monotone, so when hi + (lo - m) and hi + (lo + m)
-    round to the same double for m = 2^-100·hi, so does d·10^e: that value
-    is certified. Exact ties are not; Clinger's path then takes what is
-    left in its domain.
+    Clinger's path: where every 0 <= d <= 2^53 and |e| <= 22, d and 10^|e|
+    are doubles and one product or quotient rounds correctly, so every
+    value is certified. Otherwise, for 0 <= d < _D_MAX and _E_MIN <= e <=
+    _E_MAX: d = a + a_lo exactly with a the double nearest d, and a·10^e
+    (Dekker's two-product against pow10's double-double) plus a_lo·10^e is
+    a double-double hi + lo within 8·2^-106·d·10^e of d·10^e: the table's
+    error, three roundings of terms under 2^-52 of it, and the dropped
+    product of a_lo and the table's low part. Rounding is monotone, so when
+    hi + (lo - m) and hi + (lo + m) round to the same double for m =
+    2^-100·hi, so does d·10^e: that value is certified. Exact ties, such as
+    7e22 (7·5^22·2^22, whose odd part has 54 bits), are not.
     """
     pow10 = _pow10()
     d = np.minimum(d, _D_MAX)
     a = d.astype(float)
     if d.view(np.uint64).max() <= 2**53 and -22 <= e.min() and e.max() <= 22:
-        values, certified, clinger = np.empty(d.size), np.empty(d.size, bool), slice(None)
-    else:
-        x = 16 - np.minimum(np.maximum(e, _E_MIN), _E_MAX)
-        hi, lo = _scaled(a, x, pow10)
-        lo += (d - a.astype(np.int64)) * np.take(pow10[0], x + _X_SPAN)
-        margin = hi * 2.0**-100
-        values = hi + (lo - margin)
-        certified = (values == hi + (lo + margin)) & (d.view(np.uint64) < _D_MAX) & (x == 16 - e)
-        clinger = np.flatnonzero(~certified)  # Clinger's path for what is left
-        clinger = clinger[(d[clinger].view(np.uint64) <= 2**53)
-                          & ((e[clinger] + 22).view(np.uint64) <= 44)]
-    a, e = a[clinger], e[clinger]
-    power = np.take(pow10[0], _X_SPAN + 16 - np.abs(e))
-    values[clinger] = np.where(e < 0, a / power, a * power)
-    certified[clinger] = True
+        power = np.take(pow10[0], _X_SPAN + 16 - np.abs(e))
+        return np.where(e < 0, a / power, a * power), np.ones(d.size, bool)
+    x = 16 - np.minimum(np.maximum(e, _E_MIN), _E_MAX)
+    hi, lo = _scaled(a, x, pow10)
+    lo += (d - a.astype(np.int64)) * np.take(pow10[0], x + _X_SPAN)
+    margin = hi * 2.0**-100
+    values = hi + (lo - margin)
+    certified = (values == hi + (lo + margin)) & (d.view(np.uint64) < _D_MAX) & (x == 16 - e)
     return values, certified
 
 
@@ -440,108 +425,78 @@ def _plain_values(chunk: str, cols: int) -> np.ndarray | None:
     return values
 
 
-def _loads_fast(text: str) -> np.ndarray | None:
-    """Parse a well-formed file in one pass; None on any irregularity.
+def loads_matrix(text: str, name: str = "<string>") -> np.ndarray:
+    """Parse a matrix file's text in one pass (see the module docstring);
+    a MatrixParseError names the line, and the column, of the first fault.
 
-    Accepts only what ``_loads_checked`` accepts, with the same values, so
-    a None costs time but never changes a result or an error message. The
-    header is looked for one line feed at a time, and must be the only line
-    with tokens up to its line feed. The text after it is read a chunk at a
-    time by _plain_values; the first chunk that is not plain, and a matrix
-    with no columns, return None.
+    The result is allocated once, for at most one value per two characters
+    of text (a digit and a separator). A chunk after the header is stored
+    in bulk when it has _PLAIN_MIN characters or more, _plain_values reads
+    it, it fits the declared rows and its values are all finite; any other
+    chunk is read line by line, and its values are stored together.
     """
-    start, header = 0, []
-    while not header:
+    start = lineno = 0
+    tokens = []
+    while not tokens:  # the header, one line-feed piece at a time
         if start == len(text):
-            return None
+            raise MatrixParseError(f"{name}: empty file, missing 'rows cols' header")
         end = text.find("\n", start) + 1 or len(text)
-        header = [tokens for tokens in (line.split("#", 1)[0].split()
-                                        for line in text[start:end].splitlines()) if tokens]
-        start = end
-    if len(header) != 1 or len(header[0]) != 2:
-        return None
+        for line in text[start:end].splitlines(keepends=True):
+            start += len(line)
+            lineno += 1
+            tokens = line.split("#", 1)[0].split()
+            if tokens:
+                break
+    if len(tokens) != 2:
+        raise MatrixParseError(
+            f"{name}:{lineno}: header must be 'rows cols', got {len(tokens)} tokens")
     try:
-        rows, cols = int(header[0][0]), int(header[0][1])
+        rows, cols = int(tokens[0]), int(tokens[1])
     except ValueError:
-        return None
-    # a value takes at least two characters (a digit and a separator), so a
-    # header declaring more than the text holds is left to the checked
-    # parser, and nothing is allocated from it
-    if rows < 0 or cols <= 0 or max(cols, rows * cols) > len(text) // 2:
-        return None
-    out = np.empty(rows * cols)
-    read = 0  # values converted into out
+        raise MatrixParseError(f"{name}:{lineno}: header dimensions must be integers") from None
+    if rows < 0 or cols < 0:
+        raise MatrixParseError(f"{name}:{lineno}: dimensions must be nonnegative")
+    out = np.empty(min(rows * cols, (len(text) + 1) // 2))
+    found = read = 0  # data rows read, values stored
     for chunk in _chunks(text, start):
-        values = _plain_values(chunk, cols)
-        if values is None or read + values.size > out.size:
-            return None
-        out[read:read + values.size] = values
-        read += values.size
-    if read != out.size or not np.isfinite(out).all():
-        return None
-    return out.reshape(rows, cols)
-
-
-def _loads_checked(text: str, name: str) -> np.ndarray:
-    """Line-by-line parser that names the line and column of the first
-    error. Its values go into one flat buffer of doubles, not a float object
-    each."""
-    header = None
-    found = 0  # data rows read
-    values = array.array("d")
-    lines = (line for chunk in _chunks(text) for line in chunk.splitlines())
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
-        if header is None:
-            if len(tokens) != 2:
-                raise MatrixParseError(
-                    f"{name}:{lineno}: header must be 'rows cols', got {len(tokens)} tokens"
-                )
-            try:
-                header = (int(tokens[0]), int(tokens[1]))
-            except ValueError:
-                raise MatrixParseError(
-                    f"{name}:{lineno}: header dimensions must be integers"
-                ) from None
-            if header[0] < 0 or header[1] < 0:
-                raise MatrixParseError(f"{name}:{lineno}: dimensions must be nonnegative")
-            continue
-        if found >= header[0]:
-            raise MatrixParseError(
-                f"{name}:{lineno}: extra data beyond the declared {header[0]} rows"
-            )
-        if len(tokens) != header[1]:
-            raise MatrixParseError(
-                f"{name}:{lineno}: expected {header[1]} values, got {len(tokens)}"
-            )
-        for col, token in enumerate(tokens, start=1):
-            try:
-                value = float(token)
-            except ValueError:
-                raise MatrixParseError(
-                    f"{name}:{lineno}: column {col}: invalid number {token!r}"
-                ) from None
-            if not math.isfinite(value):
-                raise MatrixParseError(
-                    f"{name}:{lineno}: column {col}: non-finite value {token!r}"
-                )
-            values.append(value)
-        found += 1
-    if header is None:
-        raise MatrixParseError(f"{name}: empty file, missing 'rows cols' header")
-    if header[1] > 0 and found != header[0]:
-        raise MatrixParseError(
-            f"{name}: declared {header[0]} rows but found {found}"
-        )
+        values = _plain_values(chunk, cols) if cols and len(chunk) >= _PLAIN_MIN else None
+        count = 0 if values is None else values.size // cols
+        if count and found + count <= rows and np.isfinite(values).all():
+            lineno += count
+            found += count
+        else:
+            values = []
+            for line in chunk.splitlines():
+                lineno += 1
+                tokens = line.split("#", 1)[0].split()
+                if not tokens:
+                    continue
+                if found >= rows:
+                    raise MatrixParseError(
+                        f"{name}:{lineno}: extra data beyond the declared {rows} rows")
+                if len(tokens) != cols:
+                    raise MatrixParseError(
+                        f"{name}:{lineno}: expected {cols} values, got {len(tokens)}")
+                for col, token in enumerate(tokens, start=1):
+                    try:
+                        value = float(token)
+                    except ValueError:
+                        raise MatrixParseError(
+                            f"{name}:{lineno}: column {col}: invalid number {token!r}"
+                        ) from None
+                    if not math.isfinite(value):
+                        raise MatrixParseError(
+                            f"{name}:{lineno}: column {col}: non-finite value {token!r}")
+                    values.append(value)
+                found += 1
+        out[read:read + len(values)] = values
+        read += len(values)
+    if cols and found != rows:
+        raise MatrixParseError(f"{name}: declared {rows} rows but found {found}")
     try:
-        return np.array(values).reshape(header)
+        return out.reshape(rows, cols)
     except ValueError:  # only an empty shape with a dimension numpy cannot hold
-        raise MatrixParseError(
-            f"{name}: declared {header[0]}x{header[1]} matrix is too large"
-        ) from None
+        raise MatrixParseError(f"{name}: declared {rows}x{cols} matrix is too large") from None
 
 
 def read_matrix(path) -> np.ndarray:

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import DegenerateModelError, DimensionError, InfeasiblePointError
 from .gaussian import GaussianLaw, ObservationModel, _check_compatible, _check_data
-from .psd import PsdFactor, _chol_lower, _chol_solve, symmetrize
+from .psd import PsdFactor, _chol_lower, _chol_solve
 
 FEASIBILITY_TOL = 1e-8
 
@@ -44,8 +44,9 @@ class QuadraticObjective:
 
     @cached_property
     def Q(self) -> np.ndarray:
-        """Dense Hessian K^+ + H^T R^(-1) H, built on first access."""
-        return symmetrize(self.cov_factor.pinv() + self.obs.information())
+        """Dense Hessian K^+ + H^T R^(-1) H, built on first access; a sum of
+        two exactly symmetric matrices, so exactly symmetric itself."""
+        return self.cov_factor.pinv() + self.obs.information()
 
     @property
     def dim(self) -> int:

@@ -5,8 +5,11 @@ import sys
 import numpy as np
 import pytest
 
-from enscgp import ensemble, experiments, gaussian, kernels, matio
+from enscgp import cli, ensemble, errors, experiments, gaussian, kernels, matio
 from enscgp.cli import _fmt_value, main
+
+ERROR_CLASSES = [c for c in vars(errors).values()
+                 if isinstance(c, type) and issubclass(c, Exception)] + [np.linalg.LinAlgError]
 
 
 @pytest.fixture
@@ -60,6 +63,32 @@ class TestCondition:
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize("error", ERROR_CLASSES, ids=lambda c: c.__name__)
+    def test_error_classes_map_to_exit_codes(self, error, monkeypatch, capsys):
+        """Raised while inputs load, an error exits 2; raised while the
+        result is computed, 1. DegenerateModelError, the one class that is
+        not a ValueError, is not an input error."""
+        argv = ["condition", "mean", "cov", "H", "R", "y"]
+
+        def load(args):
+            raise error("at load")
+
+        def compute(args):
+            def fail():
+                raise error("at compute")
+            return fail
+
+        monkeypatch.setitem(cli._RUNNERS, "condition", load)
+        if error is errors.DegenerateModelError:
+            with pytest.raises(error):
+                main(argv)
+        else:
+            assert main(argv) == 2
+            assert capsys.readouterr().err == "input error: at load\n"
+        monkeypatch.setitem(cli._RUNNERS, "condition", compute)
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "computation error: at compute\n"
+
     def test_missing_file_is_input_error(self, scalar_files, tmp_path, capsys):
         code = main(["condition", str(tmp_path / "nope.txt"), scalar_files["cov"],
                      scalar_files["H"], scalar_files["R"], scalar_files["y"]])

@@ -34,6 +34,13 @@ class TestKernelSpec:
 
 
 class TestGramMatrix:
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("dim", range(2, 8))
+    def test_exactly_symmetric_without_a_symmetrize_pass(self, family, dim):
+        pts = np.random.default_rng(dim).normal(size=(60, dim)) * 3.0
+        k = gram_matrix(KernelSpec(family, 1.7, 0.4), pts)
+        assert k.tobytes() == np.ascontiguousarray(k.T).tobytes()
+
     def test_white_is_scaled_identity(self, rng):
         spec = KernelSpec("white", 3.0)
         pts = rng.normal(size=(5, 2))

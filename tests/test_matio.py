@@ -2,6 +2,7 @@ import contextlib
 import io
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -18,9 +19,8 @@ from hypothesis.extra import numpy as hnp
 
 from enscgp import matio
 from enscgp.errors import MatrixParseError
-from enscgp.matio import (_BLOCK_VALUES, _format_rows, _format_text, _loads_checked,
-                          _loads_fast, dumps_matrix, format_float, loads_matrix,
-                          read_matrix, read_vector, write_matrix)
+from enscgp.matio import (_BLOCK_VALUES, _format_rows, _format_text, dumps_matrix,
+                          format_float, loads_matrix, read_matrix, read_vector, write_matrix)
 
 EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308,
                -1.7976931348623157e308, 1.0, -3.0, 2.0**53, 1e22)
@@ -77,7 +77,7 @@ class TestRoundTrip:
     @pytest.mark.parametrize("shape", [(3, 0), (1, 0), (0, 0), (0, 2)])
     def test_empty_matrix_round_trips(self, shape):
         text = dumps_matrix(np.zeros(shape))
-        for parse in (loads_matrix, _loads_checked):
+        for parse in (loads_matrix, read_by_lines):
             assert parse(text, "m").shape == shape
         assert dumps_matrix(loads_matrix(text)) == text
 
@@ -86,7 +86,10 @@ class TestRoundTrip:
     def test_write_read_write_property(self, matrix):
         text = dumps_matrix(matrix)
         back = loads_matrix(text)
-        assert matrix.size == 0 or _loads_fast(text) is not None
+        # every chunk, however short, is plain
+        with mock.patch.object(matio, "_PLAIN_MIN", 0), plain_spy() as read:
+            assert loads_matrix(text).tobytes() == back.tobytes()
+        assert all(read) and (matrix.size == 0 or read)
         assert back.shape == matrix.shape
         assert np.array_equal(np.signbit(back), np.signbit(matrix))
         np.testing.assert_array_equal(back, matrix)
@@ -249,8 +252,30 @@ def test_dumps_memory_does_not_grow_with_the_matrix():
     assert extra[1] < 1.25 * extra[0]
 
 
-# every input goes through both parsers: the fast path must return the
-# checked parser's array, or fall back so that its error is the one raised
+def read_by_lines(text, name="m.txt"):
+    """The reference: loads_matrix with every chunk read line by line."""
+    with mock.patch.object(matio, "_PLAIN_MIN", math.inf):
+        return loads_matrix(text, name)
+
+
+@contextlib.contextmanager
+def plain_spy():
+    """Yield a list that records, for each chunk given to _plain_values,
+    whether it read the chunk."""
+    read = []
+    real = matio._plain_values
+
+    def spy(chunk, cols):
+        values = real(chunk, cols)
+        read.append(values is not None)
+        return values
+
+    with mock.patch.object(matio, "_plain_values", spy):
+        yield read
+
+
+# every input is read as the line path reads it: the same array bytes, or
+# the same error message
 PARITY_CASES = {
     "plain": "2 3\n1 2 3\n4 5 6\n",
     "ragged": "2 3\n1 2 3\n1 2\n",
@@ -289,34 +314,37 @@ PARITY_CASES = {
 }
 
 
-def assert_parsers_agree(text):
-    """The fast path returns the checked parser's array or None, and
-    loads_matrix raises the checked parser's exact error."""
-    fast = _loads_fast(text)
+def assert_reads_as_lines(text):
+    """loads_matrix gives read_by_lines's array bytes or its exact error,
+    with _PLAIN_MIN as it is and with every chunk offered to _plain_values.
+    Returns what plain_spy recorded with _PLAIN_MIN as it is."""
     try:
-        expected = _loads_checked(text, "m.txt")
+        expected = read_by_lines(text)
     except MatrixParseError as exc:
-        assert fast is None
-        with pytest.raises(MatrixParseError) as got:
-            loads_matrix(text, "m.txt")
-        assert str(got.value) == str(exc)
-        return None
-    for got in (loads_matrix(text, "m.txt"),) + (() if fast is None else (fast,)):
-        assert got.shape == expected.shape
-        assert got.tobytes() == expected.tobytes()
-    return fast
+        expected = exc
+    for plain_min in (0, matio._PLAIN_MIN):
+        with mock.patch.object(matio, "_PLAIN_MIN", plain_min), plain_spy() as read:
+            try:
+                got = loads_matrix(text, "m.txt")
+            except MatrixParseError as exc:
+                assert isinstance(expected, MatrixParseError) and str(exc) == str(expected)
+            else:
+                assert isinstance(expected, np.ndarray)
+                assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+    return read
 
 
 @pytest.mark.parametrize("text", PARITY_CASES.values(), ids=PARITY_CASES.keys())
 def test_fast_parse_matches_checked_parser(text):
-    assert_parsers_agree(text)
+    assert_reads_as_lines(text)
 
 
 @pytest.mark.parametrize("text", PARITY_CASES.values(), ids=PARITY_CASES.keys())
 def test_plain_path_matches_checked_parser(text):
-    """The same with every text, however short, offered to _loads_fast."""
-    with mock.patch.object(matio, "_PLAIN_MIN", 0):
-        assert_parsers_agree(text)
+    """The same with every line a chunk of its own, so that plain and other
+    chunks take turns line by line."""
+    with mock.patch.object(matio, "_CHUNK_CHARS", 0):
+        assert_reads_as_lines(text)
 
 
 # a file of BLOCK rows of BLOCK_COLS values, 80 KB, spans two of the
@@ -345,8 +373,9 @@ def block_file(rows, fault=None, at=None):
 @pytest.mark.parametrize("rows", (BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1))
 def test_block_boundaries_parse_fast(rows):
     text = block_file(rows)
-    fast = assert_parsers_agree(text)
-    assert fast is not None and fast.shape == (rows, BLOCK_COLS)
+    read = assert_reads_as_lines(text)
+    assert len(read) > 1 and all(read)
+    assert loads_matrix(text).shape == (rows, BLOCK_COLS)
 
 
 @pytest.mark.parametrize("fault", SECOND_BLOCK_FAULTS)
@@ -356,7 +385,8 @@ def test_block_boundaries_parse_fast(rows):
                                       (2 * BLOCK + 1, 2 * BLOCK - 1)])
 def test_second_block_faults_match_checked_parser(fault, rows, at):
     text = block_file(rows, fault, at)
-    assert assert_parsers_agree(text) is None
+    read = assert_reads_as_lines(text)
+    assert read[0]  # the chunk before the fault's is read in bulk
     if fault == "underscore":  # not plain, but float() reads it
         assert loads_matrix(text)[at, 2] == 1000.0
 
@@ -373,54 +403,85 @@ def test_chunked_lines_are_splitlines(text, chunk):
 
 
 def test_fast_parse_memory_is_bounded_by_blocks():
-    """Besides the text and the result, the fast path holds one chunk's
-    work, not a list that grows with the file."""
+    """Besides the text and the result, a read of plain chunks holds one
+    chunk's work, not a list that grows with the file."""
     text = dumps_matrix(np.random.default_rng(0).normal(size=(5000, 40)))
-    tracemalloc.start()
-    try:
-        out = _loads_fast(text)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert out is not None and out.shape == (5000, 40)
+    with plain_spy() as read:
+        tracemalloc.start()
+        try:
+            out = loads_matrix(text)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert len(read) > 1 and all(read) and out.shape == (5000, 40)
     # all 200k tokens held as str objects take over 10 times the result,
     # and all the text's lines split at once over 3 times
     assert peak < 1.5 * out.nbytes
 
 
 def test_texts_are_routed_by_length():
-    """Texts shorter than _PLAIN_MIN never reach _plain_values; a long text
-    that is not plain reads as the checked parser reads it, bit for bit."""
-    short, long = ("%d 1\n" % rows + "1\n" * rows for rows in (2044, 2045))
-    assert len(short) < matio._PLAIN_MIN <= len(long)
+    """Chunks shorter than _PLAIN_MIN never reach _plain_values, however
+    long the text; a long text that is not plain is read line by line, and
+    reads as its plain form does, bit for bit."""
+    short, long = ("# c\n%d 1\n" % rows + "1\n" * rows for rows in (2047, 2048))
+    assert len(short.split("\n", 2)[2]) < matio._PLAIN_MIN <= len(short)
+    assert len(long.split("\n", 2)[2]) == matio._PLAIN_MIN
     with mock.patch.object(matio, "_plain_values", wraps=matio._plain_values) as spy:
         for text in (short, *PARITY_CASES.values()):
             with contextlib.suppress(MatrixParseError):
                 loads_matrix(text)
         assert not spy.called
-        assert loads_matrix(long).shape == (2045, 1) and spy.called
+        assert loads_matrix(long).shape == (2048, 1) and spy.call_count == 1
     text = block_file(2 * BLOCK).replace(" ", "\t").replace("\n", "\r\n")
-    assert len(text) >= matio._PLAIN_MIN and _loads_fast(text) is None
-    got = loads_matrix(text)
-    assert got.tobytes() == _loads_checked(text, "m").tobytes()
+    with plain_spy() as read:
+        got = loads_matrix(text)
+    assert len(read) > 1 and not any(read)
     assert got.tobytes() == loads_matrix(block_file(2 * BLOCK)).tobytes()
 
 
-@pytest.mark.parametrize("form", ["crlf_tabs", "bad_last_token"])
+def test_tab_in_the_last_chunk_leaves_earlier_chunks_alone():
+    """A 5000 x 40 text with a tab in its last chunk: every earlier chunk is
+    converted once, in bulk, and float() reads only the last chunk's
+    tokens, not the whole text again."""
+    text = dumps_matrix(np.random.default_rng(0).normal(size=(5000, 40)))
+    pieces = list(matio._chunks(text, text.index("\n") + 1))
+    assert len(pieces) > 2 and len(pieces[-1]) >= matio._PLAIN_MIN
+    last = len(text) - len(pieces[-1])
+    text = text[:last] + text[last:].replace(" ", "\t", 1)
+    tokens = []
+
+    class CountingFloat(np.float64):  # as a dtype, still float64
+        def __new__(cls, token):
+            tokens.append(token)
+            return float(token)
+
+    matio._pow10()  # the table is built with float() before counting starts
+    with plain_spy() as read, mock.patch.object(matio, "float", CountingFloat, create=True):
+        got = loads_matrix(text)
+    assert read == [True] * (len(pieces) - 1) + [False]
+    assert tokens == pieces[-1].split()
+    assert got.tobytes() == read_by_lines(text).tobytes()
+
+
+@pytest.mark.parametrize("form", ["crlf_tabs", "tab_in_last_tenth", "bad_last_token"])
 def test_checked_parse_memory_is_bounded(form):
-    """A long text that only the checked parser reads, or that it rejects
-    at its last token, costs at most about twice the result: the parser
-    holds one flat buffer of doubles, not a float object per value."""
+    """A long text read line by line, wholly or from its last tenth, or
+    rejected at its last token, costs less than 1.5 times the result: the
+    result is allocated once, and only one chunk's values are held as
+    Python floats at a time."""
     text = dumps_matrix(np.random.default_rng(0).normal(size=(5000, 40)))
     nbytes = 5000 * 40 * 8
     if form == "crlf_tabs":
         text = text.replace(" ", "\t").replace("\n", "\r\n")
+    elif form == "tab_in_last_tenth":
+        head, tail = text[:len(text) * 9 // 10], text[len(text) * 9 // 10:]
+        text = head + tail.replace(" ", "\t", 1)
     else:
         token = text.rsplit(" ", 1)[1].rstrip("\n") + "x"
         text = text[:-1] + "x\n"
     tracemalloc.start()
     try:
-        if form == "crlf_tabs":
+        if form != "bad_last_token":
             assert loads_matrix(text, "m.txt").shape == (5000, 40)
         else:
             with pytest.raises(MatrixParseError) as error:
@@ -431,7 +492,7 @@ def test_checked_parse_memory_is_bounded(form):
     if form == "bad_last_token":
         assert str(error.value) == f"m.txt:5001: column 40: invalid number {token!r}"
     # per-row lists of Python floats would hold about 6.9 times the result
-    assert peak < 2.5 * nbytes
+    assert peak < 1.5 * nbytes
 
 
 READ_WITHOUT_WRITER_TABLES = """
@@ -500,7 +561,7 @@ def random_float_tokens(rng, count):
 @pytest.mark.parametrize("token", NOT_FLOAT_TOKENS)
 def test_numpy_rejects_what_float_rejects(token):
     """The numpy-based plain path declines every token that float() rejects,
-    and a long file holding it fails as the checked parser says."""
+    and a long file holding it fails as the line path says."""
     with pytest.raises(ValueError):
         float(token)
     assert matio._plain_values(f"1.5 {token} 2\n", 3) is None
@@ -509,7 +570,7 @@ def test_numpy_rejects_what_float_rejects(token):
     text = "\n".join(lines)
     with pytest.raises(MatrixParseError):
         loads_matrix(text, "m.txt")
-    assert_parsers_agree(text)
+    assert_reads_as_lines(text)
 
 
 # the reader: plain chunks are converted by _plain_values, every value
@@ -581,7 +642,7 @@ def test_reader_matches_float_on_savetxt_forms():
 
 def test_reader_matches_float_on_exact_halfway_cases():
     """Ties round to even; the double-double certificate leaves them to
-    float(), except where Clinger's path is exact."""
+    float()."""
     ties = ["9007199254740993", "-9007199254740993", "9007199254740995",
             "4503599627370497.5", "2.4703282292062328e-324", "2.4703282292062327e-324",
             "1.00000000000000011102230246251565404236316680908203125",
@@ -590,6 +651,27 @@ def test_reader_matches_float_on_exact_halfway_cases():
     assert_reads_like_float(ties)
     d = np.array([9007199254740993, 45035996273704975])
     assert not matio._to_double(d, np.array([0, -1]))[1].any()
+
+
+def test_ties_beside_17_digit_tokens_read_as_float():
+    """Ties in Clinger's domain (7e22: its odd part 7·5^22 has 54 bits) in a
+    chunk that also holds 17-digit tokens are left uncertified and read by
+    float(): the chunk, read in bulk, gives float()'s bits for every token."""
+    ties = ["7e22", "5e22", "19e21", "-95e20", "173e20"]
+    for tie in ties:  # each lies halfway between two neighbouring doubles
+        f = abs(float(tie))
+        assert abs(Fraction(tie)) * 2 in (Fraction(f) + Fraction(math.nextafter(f, 0)),
+                                          Fraction(f) + Fraction(math.nextafter(f, math.inf)))
+    tokens = [f"{v:.17g}" for v in np.random.default_rng(10).normal(size=300).tolist()]
+    tokens[::5] = ties * 12
+    text = text_of(tokens, 5)
+    _, _, d, e = matio._plain_tokens(text.split("\n", 1)[1], 5)
+    assert not matio._to_double(d, e)[1][::5].any()
+    with plain_spy() as read:
+        got = loads_matrix(text)
+    assert len(text) >= matio._PLAIN_MIN and read == [True]
+    expected = np.array([float(t) for t in tokens])
+    assert got.ravel().tobytes() == expected.tobytes()
 
 
 def test_reader_matches_float_on_random_bit_patterns(rng):
@@ -612,12 +694,12 @@ def test_to_double_certifies_only_correct_roundings():
     for dv, ev, value in zip(d[certified].tolist(), e[certified].tolist(),
                              values[certified].tolist()):
         assert dv >= 0 and value == float(Fraction(dv) * Fraction(10) ** ev), (dv, ev)
-    # the domain is certified but for a tie (2^53 + 1) and 10^23, which lies
-    # within 2^-100 of a midpoint between doubles
+    # the domain is certified but for the ties 2^53 + 1 and 7e22 and for
+    # 10^23, which lies within 2^-100 of a midpoint between doubles
     inside = (d >= 0) & (d < matio._D_MAX) & (e >= matio._E_MIN) & (e <= matio._E_MAX)
     assert not (certified & ~inside).any()
     assert set(zip(d[inside & ~certified].tolist(), e[inside & ~certified].tolist())) == {
-        (2**53 + 1, 0), (1, 23), (2**53, 23)}
+        (2**53 + 1, 0), (7, 22), (1, 23), (2**53, 23)}
 
 
 def test_certificate_leaves_almost_no_token_to_float():
@@ -657,18 +739,19 @@ def test_bad_plain_tokens_fall_back_and_fail(token):
     assert matio._plain_values(token + "\n", 1) is None
     with pytest.raises(MatrixParseError, match=f"{2 * BLOCK + 2}: column 3: invalid number"):
         loads_matrix(text, "m.txt")
-    assert_parsers_agree(text)
+    assert_reads_as_lines(text)
 
 
 def test_short_integer_read_declines_the_chunk():
     """np.fromstring reads less than the tokens hold where older numpy only
-    warns about unmatched text: the chunk is declined and the whole text
-    goes to the checked parser."""
+    warns about unmatched text: each chunk is declined and read line by
+    line."""
     text = block_file(BLOCK)
     real = np.fromstring
     with mock.patch.object(matio.np, "fromstring", lambda *a, **k: real(*a, **k)[:-1]):
         assert matio._plain_values(text.split("\n", 1)[1], BLOCK_COLS) is None
-        assert assert_parsers_agree(text) is None
+        read = assert_reads_as_lines(text)
+    assert len(read) > 1 and not any(read)
 
 
 @pytest.mark.parametrize("chunk", ["1 2\r\n", "1\t2\n", "1  2\n", " 1 2\n", "1 2 \n", "1 2",
@@ -694,16 +777,17 @@ def test_forced_fallback_gives_the_same_array():
         converted.append(values.size)
         return np.full_like(values, np.nan), np.zeros_like(certified)
 
-    with mock.patch.object(matio, "_to_double", certify_nothing):
-        got = _loads_fast(text)
-    assert sum(converted) == matrix.size
-    assert got.tobytes() == matrix.tobytes() == _loads_checked(text, "m").tobytes()
+    with mock.patch.object(matio, "_to_double", certify_nothing), plain_spy() as read:
+        got = loads_matrix(text)
+    assert sum(converted) == matrix.size and all(read)
+    assert got.tobytes() == matrix.tobytes() == read_by_lines(text).tobytes()
 
 
 @pytest.mark.parametrize("fault", SECOND_BLOCK_FAULTS)
 def test_chunk_boundary_faults_match_checked_parser(fault):
     """Faults in the first and the last row of a chunk, and in a last
-    chunk shorter than _PLAIN_MIN, are those of the checked parser."""
+    chunk shorter than _PLAIN_MIN, are those of the line path; the chunks
+    before the fault's are read in bulk."""
     text = block_file(2 * BLOCK)
     lines = text.splitlines(keepends=True)
     with mock.patch.object(matio, "_CHUNK_CHARS", 1 << 12):
@@ -712,10 +796,11 @@ def test_chunk_boundary_faults_match_checked_parser(fault):
         assert len(pieces) > 10 and len(pieces[-1]) < matio._PLAIN_MIN
         for at in (firsts[3], firsts[4] - 1, firsts[-2]):
             faulty = block_file(2 * BLOCK, fault, at)
-            assert assert_parsers_agree(faulty) is None
+            assert all(assert_reads_as_lines(faulty)[:3])
             if fault == "underscore":  # not plain, but float() reads it
                 assert loads_matrix(faulty)[at, 2] == 1000.0
-        assert assert_parsers_agree(text).tobytes() == loads_matrix(text).tobytes()
+        read = assert_reads_as_lines(text)
+        assert len(read) == len(pieces) - 1 and all(read)
 
 
 def test_hostile_header_allocates_nothing():
