@@ -312,15 +312,38 @@ _D_MAX = 2**63 - 2**10
 _E_MIN, _E_MAX = 16 - _X_SPAN, 289
 
 
+def _line_end(text: str, pos: int) -> int:
+    """The index just after the first line boundary that ``str.splitlines``
+    recognizes at or after ``pos``, or ``len(text)`` if there is none.
+
+    splitlines runs on a window of 256 characters from ``pos``, doubled
+    until the first line ends inside it, so a CRLF pair is never split and
+    the scan costs about twice the line's length.
+    """
+    width = 256
+    while pos < len(text):
+        line = text[pos:pos + width].splitlines(keepends=True)[0]
+        # a line shorter than the window ended inside it
+        if len(line) < width or pos + width >= len(text):
+            return pos + len(line)
+        width *= 2
+    return len(text)
+
+
 def _chunks(text: str, start: int = 0):
     """Yield ``text[start:]`` in pieces of about _CHUNK_CHARS characters.
 
-    Each piece but the last ends just after a line feed, which always ends
-    a line (a CRLF pair ends there too), so the pieces' lines are those of
-    the whole text.
+    Each piece but the last ends just after a line boundary: the first line
+    feed in the _CHUNK_CHARS characters after its _CHUNK_CHARS-th (a line
+    feed always ends a line, and a CRLF pair ends there too), or, with none
+    there, the first boundary of any kind that ``str.splitlines``
+    recognizes. So the pieces' lines are those of the whole text, and a
+    text with other line ends (a bare CR) is cut as often as one with line
+    feeds.
     """
     while start < len(text):
-        end = text.find("\n", start + _CHUNK_CHARS) + 1 or len(text)
+        cut = start + _CHUNK_CHARS
+        end = text.find("\n", cut, cut + _CHUNK_CHARS) + 1 or _line_end(text, cut)
         yield text[start:end]
         start = end
 
@@ -437,16 +460,13 @@ def loads_matrix(text: str, name: str = "<string>") -> np.ndarray:
     """
     start = lineno = 0
     tokens = []
-    while not tokens:  # the header, one line-feed piece at a time
+    while not tokens:  # the header, one line at a time
         if start == len(text):
             raise MatrixParseError(f"{name}: empty file, missing 'rows cols' header")
-        end = text.find("\n", start) + 1 or len(text)
-        for line in text[start:end].splitlines(keepends=True):
-            start += len(line)
-            lineno += 1
-            tokens = line.split("#", 1)[0].split()
-            if tokens:
-                break
+        end = _line_end(text, start)
+        lineno += 1
+        tokens = text[start:end].split("#", 1)[0].split()
+        start = end
     if len(tokens) != 2:
         raise MatrixParseError(
             f"{name}:{lineno}: header must be 'rows cols', got {len(tokens)} tokens")

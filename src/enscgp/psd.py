@@ -6,6 +6,15 @@ square roots (with their pseudoinverse). Everything downstream
 form produced here, so rank thresholds, eigenvector signs, and tie-breaking
 are all pinned to keep outputs reproducible across runs.
 
+The work is split once: :func:`eig_psd` decides the rank and returns the
+kept columns unpinned, and each constructor that keeps columns
+(:func:`canonical_sqrt`, :func:`canonical_sqrt_in_basis`,
+:func:`canonicalize_factor`, ``kernels.kl_truncate``) pins them once with
+``_pin``: each column's largest-magnitude entry positive, and columns of
+exactly equal eigenvalues in ascending order of their entries.
+:func:`canonical_sqrt_in_basis` pins only the embedded columns and makes
+every zero of its factor +0.0.
+
 Rank convention: an eigenvalue (or singular value) counts toward the rank
 when it exceeds ``rank_tol * largest_magnitude_eigenvalue``. The default
 ``rank_tol`` is ``max(n_rows, n_cols) * machine_epsilon``, the standard
@@ -166,20 +175,17 @@ def _fix_signs(vectors: np.ndarray) -> None:
     vectors *= signs
 
 
-def _order_descending(values: np.ndarray, vectors: np.ndarray):
-    """Stable descending sort; exact ties ordered by eigenvector entries.
+def _pin(values: np.ndarray, vectors: np.ndarray) -> None:
+    """Pin the columns of ``vectors`` for descending ``values``, in place:
+    each column's largest-magnitude entry made positive, and columns of
+    exactly equal values put in ascending order of their entries.
 
-    ``vectors`` must be an array the caller owns and hands over (a dsyevd or
-    SVD result, a fresh product): signs and ties are fixed in place, and
-    values that already descend are not permuted, so no copy is made then.
+    ``vectors`` must be an array the caller owns (an :func:`eig_psd` or SVD
+    result, a fresh product).
     """
-    if (values[1:] > values[:-1]).any():
-        order = np.argsort(-values, kind="stable")
-        values = values[order]
-        vectors = vectors.take(order, axis=1)
     _fix_signs(vectors)
     if not (values[1:] == values[:-1]).any():
-        return values, vectors
+        return
     i = 0
     while i < values.size:
         j = i
@@ -190,7 +196,6 @@ def _order_descending(values: np.ndarray, vectors: np.ndarray):
             perm = sorted(range(block.shape[1]), key=lambda c: tuple(block[:, c]))
             vectors[:, i : j + 1] = block[:, perm]
         i = j + 1
-    return values, vectors
 
 
 def eig_psd(matrix, rank_tol: float | None = None, scale_floor: float = 0.0):
@@ -198,10 +203,14 @@ def eig_psd(matrix, rank_tol: float | None = None, scale_floor: float = 0.0):
 
     Returns ``(eigenvalues, eigenvectors)``: the eigenvalues above threshold
     in descending order (their count is the rank) and the matching
-    orthonormal columns. The matrix is symmetrized first. Raises
-    :class:`NotPsdError` when some eigenvalue falls below minus the
-    effective threshold, and ``ValueError`` on non-finite entries (a NaN
-    matrix would otherwise come out as rank 0).
+    orthonormal columns, as one new C-ordered array. The columns are not
+    pinned: their signs, and their order within a block of equal
+    eigenvalues, are dsyevd's. The constructors that keep them
+    (:func:`canonical_sqrt`, :func:`canonical_sqrt_in_basis`,
+    ``kernels.kl_truncate``) pin them once. The matrix is symmetrized
+    first. Raises :class:`NotPsdError` when some eigenvalue falls below
+    minus the effective threshold, and ``ValueError`` on non-finite entries
+    (a NaN matrix would otherwise come out as rank 0).
 
     ``scale_floor`` lets callers anchor the threshold to the scale of the
     computation that produced the matrix (e.g. the prior spectrum when
@@ -219,19 +228,17 @@ def eig_psd(matrix, rank_tol: float | None = None, scale_floor: float = 0.0):
     if info > 0:
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
     _lapack_info(info, "syevd")
-    values, vectors = _order_descending(values, vectors)
-    # the values descend, so the largest magnitude is at one end
+    # dsyevd's values ascend, so the largest magnitude is at one end
     scale = max(abs(float(values[0])), abs(float(values[-1])), float(scale_floor))
     threshold = rank_tol * scale
-    if values[-1] < -threshold:
+    if values[0] < -threshold:
         raise NotPsdError(
-            f"matrix has eigenvalue {values[-1]:.3e} below -{threshold:.3e}; not PSD"
+            f"matrix has eigenvalue {values[0]:.3e} below -{threshold:.3e}; not PSD"
         )
-    rank = np.count_nonzero(values > threshold)
-    if rank == values.size:
-        return values, vectors
-    # copies, so that the dropped part of dsyevd's arrays is freed
-    return values[:rank].copy(), vectors[:, :rank].copy()
+    # the kept values are the top end; one reversed copy of each frees the
+    # rest of dsyevd's arrays
+    kept = slice(values.size - np.count_nonzero(values > threshold), None)
+    return values[kept][::-1].copy(), vectors[:, kept][:, ::-1].copy()
 
 
 @dataclass(frozen=True)
@@ -283,6 +290,7 @@ class PsdFactor:
 def canonical_sqrt(matrix, rank_tol: float | None = None) -> PsdFactor:
     """Canonical square root A = U_r diag(sqrt(lambda_r)) of a PSD matrix."""
     values, vectors = eig_psd(matrix, rank_tol)
+    _pin(values, vectors)
     # scaled into a new array: scaling eig_psd's vectors in place ran slightly
     # faster but raised kernel-dense's peak RSS by 1.8 MiB (2%)
     return PsdFactor(factor=vectors * np.sqrt(values), eigenvalues=values)
@@ -295,13 +303,20 @@ def canonical_sqrt_in_basis(basis, core, rank_tol: float | None = None,
     ``basis`` B (n x r) has orthonormal columns and ``core`` C is r x r, so
     B C B^T has the eigenvalues of C and the eigenvectors B Z. Only C is
     eigendecomposed, but the rank rule is the one :func:`eig_psd` applies
-    to the n x n matrix (default ``rank_tol`` from n), and signs and ties
-    are fixed on the embedded n-vectors B Z.
+    to the n x n matrix (default ``rank_tol`` from n). Z comes unpinned from
+    :func:`eig_psd`, and signs and ties are pinned once, on the embedded
+    n-vectors B Z. A column of B Z changes sign exactly with Z's, so
+    pinning gives the same column whatever sign dsyevd chose, except in
+    the sign of an exact zero; every zero of the factor is therefore made
+    +0.0.
     """
     b = np.asarray(basis, dtype=float)
     values, vectors = eig_psd(core, _rank_tol(rank_tol, b.shape[0]), scale_floor)
-    values, vectors = _order_descending(values, b @ vectors)
-    return PsdFactor(factor=vectors * np.sqrt(values), eigenvalues=values)
+    vectors = b @ vectors
+    _pin(values, vectors)
+    factor = vectors * np.sqrt(values)
+    factor += 0.0
+    return PsdFactor(factor=factor, eigenvalues=values)
 
 
 def canonicalize_factor(factor, rank_tol: float | None = None) -> PsdFactor:
@@ -322,7 +337,7 @@ def canonicalize_factor(factor, rank_tol: float | None = None) -> PsdFactor:
     if p == 0 or n == 0 or not np.any(a):
         return PsdFactor(factor=np.zeros((n, 0)), eigenvalues=np.zeros(0))
     u, s, _ = np.linalg.svd(a, full_matrices=False)
-    s, u = _order_descending(s, u)  # SVD is already descending; this pins ties/signs
+    _pin(s, u)  # the singular values already descend
     threshold = rank_tol * float(s[0])
     rank = int(np.sum(s > threshold))
     return PsdFactor(factor=u[:, :rank] * s[:rank], eigenvalues=s[:rank] ** 2)

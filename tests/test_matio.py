@@ -398,8 +398,22 @@ def test_chunked_lines_are_splitlines(text, chunk):
     with mock.patch.object(matio, "_CHUNK_CHARS", chunk):
         pieces = list(matio._chunks(text))
     assert "".join(pieces) == text
-    assert all(piece.endswith("\n") for piece in pieces[:-1])
+    # each piece but the last ends with a line end, after its chunk-th character
+    assert all(len(piece) > chunk and len(piece.splitlines()[-1]) < len(
+        piece.splitlines(keepends=True)[-1]) for piece in pieces[:-1])
     assert [line for piece in pieces for line in piece.splitlines()] == text.splitlines()
+
+
+@pytest.mark.parametrize("length", [0, 1, 254, 255, 256, 511, 512, 1023, 5000])
+@pytest.mark.parametrize("end", ["\n", "\r", "\r\n", "\x0b", "\x85", "\u2028", ""])
+def test_line_end_is_splitlines_at_any_length(length, end):
+    """_line_end finds the first line's end however long the line is, with
+    a CRLF pair kept whole where it straddles a window's edge."""
+    text = "7" * length + end + "8\r\n9"
+    for pos in (0, 1, length // 2, length, len(text)):
+        rest = text[pos:]
+        want = pos + len(rest.splitlines(keepends=True)[0]) if rest else len(text)
+        assert matio._line_end(text, pos) == want
 
 
 def test_fast_parse_memory_is_bounded_by_blocks():
@@ -493,6 +507,32 @@ def test_checked_parse_memory_is_bounded(form):
         assert str(error.value) == f"m.txt:5001: column 40: invalid number {token!r}"
     # per-row lists of Python floats would hold about 6.9 times the result
     assert peak < 1.5 * nbytes
+
+
+def test_bare_cr_text_is_read_in_chunks():
+    """A text whose lines end in a bare CR is cut into chunks as a
+    line-feed text is: it reads to the same values, holds less than 1.5
+    times the result, and reports a bad last token at the same line and
+    column."""
+    text = dumps_matrix(np.random.default_rng(0).normal(size=(5000, 40)))
+    cr = text.replace("\n", "\r")
+    assert len(list(matio._chunks(cr))) == len(list(matio._chunks(text))) > 2
+    tracemalloc.start()
+    try:
+        got = loads_matrix(cr)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got.tobytes() == loads_matrix(text).tobytes()
+    # the whole text split into lines at once would be about 10 times
+    assert peak < 1.5 * got.nbytes
+    messages = []
+    for form in (text, cr):
+        with pytest.raises(MatrixParseError) as error:
+            loads_matrix(form[:-1] + "x" + form[-1], "m.txt")
+        messages.append(str(error.value))
+    assert messages[0] == messages[1]
+    assert messages[0].startswith("m.txt:5001: column 40: invalid number")
 
 
 READ_WITHOUT_WRITER_TABLES = """

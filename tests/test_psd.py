@@ -220,7 +220,7 @@ class TestCanonicalizationLeavesInputsAlone:
     SPECTRA = {"full": lambda rng: random_psd(rng, 6),
                "truncated": lambda rng: random_psd(rng, 6, rank=3),
                "tied": lambda rng: np.diag([3.0, 1.0, 3.0, 1.0, 1.0, 0.0]),
-               # eigh's order already descends, so nothing is permuted
+               # one block of ties
                "equal": lambda rng: 2.0 * np.eye(6)}
 
     @pytest.mark.parametrize("spectrum", SPECTRA)
@@ -241,6 +241,100 @@ class TestCanonicalizationLeavesInputsAlone:
         for result in out:
             assert not np.shares_memory(result, k)
             assert not np.shares_memory(result, basis)
+
+
+def _pinned_copy(values, vectors):
+    out = np.array(vectors)
+    psd._pin(values, out)
+    return out
+
+
+class TestCanonicalForm:
+    """Every canonical factor has its columns pinned: each column's
+    largest-magnitude entry is positive, and columns of exactly equal
+    eigenvalues come in ascending order of their entries."""
+
+    SPECTRA = TestCanonicalizationLeavesInputsAlone.SPECTRA
+
+    @staticmethod
+    def _factor(case, k, basis):
+        if case == "canonical_sqrt":
+            return canonical_sqrt(k)
+        if case == "in_basis":
+            return psd.canonical_sqrt_in_basis(basis, k)
+        if case == "canonicalize_factor":
+            return canonicalize_factor(k)
+        # every mode of k, by count and by energy; the tied spectrum's
+        # blocks are then cut nowhere, so both must equal canonical_sqrt's
+        rank = canonical_sqrt(k).rank
+        return kl_truncate(k, rank if case == "kl_count" else 1.0).factor
+
+    @pytest.mark.parametrize("spectrum", SPECTRA)
+    @pytest.mark.parametrize("case", ["canonical_sqrt", "in_basis", "canonicalize_factor",
+                                      "kl_count", "kl_energy"])
+    def test_signs_ties_and_zeros_pinned(self, case, spectrum, rng):
+        k = self.SPECTRA[spectrum](rng)
+        # two zero rows, so every embedded column B Z has exact zeros
+        basis = np.vstack([random_orthogonal(rng, 6), np.zeros((2, 6))])
+        out = self._factor(case, k, basis)
+        factor, values = out.factor, out.eigenvalues
+        assert values.size and (values[:-1] >= values[1:]).all()
+        lead = np.argmax(np.abs(factor), axis=0)
+        assert (factor[lead, np.arange(values.size)] > 0).all()
+        for i in np.flatnonzero(values[1:] == values[:-1]).tolist():
+            assert tuple(factor[:, i]) <= tuple(factor[:, i + 1])
+        if case == "in_basis":
+            assert not np.signbit(factor[factor == 0.0]).any()
+        if case.startswith("kl"):
+            reference = canonical_sqrt(k)
+            assert factor.tobytes() == reference.factor.tobytes()
+
+    def test_kl_truncate_settles_a_tie_block_across_its_cut(self):
+        # dsyevd leaves the tied unit columns here out of the pinned order
+        k = np.diag([1.0, 3.0, 1.0, 1.0, 3.0, 0.0])
+        full = canonical_sqrt(k)
+        for count in range(1, 6):
+            modes = kl_truncate(k, count).factor
+            assert modes.factor.tobytes() == full.factor[:, :count].tobytes()
+
+
+class TestTwoPassReference:
+    """condition's posterior factor is bit for bit the two-pass recipe of
+    pinning Z, embedding it and pinning B Z again, with zeros made +0.0:
+    pinning B Z once gives the same columns whatever signs dsyevd gave Z."""
+
+    @staticmethod
+    def _priors(rng, n):
+        levels = np.array([3.0, 1.0, 0.0])[np.arange(n) % 3]
+        rotation = random_orthogonal(rng, n)
+        return {"cI": 1.5 * np.eye(n),
+                "two-repeated": np.diag(np.where(np.arange(n) % 2, 0.5, 2.0)),
+                "rotated-three-level": (rotation * levels) @ rotation.T}
+
+    @pytest.mark.parametrize("n", [3, 6, 12, 40])
+    @pytest.mark.parametrize("prior_kind", ["cI", "two-repeated", "rotated-three-level"])
+    @pytest.mark.parametrize("h_kind", ["point", "dense"])
+    def test_condition_matches_two_pass_recipe(self, n, prior_kind, h_kind, rng,
+                                               monkeypatch):
+        prior = GaussianLaw.from_moments(np.zeros(n), self._priors(rng, n)[prior_kind])
+        m = max(1, n // 3)
+        h = np.eye(n)[::3][:m] if h_kind == "point" else rng.normal(size=(m, n))
+        obs = ObservationModel(h, 0.25 * np.eye(m))
+        seen = []
+        real = psd.canonical_sqrt_in_basis
+
+        def record(basis, core, rank_tol=None, scale_floor=0.0):
+            seen.append((np.array(basis), np.array(core), rank_tol, scale_floor))
+            return real(basis, core, rank_tol, scale_floor)
+
+        monkeypatch.setattr(psd, "canonical_sqrt_in_basis", record)
+        posterior = condition(prior, obs, rng.normal(size=m))
+        (basis, core, rank_tol, scale_floor), = seen
+        values, z = eig_psd(core, psd._rank_tol(rank_tol, n), scale_floor)
+        reference = _pinned_copy(values, basis @ _pinned_copy(values, z))
+        reference = reference * np.sqrt(values) + 0.0
+        assert posterior.cov_factor.eigenvalues.tobytes() == values.tobytes()
+        assert posterior.cov_factor.factor.tobytes() == reference.tobytes()
 
 
 class TestRangeProjector:

@@ -14,6 +14,7 @@ ROOT = Path(__file__).resolve().parent.parent
     ("run_enkf_convergence.py", ["--sizes", "100", "--seeds", "2"]),
     ("cli_snapshot.py", ["snapshot"]),
     ("check_number_format.py", ["--count", "20000"]),
+    ("numerics_digest.py", ["--count", "9", "--kernels", "1"]),
 ])
 def test_script_runs(script, args, tmp_path):
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
