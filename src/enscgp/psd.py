@@ -169,10 +169,10 @@ def _fix_signs(vectors: np.ndarray) -> None:
         return
     # a column-major |V| lets argmax walk each column in place, without the
     # copy it makes of a row-major one
-    lead = np.argmax(np.abs(vectors, order="F"), axis=0)
-    signs = np.sign(vectors[lead, np.arange(vectors.shape[1])])
-    signs[signs == 0.0] = 1.0
-    vectors *= signs
+    lead = np.abs(vectors, order="F").argmax(axis=0)
+    # a lead entry is zero only in a column of zeros, whose np.sign, +0.0,
+    # leaves every entry as it is
+    vectors *= np.sign(vectors[lead, np.arange(vectors.shape[1])])
 
 
 def _pin(values: np.ndarray, vectors: np.ndarray) -> None:
@@ -314,9 +314,9 @@ def canonical_sqrt_in_basis(basis, core, rank_tol: float | None = None,
     values, vectors = eig_psd(core, _rank_tol(rank_tol, b.shape[0]), scale_floor)
     vectors = b @ vectors
     _pin(values, vectors)
-    factor = vectors * np.sqrt(values)
-    factor += 0.0
-    return PsdFactor(factor=factor, eigenvalues=values)
+    vectors *= np.sqrt(values)
+    vectors += 0.0
+    return PsdFactor(factor=vectors, eigenvalues=values)
 
 
 def canonicalize_factor(factor, rank_tol: float | None = None) -> PsdFactor:
