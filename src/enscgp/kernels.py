@@ -112,10 +112,7 @@ def kl_truncate(cov, r, rank_tol: float | None = None) -> KlModes:
         fraction = float(r)
         if not 0.0 < fraction <= 1.0:
             raise ValueError(f"energy fraction {fraction} outside (0, 1]")
-    values, vectors = psd.eig_psd(cov, rank_tol)
-    # pinned before the count cut, so a tie block that straddles it is
-    # settled over the whole block
-    psd._pin(values, vectors)
+    values, vectors = psd.pinned_spectrum(cov, rank_tol)
     rank = values.size
     if by_count:
         count = int(r)

@@ -3,17 +3,19 @@
 Eigendecomposition with explicit numerical-rank decisions and canonical
 square roots (with their pseudoinverse). Everything downstream
 (conditioning, quadratic solves, RKHS geometry) is built on the factored
-form produced here, so rank thresholds, eigenvector signs, and tie-breaking
-are all pinned to keep outputs reproducible across runs.
+form produced here. Every rank decision follows one rule (below), and
+eigenvector signs and tie-breaking are pinned in every factor this module builds
+(:func:`canonical_sqrt`, :func:`canonical_sqrt_in_basis`,
+:func:`canonicalize_factor`, :func:`pinned_spectrum` and so
+``kernels.kl_truncate``), which keeps those outputs reproducible across runs.
 
 The work is split once: :func:`eig_psd` decides the rank and returns the
-kept columns unpinned, and each constructor that keeps columns
-(:func:`canonical_sqrt`, :func:`canonical_sqrt_in_basis`,
-:func:`canonicalize_factor`, ``kernels.kl_truncate``) pins them once with
-``_pin``: each column's largest-magnitude entry positive, and columns of
-exactly equal eigenvalues in ascending order of their entries.
-:func:`canonical_sqrt_in_basis` pins only the embedded columns and makes
-every zero of its factor +0.0.
+kept columns unpinned, so its columns' signs, and their order within a
+block of equal eigenvalues, are those of the LAPACK build. Each
+constructor that keeps columns pins them once: each column's
+largest-magnitude entry positive, and columns of exactly equal eigenvalues
+in ascending order of their entries. :func:`canonical_sqrt_in_basis` pins
+only the embedded columns and makes every zero of its factor +0.0.
 
 Rank convention: an eigenvalue (or singular value) counts toward the rank
 when it exceeds ``rank_tol * largest_magnitude_eigenvalue``. The default
@@ -205,9 +207,9 @@ def eig_psd(matrix, rank_tol: float | None = None, scale_floor: float = 0.0):
     in descending order (their count is the rank) and the matching
     orthonormal columns, as one new C-ordered array. The columns are not
     pinned: their signs, and their order within a block of equal
-    eigenvalues, are dsyevd's. The constructors that keep them
-    (:func:`canonical_sqrt`, :func:`canonical_sqrt_in_basis`,
-    ``kernels.kl_truncate``) pin them once. The matrix is symmetrized
+    eigenvalues, are dsyevd's and so depend on the LAPACK build. The
+    constructors that keep them (:func:`canonical_sqrt`,
+    :func:`canonical_sqrt_in_basis`, :func:`pinned_spectrum`) pin them once. The matrix is symmetrized
     first. Raises :class:`NotPsdError` when some eigenvalue falls below
     minus the effective threshold, and ``ValueError`` on non-finite entries
     (a NaN matrix would otherwise come out as rank 0).
@@ -285,6 +287,20 @@ class PsdFactor:
         """Moore-Penrose pseudoinverse U_r diag(1/eigenvalues) U_r^T."""
         u = self.basis()
         return symmetrize((u / self.eigenvalues) @ u.T)
+
+
+def pinned_spectrum(matrix, rank_tol: float | None = None):
+    """:func:`eig_psd`'s ``(eigenvalues, eigenvectors)`` with the columns
+    pinned over the whole kept spectrum.
+
+    For callers that keep a leading count of the columns (``kernels.kl_truncate``):
+    the pin comes before their cut, so a tie block that straddles it is
+    settled over the whole block and the kept columns are those of
+    :func:`canonical_sqrt`.
+    """
+    values, vectors = eig_psd(matrix, rank_tol)
+    _pin(values, vectors)
+    return values, vectors
 
 
 def canonical_sqrt(matrix, rank_tol: float | None = None) -> PsdFactor:

@@ -297,6 +297,16 @@ class TestCanonicalForm:
             modes = kl_truncate(k, count).factor
             assert modes.factor.tobytes() == full.factor[:, :count].tobytes()
 
+    def test_eig_psd_columns_are_pinned_by_pinned_spectrum(self):
+        # eig_psd's columns keep dsyevd's signs and tie order; pinning them
+        # is exactly pinned_spectrum, whose columns canonical_sqrt scales
+        k = np.diag([1.0, 3.0, 1.0, 1.0, 3.0, 0.0])
+        values, vectors = eig_psd(k)
+        pinned_values, pinned = psd.pinned_spectrum(k)
+        assert values.tobytes() == pinned_values.tobytes()
+        assert _pinned_copy(values, vectors).tobytes() == pinned.tobytes()
+        assert (pinned * np.sqrt(values)).tobytes() == canonical_sqrt(k).factor.tobytes()
+
 
 class TestTwoPassReference:
     """condition's posterior factor is bit for bit the two-pass recipe of

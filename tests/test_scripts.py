@@ -1,3 +1,5 @@
+import hashlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -14,7 +16,6 @@ ROOT = Path(__file__).resolve().parent.parent
     ("run_enkf_convergence.py", ["--sizes", "100", "--seeds", "2"]),
     ("cli_snapshot.py", ["snapshot"]),
     ("check_number_format.py", ["--count", "20000"]),
-    ("numerics_digest.py", ["--count", "9", "--kernels", "1"]),
 ])
 def test_script_runs(script, args, tmp_path):
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
@@ -22,3 +23,22 @@ def test_script_runs(script, args, tmp_path):
                             cwd=tmp_path, env={**os.environ, "PYTHONPATH": path},
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
+
+
+def test_numerics_digest_parts_run(monkeypatch):
+    """The digest's three parts, on a small corpus and one kernel prior (the
+    script's own run, over 300 instances and six priors, is CI's)."""
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)  # restored after the import sets them
+    spec = importlib.util.spec_from_file_location("numerics_digest",
+                                                  ROOT / "scripts" / "numerics_digest.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    digests = []
+    for _ in range(2):
+        digest = hashlib.sha256()
+        script.corpus(digest, 9)
+        script.kernel_priors(digest, 1)
+        script.tie_family(digest)
+        digests.append(digest.hexdigest())
+    assert digests[0] == digests[1]
