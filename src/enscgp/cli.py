@@ -367,6 +367,8 @@ def _check_flags(args: argparse.Namespace) -> None:
     if args.rank_tol is not None and not 0 <= args.rank_tol < math.inf:
         raise ValueError(
             f"rank tolerance must be finite and nonnegative, got {args.rank_tol}")
+    if args.seed < 0:
+        raise ValueError(f"--seed must be nonnegative, got {args.seed}")
     if args.command == "collapse" and not 1 <= args.k_max <= experiments.K_MAX_CAP:
         raise ValueError(
             f"--k-max must be in [1, {experiments.K_MAX_CAP}], got {args.k_max}")

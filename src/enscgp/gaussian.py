@@ -2,21 +2,22 @@
 
 A law carries its covariance in factored form K = A A^T, so singular
 (low-rank, ensemble-derived) priors are first-class citizens. Conditioning
-on linear observations y = H f + noise follows the Schur-complement update
+on linear observations y = H f + noise is the Schur-complement update
 
     mean_post = m + K H^T (H K H^T + R)^(-1) (y - H m)
     cov_post  = K - K H^T (H K H^T + R)^(-1) H K
 
-realized with a Cholesky factorization L L^T of the innovation covariance
-H K H^T + R, which is SPD whenever R is, even for singular K. The
-covariance update never forms an n x n matrix: with the canonical prior
-factor A = U S and W = L^(-1) H A, it is the same Schur complement written
-in the prior's range basis, cov_post = U C U^T with the r x r core
-C = S (I - W^T W) S, and only C is eigendecomposed. The posterior
-covariance is also available through the inverse of the quadratic-form
-Hessian restricted to Range(K), which in the range basis is
-diag(1/lambda) + (H U)^T R^(-1) (H U); the two must agree, and tests
-enforce it.
+which :func:`condition` evaluates from one matrix, W = L^(-1) H A, where
+L L^T = (H A)(H A)^T + R is SPD whenever R is, even for singular K. With
+the canonical prior factor A = U S, the mean is m + A W^T L^(-1) (y - H m)
+and the covariance is U C U^T with the r x r core C = S (I - W^T W) S, so
+no gain, no n x m and no n x n array is formed, only C is
+eigendecomposed, and a step costs O(n r m + n r^2 + m^2 r + m^3 + r^3).
+:func:`kalman_gain` forms the gain K H^T (H K H^T + R)^(-1) itself, for
+the ensemble update that applies it. The posterior covariance is also
+available through the inverse of the quadratic-form Hessian restricted to
+Range(K), which in the range basis is diag(1/lambda) + (H U)^T R^(-1) (H U);
+the two must agree, and tests enforce it.
 
 R is factored once, R = L_R L_R^T, when the observation model is built.
 Every R^(-1)-weighted Gram matrix X^T R^(-1) X (the restricted Hessian's,
@@ -82,6 +83,14 @@ class GaussianLaw:
         return cls(np.asarray(mean, dtype=float), psd.canonical_sqrt(cov, rank_tol))
 
 
+def _spd_chol(matrix: np.ndarray, name: str) -> np.ndarray:
+    """Lower Cholesky factor of an SPD matrix; NotSpdError names it if it is not."""
+    try:
+        return _chol_lower(matrix)
+    except np.linalg.LinAlgError:
+        raise NotSpdError(f"{name} is not positive definite") from None
+
+
 @dataclass(frozen=True)
 class ObservationModel:
     """Linear observation model y = H f + e with e ~ N(0, R), R SPD.
@@ -108,10 +117,7 @@ class ObservationModel:
                 f"R is {r.shape[0]}x{r.shape[0]} but H has {h.shape[0]} rows"
             )
         _check_finite(h)
-        try:
-            chol = _chol_lower(r)
-        except np.linalg.LinAlgError:
-            raise NotSpdError("noise covariance R is not positive definite") from None
+        chol = _spd_chol(r, "noise covariance R")
         object.__setattr__(self, "H", h)
         object.__setattr__(self, "R", r)
         object.__setattr__(self, "_noise_chol", chol)
@@ -165,16 +171,7 @@ def _check_data(obs: ObservationModel, y) -> np.ndarray:
     return y
 
 
-def _gain_and_innovation(prior: GaussianLaw, obs: ObservationModel):
-    """Gain G and the lower Cholesky factor of H K H^T + R."""
-    a = prior.cov_factor.factor
-    kht = a @ (a.T @ obs.H.T)
-    innovation_cov = symmetrize(obs.H @ kht) + obs.R
-    try:
-        chol = _chol_lower(innovation_cov)
-    except np.linalg.LinAlgError:
-        raise NotSpdError("innovation covariance H K H^T + R is not SPD") from None
-    return _chol_solve(chol, kht.T).T, chol
+_INNOVATION = "innovation covariance H K H^T + R"  # condition and kalman_gain factor it
 
 
 def kalman_gain(prior: GaussianLaw, obs: ObservationModel) -> np.ndarray:
@@ -184,35 +181,37 @@ def kalman_gain(prior: GaussianLaw, obs: ObservationModel) -> np.ndarray:
     lies in Range(K) by construction.
     """
     _check_compatible(prior, obs)
-    return _gain_and_innovation(prior, obs)[0]
+    a = prior.cov_factor.factor
+    kht = a @ (a.T @ obs.H.T)
+    chol = _spd_chol(symmetrize(obs.H @ kht) + obs.R, _INNOVATION)
+    return _chol_solve(chol, kht.T).T
 
 
 def condition(prior: GaussianLaw, obs: ObservationModel, y,
               rank_tol: float | None = None) -> GaussianLaw:
-    """Exact Gaussian conditioning on y = H f + e.
+    """Exact Gaussian conditioning on y = H f + e, from W = L^(-1) H A alone.
 
-    The mean is the gain-form update m + G (y - H m). The covariance
-    K - G H K is the r x r core C = S (I - W^T W) S in the prior's range
-    basis (see the module docstring), with W built from the innovation
-    Cholesky factor that the gain already computes. Only C is
-    eigendecomposed, so the covariance update costs
-    O(n r m + n r^2 + m^2 r + r^3), not O(n^3); the gain itself costs
-    O(n r m + n m^2 + m^3). The rank decision is the one the dense n x n
-    posterior would get: default cutoff from n, threshold floored at the
-    prior's largest eigenvalue. The factored form stays closed under
-    conditioning and the posterior rank never exceeds the prior rank. With
-    zero observations the prior is returned unchanged.
+    L is the Cholesky factor of (H A)(H A)^T + R, with R as given; the mean
+    m + A W^T L^(-1) (y - H m) and the r x r covariance core
+    S (I - W^T W) S both come from it (see the module docstring), so a step
+    costs O(n r m + n r^2 + m^2 r + m^3 + r^3), not O(n^3). The rank
+    decision is the one the dense n x n posterior would get: default cutoff
+    from n, threshold floored at the prior's largest eigenvalue. The
+    factored form stays closed under conditioning and the posterior rank
+    never exceeds the prior rank. With zero observations the prior is
+    returned unchanged.
     """
     _check_compatible(prior, obs)
     y = _check_data(obs, y)
     if obs.n_obs == 0:
         return prior
-    gain, chol = _gain_and_innovation(prior, obs)
-    mean = prior.mean + gain @ (y - obs.H @ prior.mean)
-    core = np.diag(prior.cov_factor.eigenvalues)
-    ws = _tril_solve(chol, obs.H @ prior.cov_factor.factor)
-    ws *= np.sqrt(prior.cov_factor.eigenvalues)  # W S
-    core -= ws.T @ ws
+    a = prior.cov_factor.factor
+    ha = obs.H @ a
+    chol = _spd_chol(ha @ ha.T + obs.R, _INNOVATION)
+    w = _tril_solve(chol, ha)
+    mean = prior.mean + a @ (w.T @ _tril_solve(chol, y - obs.H @ prior.mean))
+    w *= np.sqrt(prior.cov_factor.eigenvalues)  # W S
+    core = np.diag(prior.cov_factor.eigenvalues) - w.T @ w
     # round-off in the update lives at the prior's scale, so the
     # re-factoring threshold is floored there
     scale = float(prior.cov_factor.eigenvalues[0]) if prior.rank else 0.0

@@ -155,6 +155,12 @@ class TestExitCodes:
          "variance"),
         (["kl-sample", "ghost.txt", "--family", "squared-exponential",
           "--lengthscale", "0"], "lengthscale"),
+        (["condition", *("ghost.txt",) * 5, "--seed", "-1"], "--seed"),
+        (["ens-cgp", *("ghost.txt",) * 4, "--seed", "-1"], "--seed"),
+        (["equivalence", "--seed", "-1"], "--seed"),
+        (["collapse", *("ghost.txt",) * 5, "--seed", "-1"], "--seed"),
+        (["kl-sample", "ghost.txt", "--family", "exponential", "--seed", "-1"], "--seed"),
+        (["enkf", *("ghost.txt",) * 4, "--seed", "-1"], "--seed"),
     ])
     def test_out_of_range_flag_is_input_error(self, argv, flag, capsys):
         # the input files do not exist, so the flag must be checked before any read

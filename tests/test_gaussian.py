@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from enscgp import (DimensionError, DiscreteRkhs, Ensemble, GaussianLaw, NotSpdE
                     ObservationModel, PsdFactor, build_qp, canonical_sqrt,
                     canonicalize_factor, condition, default_rank_tol, eig_psd,
                     enkf_mean_update, ens_cgp, ensemble_stats, kalman_gain,
-                    posterior_cov_via_hessian, psd, rkhs_solve)
+                    gaussian, posterior_cov_via_hessian, psd, rkhs_solve)
 from enscgp.experiments import make_instance
 from enscgp.psd import _tril_solve
 
@@ -276,10 +278,52 @@ class TestConditionInRangeBasis:
         assert 2 * default_rank_tol(2) < small[-1] / lam_max < default_rank_tol(n) / 2
         assert post.rank == eig_psd(dense, scale_floor=lam_max)[0].size == 1
 
-    def test_ens_cgp_mean_is_the_gain_form_mean_bitwise(self, rng):
+    def test_ens_cgp_mean_agrees_with_the_gain_form_mean(self, rng):
+        # condition shares no arithmetic with kalman_gain beyond the inputs,
+        # so the two evaluations of one formula agree to round-off only
         ens, obs, y = ensemble_instance(rng, 300)
         update = enkf_mean_update(ensemble_stats(ens), obs, y)
-        assert np.array_equal(ens_cgp(ens, obs, y).mean, update)
+        mean = ens_cgp(ens, obs, y).mean
+        assert np.linalg.norm(mean - update) <= 1e-12 * np.linalg.norm(update)
+
+    def test_innovation_not_spd_is_one_error_for_both_routes(self):
+        # R's diagonal is lost to round-off against (H A)(H A)^T = 1e16 ones
+        prior = GaussianLaw(np.zeros(1), canonicalize_factor([[1e8]]))
+        obs = ObservationModel([[1.0], [1.0]], 1e-10 * np.eye(2))
+        for route in (lambda: condition(prior, obs, [0.0, 0.0]),
+                      lambda: kalman_gain(prior, obs)):
+            with pytest.raises(NotSpdError, match="innovation covariance"):
+                route()
+
+    def test_forms_no_gain(self, rng, monkeypatch):
+        def no_gain(*args, **kwargs):
+            raise AssertionError("condition went through the Kalman gain")
+
+        ens, obs, y = ensemble_instance(rng, 300)
+        prior = ensemble_stats(ens)
+        expected = condition(prior, obs, y)
+        monkeypatch.setattr(gaussian, "kalman_gain", no_gain)
+        monkeypatch.setattr(gaussian, "_chol_solve", no_gain)
+        post = condition(prior, obs, y)
+        assert post.mean.tobytes() == expected.mean.tobytes()
+
+    def test_memory_is_rank_and_observation_sized(self, rng):
+        # at the gain route's cost, K H^T alone is n m doubles, about 7.6 MiB
+        n, m, r = 5000, 200, 4
+        prior = GaussianLaw(rng.normal(size=n),
+                            canonicalize_factor(rng.normal(size=(n, r))))
+        h = np.zeros((m, n))
+        h[np.arange(m), rng.choice(n, size=m, replace=False)] = 1.0
+        obs = ObservationModel(h, 0.1 * np.eye(m))
+        y = rng.normal(size=m)
+        tracemalloc.start()
+        try:
+            post = condition(prior, obs, y)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert post.rank == r
+        assert peak < 4 * 8 * (n * r + m * m), f"peak {peak / 2**20:.2f} MiB"
 
 
 class TestPosteriorCovViaHessian:
