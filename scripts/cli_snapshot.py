@@ -30,7 +30,12 @@ def main() -> int:
          "points": rng.uniform(size=(20, 2)),
          # large enough that reports and member files take matio's batch formatter
          "ens_big": rng.normal(size=(300, 24)) * np.logspace(-6, 6, 300)[:, None],
-         "H_big": np.eye(300)[::10], "R_big": np.eye(30), "y_big": rng.normal(size=30)}
+         "H_big": np.eye(300)[::10], "R_big": np.eye(30), "y_big": rng.normal(size=30),
+         # a prior whose mean shifts (about 1e200) square to above the largest
+         # double, and three points for kernels at extreme variances
+         "mean_huge": np.zeros(2), "cov_huge": np.diag([1e300, 1e300]),
+         "H_huge": np.array([[1.0, 0.0]]), "R_huge": np.eye(1), "y_huge": np.array([1e200]),
+         "points3": np.array([0.1, 0.5, 0.9])}
     # a dense 40x40 R (rank-20 correlated part plus white noise); the enkf
     # perturbations go through its Cholesky factor
     d = rng.normal(size=(40, 20))
@@ -81,14 +86,24 @@ def main() -> int:
             "kl-sample-energy-0.9": ["kl-sample", p["points"], "--family", "exponential",
                                      "--energy", "0.9"],
             "kl-sample-energy-0.5": ["kl-sample", p["points"], "--family", "exponential",
-                                     "--energy", "0.5"]}
+                                     "--energy", "0.5"],
+            # norms beyond the range of their squares: the collapse trace's
+            # mean shifts and kl-sample's residual, |K|_F^2 over- and underflowing
+            "collapse-huge-prior": ["collapse", *(p[f"{name}_huge"] for name in
+                                                  ("mean", "cov", "H", "R", "y")),
+                                    "--k-max", "3"],
+            "kl-sample-linear-1e307": ["kl-sample", p["points3"], "--family", "linear",
+                                       "--variance", "1e307"],
+            "kl-sample-variance-1e-300": ["kl-sample", p["points3"], "--family",
+                                          "exponential", "--variance", "1e-300",
+                                          "--energy", "0.5"]}
     failed = 0
     for name, argv in runs.items():
         for fmt in ("text", "structured"):
             stem = out / f"{name}.{fmt}"
             saved = ["--save-members", f"{stem}.members.txt"] if argv[0] == "enkf" else []
             code = cli.main([*argv, "--format", fmt, "--out", f"{stem}.txt", *saved])
-            print(f"{name:18s} {fmt:10s} exit {code}")
+            print(f"{name:26s} {fmt:10s} exit {code}")
             failed += code != 0
     return 1 if failed else 0
 

@@ -30,6 +30,7 @@ from . import experiments, kernels, matio
 from .errors import DegenerateModelError, DimensionError
 from .gaussian import GaussianLaw, ObservationModel, condition, kalman_gain
 from .matio import format_float
+from .psd import _norm, _norms
 
 COMMANDS = ("condition", "ens-cgp", "equivalence", "collapse", "kl-sample", "enkf")
 
@@ -195,6 +196,7 @@ def _run_kl_sample(args: argparse.Namespace):
     if not 1 <= points.shape[0] <= kernels.POINTS_CAP:
         raise ValueError(f"{points_p}: POINTS must have 1 to {kernels.POINTS_CAP} rows, "
                          f"got {points.shape[0]}")
+    _check_gram_range(spec, points, points_p)
 
     def compute():
         gram = kernels.gram_matrix(spec, points)
@@ -216,6 +218,30 @@ def _run_kl_sample(args: argparse.Namespace):
         return matio.dumps_matrix(samples, comments), {}
 
     return compute
+
+
+def _check_gram_range(spec: kernels.KernelSpec, points: np.ndarray, points_p) -> None:
+    """Reject POINTS and flags whose Gram matrix K overflows when it is formed,
+    symmetrized or eigendecomposed, before any of that is done.
+
+    Forming K takes products x_i . x_j and squared norms, each at most
+    |x|_F^2, and the squared distances add up to four of them. Every
+    eigenvalue of the PSD matrix K is at most its trace, and so is every
+    entry, so (K + K^T)/2 and the eigendecomposition stay finite when twice
+    the trace does: n * variance for the stationary and white kernels,
+    variance * |x|_F^2 for the linear one.
+    """
+    norm = _norm(points)
+    if spec.family is not kernels.KernelFamily.WHITE and not 4.0 * norm * norm < math.inf:
+        raise ValueError(f"{points_p}: POINTS too large: their squared Frobenius norm "
+                         f"({norm:.3e} squared) overflows")
+    if spec.family is kernels.KernelFamily.LINEAR:
+        trace = spec.variance * norm * norm
+    else:
+        trace = spec.variance * points.shape[0]
+    if not 2.0 * trace < math.inf:
+        raise ValueError(f"--variance {spec.variance!r} is too large for {points_p}: "
+                         f"twice the Gram matrix's trace overflows")
 
 
 def _run_enkf(args: argparse.Namespace):
@@ -241,8 +267,8 @@ def _run_enkf(args: argparse.Namespace):
                  ("updated_sample_mean", sample_mean),
                  ("sample_mean_discrepancy",
                   experiments.rel_vec_diff(sample_mean, exact))]
-        prior_dev = np.linalg.norm(members.members - prior.mean[:, None], axis=0)
-        post_dev = np.linalg.norm(updated.members - sample_mean[:, None], axis=0)
+        prior_dev = _norms(members.members - prior.mean[:, None])
+        post_dev = _norms(updated.members - sample_mean[:, None])
         trace_lines = ["# member  prior_deviation  posterior_deviation"]
         for e in range(members.size):
             trace_lines.append(
@@ -341,7 +367,9 @@ def _build_parser() -> argparse.ArgumentParser:
                                             f"1 to {kernels.POINTS_CAP} rows)")
     p.add_argument("--family", choices=[f.value for f in kernels.KernelFamily],
                    required=True)
-    p.add_argument("--variance", type=float, default=1.0)
+    p.add_argument("--variance", type=float, default=1.0,
+                   help="kernel variance; twice the Gram matrix's trace (n * variance, "
+                        "or variance * |POINTS|_F^2 for linear) must be a finite double")
     p.add_argument("--lengthscale", type=float, default=1.0)
     p.add_argument("--modes", type=int, default=None, help="number of eigenmodes to keep")
     p.add_argument("--energy", type=float, default=None,

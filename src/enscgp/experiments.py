@@ -21,7 +21,6 @@ single-observation inference.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +28,7 @@ import numpy as np
 from . import ensemble, gaussian, psd, quadprog, rkhs
 from .errors import NotSpdError
 from .gaussian import GaussianLaw, ObservationModel
-from .psd import _chol_lower, _chol_solve, symmetrize
+from .psd import _chol_lower, _chol_solve, _norm, _norms, symmetrize
 from .rng import NormalStream
 
 MEAN_TOL = 1e-8
@@ -39,16 +38,20 @@ MEAN_ROUTES = ("schur", "qp", "rkhs", "gain")
 MEAN_PAIRS = tuple(itertools.combinations(MEAN_ROUTES, 2))
 
 
-def _norm(x: np.ndarray) -> float:
-    # np.linalg.norm's own ord=None path (same bits) without its dispatch
-    x = x.ravel(order="K")
-    return math.sqrt(x.dot(x))
+def _relative(diff: np.ndarray, norm_a: float, norm_b: float) -> float:
+    """|a - b| / max(1, |a|, |b|) from diff = a - b and the norms of a and b.
+
+    A NaN or infinite entry of a or b makes diff's norm, and so the result,
+    NaN or inf, which no tolerance passes.
+    """
+    return _norm(diff) / max(1.0, norm_a, norm_b)
 
 
 def rel_vec_diff(a: np.ndarray, b: np.ndarray) -> float:
-    """Symmetric relative (Frobenius for matrices) difference with a unit floor."""
+    """Symmetric relative (Frobenius for matrices) difference with a unit
+    floor, with norms that are in range at any scale (:func:`psd._norm`)."""
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    return _norm(a - b) / max(1.0, _norm(a), _norm(b))
+    return _relative(a - b, _norm(a), _norm(b))
 
 
 @dataclass(frozen=True)
@@ -66,7 +69,8 @@ class EquivalenceReport:
 
     @property
     def max_mean_discrepancy(self) -> float:
-        return max(self.mean_discrepancies.values())
+        """The largest mean discrepancy, NaN if any is NaN."""
+        return float(np.max(list(self.mean_discrepancies.values())))
 
 
 def run_equivalence(prior: GaussianLaw, obs: ObservationModel, y,
@@ -85,13 +89,14 @@ def run_equivalence(prior: GaussianLaw, obs: ObservationModel, y,
 
     means = {"schur": posterior.mean, "qp": qp_mean, "rkhs": rkhs_mean,
              "gain": gain_mean}
-    # rel_vec_diff's arithmetic, with each mean's norm taken once, not per pair
+    # rel_vec_diff, with each mean's norm taken once, not per pair
     norms = {route: _norm(mean) for route, mean in means.items()}
-    mean_disc = {(a, b): _norm(means[a] - means[b]) / max(1.0, norms[a], norms[b])
+    mean_disc = {(a, b): _relative(means[a] - means[b], norms[a], norms[b])
                  for a, b in MEAN_PAIRS}
     cov_disc = rel_vec_diff(posterior.covariance, gaussian.posterior_cov_via_hessian(
         prior, obs, hessian_chol=hessian_chol))
-    passed = max(mean_disc.values()) <= MEAN_TOL and cov_disc <= COV_TOL
+    # every comparison with a NaN is false, so a NaN discrepancy fails
+    passed = all(d <= MEAN_TOL for d in mean_disc.values()) and cov_disc <= COV_TOL
     return EquivalenceReport(n=prior.dim, m=obs.n_obs, rank=prior.rank, seed=seed,
                              means=means, mean_discrepancies=mean_disc,
                              cov_discrepancy=cov_disc, passed=passed)
@@ -184,7 +189,8 @@ def repeated_reuse(prior: GaussianLaw, obs: ObservationModel, y,
     m_k and keeps only their norms, so memory is O(n^2 + k_max). For k up to
     ``RECURSION_LIMIT`` the closed form is cross-checked, in the same pass,
     against literally conditioning k times; the largest relative discrepancy
-    observed is recorded in the trace.
+    observed is recorded in the trace. A mean or a discrepancy that overflows
+    raises ``ValueError``.
     """
     if prior.rank != prior.dim:
         raise NotSpdError(
@@ -212,16 +218,19 @@ def repeated_reuse(prior: GaussianLaw, obs: ObservationModel, y,
         mean_k = cov_k @ (b0 + k * pulled_data)
         if k == 0:
             mean_0 = mean_k
-        shift = mean_k - mean_0
-        # the summation of norm(..., axis=1), which the reported digits follow;
-        # norm of a 1-D vector sums through a dot product instead
-        mean_shift_norms[k] = np.sqrt(np.add.reduce(shift * shift))
+        # _norms sums as norm(..., axis=...) does, which the reported digits
+        # follow; _norm sums through a dot product instead
+        mean_shift_norms[k] = _norms(mean_k - mean_0)[0]
         spectral_norms[k] = float(np.max(np.abs(np.linalg.eigvalsh(cov_k))))
         if 1 <= k <= RECURSION_LIMIT:
             law = gaussian.condition(law, obs, y)
-            worst = max(worst,
-                        rel_vec_diff(law.mean, mean_k),
-                        rel_vec_diff(law.covariance, cov_k))
+            # np.max keeps a NaN, which the builtin max would drop
+            worst = float(np.max([worst, rel_vec_diff(law.mean, mean_k),
+                                  rel_vec_diff(law.covariance, cov_k)]))
+    # a shift norm is finite only when both of its means are
+    if not (np.isfinite(mean_shift_norms).all() and np.isfinite(worst)):
+        raise ValueError("the collapse trace is not finite: K_0^(-1) m_0 + k H^T R^(-1) y "
+                         "or the recursive cross-check overflows")
     return CollapseTrace(ks=ks, spectral_norms=spectral_norms,
                          mean_shift_norms=mean_shift_norms, final_mean=mean_k,
                          final_cov=cov_k, recursive_max_discrepancy=worst)

@@ -4,8 +4,9 @@ These are the prior generators: build K from a kernel family on a finite
 point set, keep the leading eigenmodes, and draw Gaussian vectors through
 the truncated expansion f = sum_i sqrt(lambda_i) z_i psi_i with z_i iid
 standard normal from a seeded deterministic stream. The kept modes are a
-truncated :class:`psd.PsdFactor`: the leading columns of the canonical
-factor of K, with the rank decided by :func:`psd.eig_psd`.
+truncated :class:`psd.PsdFactor`: the leading columns of
+:func:`psd.canonical_sqrt`'s factor of K, which decides the rank and pins
+the columns, so kernels has one path to them and no pinning of its own.
 """
 
 from __future__ import annotations
@@ -47,6 +48,19 @@ class KernelSpec:
             raise ValueError(f"variance must be positive and finite, got {self.variance}")
         if self.family in _STATIONARY and not self.lengthscale > 0:
             raise ValueError(f"lengthscale must be positive, got {self.lengthscale}")
+        if self.family is KernelFamily.SQUARED_EXPONENTIAL and not _two_l2(self) > 0:
+            raise ValueError(f"lengthscale {self.lengthscale} is too small: "
+                             "2 * lengthscale**2 underflows to 0")
+
+
+def _two_l2(spec: KernelSpec):
+    """2 l^2, the squared-exponential kernel's scale; inf when it overflows.
+
+    numpy's scalar power is C's pow, which Python's float ``**`` also calls,
+    but it overflows to inf where ``**`` raises OverflowError.
+    """
+    with np.errstate(over="ignore"):
+        return 2.0 * np.float64(spec.lengthscale) ** 2
 
 
 def _points_2d(points) -> np.ndarray:
@@ -65,7 +79,9 @@ def gram_matrix(spec: KernelSpec, points) -> np.ndarray:
     point subset exactly, because each entry depends only on its own pair.
     K equals its transpose bit for bit with no symmetrize pass: numpy's
     product of x with its own transpose is exactly symmetric, and so is
-    every elementwise step after it.
+    every elementwise step after it. A stationary kernel's exponent that
+    overflows (a lengthscale tiny against the distances) is -inf, whose exp
+    is the kernel's limit 0.
     """
     x = _points_2d(points)
     n = x.shape[0]
@@ -75,10 +91,11 @@ def gram_matrix(spec: KernelSpec, points) -> np.ndarray:
         return spec.variance * (x @ x.T)
     sq = np.sum(x * x, axis=1)
     dist_sq = np.clip(sq[:, None] + sq[None, :] - 2.0 * (x @ x.T), 0.0, None)
-    if spec.family is KernelFamily.SQUARED_EXPONENTIAL:
-        return spec.variance * np.exp(-dist_sq / (2.0 * spec.lengthscale**2))
-    # exponential / Matern-1/2
-    return spec.variance * np.exp(-np.sqrt(dist_sq) / spec.lengthscale)
+    with np.errstate(over="ignore"):
+        if spec.family is KernelFamily.SQUARED_EXPONENTIAL:
+            return spec.variance * np.exp(-dist_sq / _two_l2(spec))
+        # exponential / Matern-1/2
+        return spec.variance * np.exp(-np.sqrt(dist_sq) / spec.lengthscale)
 
 
 @dataclass(frozen=True)
@@ -98,12 +115,13 @@ def kl_truncate(cov, r, rank_tol: float | None = None) -> KlModes:
     fraction in (0, 1], in which case the smallest count reaching that
     fraction of the trace is kept. A bool ``r`` or a fraction outside
     (0, 1] is rejected before the matrix is eigendecomposed; a count is
-    checked against the rank that the eigendecomposition finds. The matrix
-    is symmetrized twice, by :func:`psd.eig_psd` and, once that has
-    returned, again for the residual, so no two n x n copies of it are held
-    at once. The reported residual |K - Psi Lambda Psi^T|_F / |K|_F is
-    computed on the actual reconstruction and is nonincreasing in the kept
-    count.
+    checked against the rank that the eigendecomposition finds. The kept
+    modes are F_1 = F[:, :count] of :func:`psd.canonical_sqrt`'s factor F,
+    pinned before the cut, so a tie block across it is settled as in F. F
+    is released before K is symmetrized again for the residual
+    |K - F_1 F_1^T|_F / |K|_F, with the kept factor's exactly symmetric
+    ``gram()`` and :func:`psd._norm`, in range at any scale of K; it is
+    nonincreasing in the kept count.
     """
     if isinstance(r, (bool, np.bool_)):
         raise ValueError("r must be an integer count or a float energy fraction")
@@ -112,7 +130,8 @@ def kl_truncate(cov, r, rank_tol: float | None = None) -> KlModes:
         fraction = float(r)
         if not 0.0 < fraction <= 1.0:
             raise ValueError(f"energy fraction {fraction} outside (0, 1]")
-    values, vectors = psd.pinned_spectrum(cov, rank_tol)
+    factor = psd.canonical_sqrt(cov, rank_tol)
+    values = factor.eigenvalues
     rank = values.size
     if by_count:
         count = int(r)
@@ -124,14 +143,12 @@ def kl_truncate(cov, r, rank_tol: float | None = None) -> KlModes:
         ratios = np.cumsum(values) / np.sum(values)
         # tiny slack so fraction=1.0 is reached despite rounding
         count = int(np.argmax(ratios >= fraction - 1e-12)) + 1
-    values, modes = values[:count], vectors[:, :count]
+    kept = psd.PsdFactor(factor.factor[:, :count].copy(), values[:count])
+    del factor  # before K's n x n copies are made
     k = symmetrize(cov)
-    norm_k = float(np.linalg.norm(k))
-    if norm_k == 0.0:
-        residual = 0.0
-    else:
-        residual = float(np.linalg.norm(k - (modes * values) @ modes.T)) / norm_k
-    return KlModes(psd.PsdFactor(modes * np.sqrt(values), values), residual)
+    norm_k = psd._norm(k)
+    k -= kept.gram()
+    return KlModes(kept, psd._norm(k) / norm_k if norm_k else 0.0)
 
 
 # most samples the CLI's kl-sample command draws: sample_kl holds

@@ -4,10 +4,12 @@ Eigendecomposition with explicit numerical-rank decisions and canonical
 square roots (with their pseudoinverse). Everything downstream
 (conditioning, quadratic solves, RKHS geometry) is built on the factored
 form produced here. Every rank decision follows one rule (below), and
-eigenvector signs and tie-breaking are pinned in every factor this module builds
-(:func:`canonical_sqrt`, :func:`canonical_sqrt_in_basis`,
-:func:`canonicalize_factor`, :func:`pinned_spectrum` and so
-``kernels.kl_truncate``), which keeps those outputs reproducible across runs.
+eigenvector signs and tie-breaking are pinned in every factor this module
+builds (:func:`canonical_sqrt`, :func:`canonical_sqrt_in_basis` and
+:func:`canonicalize_factor`), which keeps those outputs reproducible across
+runs. ``kernels.kl_truncate`` keeps the leading columns of
+:func:`canonical_sqrt`'s factor, so the KL modes are pinned here too, over
+the whole kept spectrum before the cut.
 
 The work is split once: :func:`eig_psd` decides the rank and returns the
 kept columns unpinned, so its columns' signs, and their order within a
@@ -27,6 +29,12 @@ and :func:`canonicalize_factor`, and every symmetric eigendecomposition in
 the package is :func:`eig_psd`'s. The one exception is a check, not a rank
 decision: ``experiments.repeated_reuse`` takes spectral norms with
 ``np.linalg.eigvalsh``.
+
+The package's vector norms are :func:`_norm` (np.linalg.norm's) and
+:func:`_norms` (its ``axis=0`` form): where the sum of squares is a finite
+normal number they are numpy's formula, bit for bit, and where it is not,
+the entries are rescaled by a power of two, so a norm is in range whenever
+it is itself a finite double, and a NaN entry gives NaN.
 
 This module is also the package's only caller of LAPACK's symmetric
 eigensolver, Cholesky and triangular-solve kernels (``dsyevd``, ``dpotrf``,
@@ -51,6 +59,7 @@ from __future__ import annotations
 
 import importlib.machinery
 import importlib.util
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -62,6 +71,7 @@ import scipy  # runs scipy's distributor set-up, which the extension may need
 from .errors import DimensionError, NotPsdError
 
 EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).tiny)  # the smallest normal double
 
 
 def _flapack_kernels():
@@ -109,6 +119,61 @@ def _check_finite(*arrays: np.ndarray) -> None:
     for x in arrays:
         if not np.isfinite(x).all():
             raise ValueError("array must not contain infs or NaNs")
+
+
+def _rescaled_norm(x: np.ndarray, sum_sq) -> float:
+    """Norm of a 1-D x whose ``sum_sq(x)`` is not a finite normal number.
+
+    x is scaled by the power of two nearest above its largest magnitude,
+    which is exact (Blue 1978; LAPACK's ``dnrm2``), and the norm scaled
+    back: inf only when the norm itself overflows, NaN for a NaN entry.
+    """
+    big = float(np.max(np.abs(x), initial=0.0))
+    if not 0.0 < big < math.inf:
+        return big  # all zeros, an infinite entry or a NaN
+    exponent = math.frexp(big)[1]
+    try:
+        return math.ldexp(math.sqrt(sum_sq(np.ldexp(x, -exponent))), exponent)
+    except OverflowError:
+        return math.inf
+
+
+def _dot_sq(x: np.ndarray) -> float:
+    # np.vdot is the ddot np.linalg.norm takes, so the same bits, but it
+    # does not warn on overflow
+    return float(np.vdot(x, x))
+
+
+def _norm(x: np.ndarray) -> float:
+    """np.linalg.norm(x) (Frobenius for a matrix), in range at any scale.
+
+    Where the sum of squares is a finite normal number the result has
+    np.linalg.norm's bits; only otherwise is x rescaled
+    (:func:`_rescaled_norm`).
+    """
+    x = x.ravel(order="K")
+    sq = _dot_sq(x)
+    if _TINY <= sq < math.inf:
+        return math.sqrt(sq)
+    return _rescaled_norm(x, _dot_sq)
+
+
+def _norms(x: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(x, axis=0), each norm in range at any scale.
+
+    The column norms of a 2-D x, or the norm of a 1-D x as a 1-element
+    array, with the squares summed by ``np.add.reduce`` as numpy's ``axis``
+    form sums them. A norm whose sum of squares is not a finite normal
+    number is taken again by :func:`_rescaled_norm`; every other keeps
+    numpy's bits.
+    """
+    with np.errstate(over="ignore"):
+        sq = np.atleast_1d(np.add.reduce(x * x, axis=0))
+    norms = np.sqrt(sq)
+    lines = x.T if x.ndim == 2 else x[None, :]
+    for j in np.flatnonzero(~((sq >= _TINY) & (sq < math.inf))).tolist():
+        norms[j] = _rescaled_norm(lines[j], lambda y: float(np.add.reduce(y * y)))
+    return norms
 
 
 def _lapack_info(info: int, routine: str) -> None:
@@ -209,7 +274,7 @@ def eig_psd(matrix, rank_tol: float | None = None, scale_floor: float = 0.0):
     pinned: their signs, and their order within a block of equal
     eigenvalues, are dsyevd's and so depend on the LAPACK build. The
     constructors that keep them (:func:`canonical_sqrt`,
-    :func:`canonical_sqrt_in_basis`, :func:`pinned_spectrum`) pin them once. The matrix is symmetrized
+    :func:`canonical_sqrt_in_basis`) pin them once. The matrix is symmetrized
     first. Raises :class:`NotPsdError` when some eigenvalue falls below
     minus the effective threshold, and ``ValueError`` on non-finite entries
     (a NaN matrix would otherwise come out as rank 0).
@@ -289,20 +354,6 @@ class PsdFactor:
         return symmetrize((u / self.eigenvalues) @ u.T)
 
 
-def pinned_spectrum(matrix, rank_tol: float | None = None):
-    """:func:`eig_psd`'s ``(eigenvalues, eigenvectors)`` with the columns
-    pinned over the whole kept spectrum.
-
-    For callers that keep a leading count of the columns (``kernels.kl_truncate``):
-    the pin comes before their cut, so a tie block that straddles it is
-    settled over the whole block and the kept columns are those of
-    :func:`canonical_sqrt`.
-    """
-    values, vectors = eig_psd(matrix, rank_tol)
-    _pin(values, vectors)
-    return values, vectors
-
-
 def canonical_sqrt(matrix, rank_tol: float | None = None) -> PsdFactor:
     """Canonical square root A = U_r diag(sqrt(lambda_r)) of a PSD matrix."""
     values, vectors = eig_psd(matrix, rank_tol)
@@ -355,6 +406,12 @@ def canonicalize_factor(factor, rank_tol: float | None = None) -> PsdFactor:
     u, s, _ = np.linalg.svd(a, full_matrices=False)
     _pin(s, u)  # the singular values already descend
     threshold = rank_tol * float(s[0])
-    rank = int(np.sum(s > threshold))
-    return PsdFactor(factor=u[:, :rank] * s[:rank], eigenvalues=s[:rank] ** 2)
+    with np.errstate(over="ignore", under="ignore"):
+        values = s * s
+    if values[0] == math.inf:
+        raise ValueError(f"the factor's Gram matrix overflows: its largest eigenvalue "
+                         f"is {float(s[0]):.3e} squared")
+    # a value whose square underflows to 0 adds nothing to A A^T in doubles
+    rank = int(np.count_nonzero((s > threshold) & (values > 0.0)))
+    return PsdFactor(factor=u[:, :rank] * s[:rank], eigenvalues=values[:rank])
 

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -237,6 +238,24 @@ class TestCollapse:
         assert float(last_norm) == pytest.approx(0.1, rel=1e-12)
 
 
+    def test_huge_prior_reports_finite_norms(self, tmp_path):
+        # mean shifts of about 1e200 square to above the largest double
+        files = []
+        for name, value in [("mean", [0.0, 0.0]), ("cov", np.diag([1e300, 1e300])),
+                            ("H", [[1.0, 0.0]]), ("R", [[1.0]]), ("y", [1e200])]:
+            matio.write_matrix(tmp_path / name, value)
+            files.append(str(tmp_path / name))
+        out = tmp_path / "collapse.txt"
+        code = main(["collapse", *files, "--k-max", "3", "--format", "structured",
+                     "--out", str(out)])
+        assert code == 0
+        pairs = parse_structured(out.read_text())
+        assert 0.0 <= float(pairs["recursive_max_discrepancy"]) <= 1e-8
+        rows = (tmp_path / "collapse.txt.trace").read_text().strip().splitlines()[1:]
+        shifts = [float(row.split()[2]) for row in rows]
+        np.testing.assert_allclose(shifts, [0.0, 1e200, 1e200, 1e200], rtol=1e-12)
+
+
 class TestEquivalence:
     def test_small_corpus_summary(self, capsys):
         code = main(["equivalence", "--count", "6", "--format", "structured"])
@@ -340,6 +359,74 @@ class TestKlSample:
         code = main(["kl-sample", str(points), "--family", "white",
                      "--variance", "-1.0"])
         assert code == 2
+
+
+    @staticmethod
+    def _three_points(tmp_path):
+        points = tmp_path / "pts.txt"
+        matio.write_matrix(points, np.array([0.1, 0.5, 0.9]))
+        return str(points)
+
+    @pytest.mark.parametrize("family, keep, variance", [
+        ("linear", [], "1e307"),  # |K|_F overflows when squared
+        ("exponential", ["--energy", "0.5"], "1e-300"),  # |K|_F^2 underflows
+    ])
+    def test_residual_does_not_depend_on_scale(self, family, keep, variance, tmp_path):
+        residuals = []
+        for value in ("1", variance):
+            out = tmp_path / f"s{value}.txt"
+            assert main(["kl-sample", self._three_points(tmp_path), "--family", family,
+                         *keep, "--variance", value, "--out", str(out)]) == 0
+            comment = out.read_text().splitlines()[1]
+            residuals.append(float(comment.rpartition("residual=")[2]))
+        assert np.isfinite(residuals).all()
+        if family == "linear":  # rank 1: both residuals are round-off
+            assert max(residuals) <= 1e-14
+        else:
+            assert residuals[1] == pytest.approx(residuals[0], rel=1e-12)
+            assert residuals[0] > 0.1
+
+    def test_variance_whose_gram_overflows_is_input_error(self, tmp_path, capsys):
+        points = self._three_points(tmp_path)
+        argv = ["kl-sample", points, "--family", "exponential", "--lengthscale", "1e-308",
+                "--out", str(tmp_path / "s.txt")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # nothing from numpy reaches stderr
+            assert main([*argv, "--variance", "1e308"]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("input error: --variance") and err.count("\n") == 1
+            assert not (tmp_path / "s.txt").exists()
+            # twice the trace, 3 * variance, must be finite
+            assert main([*argv, "--variance", "2.9e307"]) == 0
+        assert np.isfinite(matio.read_matrix(tmp_path / "s.txt")).all()
+
+    @pytest.mark.parametrize("family, points, code", [
+        ("linear", 1e160, 2), ("exponential", 1e160, 2), ("white", 1e160, 0),
+        ("linear", 1e150, 0), ("squared-exponential", 1e150, 0)])
+    def test_points_whose_squares_overflow_are_input_errors(self, family, points, code,
+                                                            tmp_path, capsys):
+        path = tmp_path / "pts.txt"
+        matio.write_matrix(path, points * np.array([0.1, 0.5, 0.9]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["kl-sample", str(path), "--family", family,
+                         "--variance", "1e-300"]) == code
+        if code:
+            assert "POINTS too large" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("lengthscale, code", [("1e200", 0), ("1e-160", 0),
+                                                   ("1e-200", 2)])
+    def test_extreme_squared_exponential_lengthscales(self, lengthscale, code, tmp_path,
+                                                      capsys):
+        # 2 l^2 overflows to inf (K is all variance), is subnormal, or is 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["kl-sample", self._three_points(tmp_path), "--family",
+                         "squared-exponential", "--lengthscale", lengthscale]) == code
+        out, err = capsys.readouterr()
+        assert "nan" not in out and "inf" not in out
+        if code:
+            assert err.startswith("input error: lengthscale")
 
 
 class TestEnkfCommand:

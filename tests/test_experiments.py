@@ -165,6 +165,28 @@ class TestRelVecDiff:
                 assert report.mean_discrepancies[a, b].hex() == expected.hex(), (index, a, b)
 
 
+    @pytest.mark.parametrize("scale", [1e160, 1e-170])
+    def test_in_range_at_any_scale(self, scale):
+        # the plain sum of squares overflows at 1e160 and underflows at 1e-170
+        a = scale * np.ones(10)
+        for rel in (1e-7, 1e-6):
+            # over |a (1 + rel)| above the unit floor, over 1 below it
+            expected = rel / (1 + rel) if scale > 1 else np.sqrt(10) * scale * rel
+            assert experiments.rel_vec_diff(a, a * (1 + rel)) == pytest.approx(
+                expected, rel=1e-9, abs=0.0)
+
+    def test_nan_discrepancy_fails_the_audit(self, monkeypatch):
+        # the gain route's pairs come last, after finite pairs that pass
+        prior, obs, y = make_instance(0)
+        monkeypatch.setattr(experiments.ensemble, "enkf_mean_update",
+                            lambda prior, obs, y: np.full(prior.dim, np.nan))
+        report = run_equivalence(prior, obs, y)
+        assert report.mean_discrepancies["schur", "qp"] <= MEAN_TOL
+        assert np.isnan(report.mean_discrepancies["schur", "gain"])
+        assert not report.passed
+        assert np.isnan(report.max_mean_discrepancy)
+
+
 def acceptance_audit():
     return [run_equivalence(*make_instance(j, 0)) for j in range(100)]
 
@@ -327,6 +349,20 @@ class TestRepeatedReuse:
         obs = ObservationModel(np.eye(n), np.eye(n))
         trace = repeated_reuse(prior, obs, np.ones(n), k_max=20)
         assert np.all(np.diff(trace.spectral_norms) < 0)
+
+    def test_nan_discrepancy_is_not_dropped_from_the_maximum(self, monkeypatch):
+        prior, obs = scalar_setup()
+        results = iter([0.5, np.nan, 0.25])
+        monkeypatch.setattr(experiments, "rel_vec_diff", lambda a, b: next(results, 0.0))
+        with pytest.raises(ValueError, match="not finite"):
+            repeated_reuse(prior, obs, [1.0], k_max=3)
+
+    def test_overflowing_mean_raises(self):
+        # K_0^(-1) m_0 = 1e300 * 1e9 overflows
+        prior = GaussianLaw.from_moments([1e9], [[1e-300]])
+        obs = ObservationModel(np.zeros((0, 1)), np.zeros((0, 0)))
+        with pytest.raises(ValueError, match="not finite"):
+            repeated_reuse(prior, obs, np.zeros(0), k_max=1)
 
     def test_memory_does_not_grow_with_k_max_times_n_squared(self, rng):
         n, m, k_max = 20, 5, 20_000

@@ -1,4 +1,5 @@
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -28,6 +29,49 @@ class TestSymmetrize:
     def test_rejects_non_square(self):
         with pytest.raises(DimensionError):
             symmetrize(np.zeros((2, 3)))
+
+
+class TestNorm:
+    """psd._norm and psd._norms are np.linalg.norm's formulas wherever the sum
+    of squares is a finite normal number, and the norm at any other scale."""
+
+    @pytest.mark.parametrize("shape", [(1,), (7,), (40,), (5, 3), (30, 30)])
+    def test_in_range_bits_are_numpys(self, shape, rng):
+        x = rng.normal(size=shape) * 10.0 ** rng.integers(-100, 100)
+        for view in (x, x.T, x[::2]):
+            assert psd._norm(view) == float(np.linalg.norm(view))
+            expected = np.atleast_1d(np.linalg.norm(view, axis=0))
+            assert psd._norms(view).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("scale", [1e300, 1e160, 1e-160, 1e-300, 5e-324])
+    def test_out_of_range_scales_exactly(self, scale, rng):
+        x = rng.normal(size=(12, 3))
+        expected = np.linalg.norm(x, axis=0) * scale
+        tol = 1e-14 if scale > 1e-300 else 1.0  # subnormal entries keep few bits
+        assert psd._norm(x[:, 0] * scale) == pytest.approx(expected[0], rel=tol)
+        np.testing.assert_allclose(psd._norms(x * scale), expected, rtol=tol)
+        assert psd._norms(x[:, 1] * scale)[0] == pytest.approx(expected[1], rel=tol)
+        assert (psd._norms(x * scale) > 0).all()
+
+    def test_non_finite_and_extreme_values(self):
+        assert psd._norm(np.zeros(4)) == 0.0
+        assert psd._norm(np.zeros(0)) == 0.0
+        assert np.isnan(psd._norm(np.array([1.0, np.nan])))
+        assert np.isnan(psd._norm(np.array([np.inf, np.nan])))
+        assert psd._norm(np.array([1.0, -np.inf])) == np.inf
+        # the norm itself is above the largest double
+        assert psd._norm(np.full(4, 1e308)) == np.inf
+        assert psd._norm(np.array([3e300, -4e300])) == pytest.approx(5e300, rel=1e-15)
+        columns = np.array([[0.0, 1.5e308, 1.0, 3e300], [0.0, 1.5e308, np.nan, -4e300]])
+        norms = psd._norms(columns)
+        assert norms[0] == 0.0 and norms[1] == np.inf and np.isnan(norms[2])
+        assert norms[3] == pytest.approx(5e300, rel=1e-15)
+
+    def test_no_warning_on_overflow(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert psd._norm(np.full(3, 1e200)) > 0
+            assert (psd._norms(np.full((3, 2), 1e200)) > 0).all()
 
 
 class TestEigPsd:
@@ -196,6 +240,17 @@ class TestCanonicalizeFactor:
         gram_rot = canonicalize_factor(a @ omega).gram()
         assert np.linalg.norm(gram_a - gram_rot) <= 1e-10 * max(1.0, np.linalg.norm(gram_a))
 
+    def test_gram_overflow_raises_and_underflow_leaves_the_rank(self):
+        # singular values 1e155 and 1e-170: the first squares to inf, the
+        # second to 0, which adds nothing to A A^T in doubles
+        with pytest.raises(ValueError, match="overflows"):
+            canonicalize_factor(np.diag([1e155, 1.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = canonicalize_factor(np.diag([1e-150, 1e-170]), rank_tol=0.0)
+        assert out.rank == 1 and out.eigenvalues[0] == pytest.approx(1e-300, rel=1e-15)
+        assert np.isfinite(out.basis()).all()
+
     def test_rejects_non_finite(self):
         # SVD used to fail with "did not converge" instead
         with pytest.raises(ValueError, match="infs or NaNs"):
@@ -297,15 +352,15 @@ class TestCanonicalForm:
             modes = kl_truncate(k, count).factor
             assert modes.factor.tobytes() == full.factor[:, :count].tobytes()
 
-    def test_eig_psd_columns_are_pinned_by_pinned_spectrum(self):
-        # eig_psd's columns keep dsyevd's signs and tie order; pinning them
-        # is exactly pinned_spectrum, whose columns canonical_sqrt scales
+    def test_eig_psd_columns_are_pinned_by_canonical_sqrt(self):
+        # eig_psd's columns keep dsyevd's signs and tie order; canonical_sqrt
+        # pins them over the whole kept spectrum and then scales them
         k = np.diag([1.0, 3.0, 1.0, 1.0, 3.0, 0.0])
         values, vectors = eig_psd(k)
-        pinned_values, pinned = psd.pinned_spectrum(k)
-        assert values.tobytes() == pinned_values.tobytes()
-        assert _pinned_copy(values, vectors).tobytes() == pinned.tobytes()
-        assert (pinned * np.sqrt(values)).tobytes() == canonical_sqrt(k).factor.tobytes()
+        full = canonical_sqrt(k)
+        assert values.tobytes() == full.eigenvalues.tobytes()
+        pinned = _pinned_copy(values, vectors)
+        assert (pinned * np.sqrt(values)).tobytes() == full.factor.tobytes()
 
 
 class TestTwoPassReference:
