@@ -14,10 +14,15 @@ and the covariance is U C U^T with the r x r core C = S (I - W^T W) S, so
 no gain, no n x m and no n x n array is formed, only C is
 eigendecomposed, and a step costs O(n r m + n r^2 + m^2 r + m^3 + r^3).
 :func:`kalman_gain` forms the gain K H^T (H K H^T + R)^(-1) itself, for
-the ensemble update that applies it. The posterior covariance is also
-available through the inverse of the quadratic-form Hessian restricted to
-Range(K), which in the range basis is diag(1/lambda) + (H U)^T R^(-1) (H U);
-the two must agree, and tests enforce it.
+the ensemble update that applies it. The same core is also available as
+the inverse of the quadratic-form Hessian restricted to Range(K), which in
+the range basis is diag(1/lambda) + (H U)^T R^(-1) (H U)
+(:func:`posterior_cov_via_hessian`). The equivalence audit compares the
+two as r x r cores in U: U has orthonormal columns, so their relative
+Frobenius difference is that of the n x n covariances, and the audit holds
+no n x n array and eigendecomposes nothing. Tier-1 tests check the
+canonical form :func:`condition` builds from C (its rank decision, pinning
+and embedding) against U times the Hessian core times U^T.
 
 R is factored once, R = L_R L_R^T, when the observation model is built.
 Every R^(-1)-weighted Gram matrix X^T R^(-1) X (the restricted Hessian's,
@@ -84,11 +89,19 @@ class GaussianLaw:
 
 
 def _spd_chol(matrix: np.ndarray, name: str) -> np.ndarray:
-    """Lower Cholesky factor of an SPD matrix; NotSpdError names it if it is not."""
+    """Lower Cholesky factor of an SPD matrix; NotSpdError names it if it is
+    not positive definite, and ValueError if it is not finite.
+
+    The innovation covariance is formed with overflow warnings silenced, so
+    a product that overflows at extreme magnitudes of H or the prior is
+    reported here, once, by name.
+    """
     try:
         return _chol_lower(matrix)
     except np.linalg.LinAlgError:
         raise NotSpdError(f"{name} is not positive definite") from None
+    except ValueError:  # raised by _chol_lower's finiteness check
+        raise ValueError(f"{name} must not contain infs or NaNs") from None
 
 
 @dataclass(frozen=True)
@@ -171,7 +184,7 @@ def _check_data(obs: ObservationModel, y) -> np.ndarray:
     return y
 
 
-_INNOVATION = "innovation covariance H K H^T + R"  # condition and kalman_gain factor it
+_INNOVATION = "innovation covariance H K H^T + R"  # _schur_core and kalman_gain factor it
 
 
 def kalman_gain(prior: GaussianLaw, obs: ObservationModel) -> np.ndarray:
@@ -182,36 +195,50 @@ def kalman_gain(prior: GaussianLaw, obs: ObservationModel) -> np.ndarray:
     """
     _check_compatible(prior, obs)
     a = prior.cov_factor.factor
-    kht = a @ (a.T @ obs.H.T)
-    chol = _spd_chol(symmetrize(obs.H @ kht) + obs.R, _INNOVATION)
-    return _chol_solve(chol, kht.T).T
+    with np.errstate(over="ignore", invalid="ignore"):
+        kht = a @ (a.T @ obs.H.T)
+        innovation = symmetrize(obs.H @ kht) + obs.R
+    return _chol_solve(_spd_chol(innovation, _INNOVATION), kht.T).T
+
+
+def _schur_core(prior: GaussianLaw, obs: ObservationModel,
+                y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Posterior mean and r x r covariance core in the prior's range basis U.
+
+    L is the Cholesky factor of (H A)(H A)^T + R, with R as given, and
+    W = L^(-1) H A; the mean is m + A W^T L^(-1) (y - H m) and the core
+    S (I - W^T W) S, so the posterior covariance is U core U^T (see the
+    module docstring) and no n x n array is formed. ``y`` must be checked
+    data.
+    """
+    a = prior.cov_factor.factor
+    with np.errstate(over="ignore", invalid="ignore"):
+        ha = obs.H @ a
+        innovation = ha @ ha.T + obs.R
+    chol = _spd_chol(innovation, _INNOVATION)
+    w = _tril_solve(chol, ha)
+    mean = prior.mean + a @ (w.T @ _tril_solve(chol, y - obs.H @ prior.mean))
+    w *= np.sqrt(prior.cov_factor.eigenvalues)  # W S
+    return mean, np.diag(prior.cov_factor.eigenvalues) - w.T @ w
 
 
 def condition(prior: GaussianLaw, obs: ObservationModel, y,
               rank_tol: float | None = None) -> GaussianLaw:
     """Exact Gaussian conditioning on y = H f + e, from W = L^(-1) H A alone.
 
-    L is the Cholesky factor of (H A)(H A)^T + R, with R as given; the mean
-    m + A W^T L^(-1) (y - H m) and the r x r covariance core
-    S (I - W^T W) S both come from it (see the module docstring), so a step
-    costs O(n r m + n r^2 + m^2 r + m^3 + r^3), not O(n^3). The rank
-    decision is the one the dense n x n posterior would get: default cutoff
-    from n, threshold floored at the prior's largest eigenvalue. The
-    factored form stays closed under conditioning and the posterior rank
-    never exceeds the prior rank. With zero observations the prior is
-    returned unchanged.
+    The mean and the r x r covariance core come from :func:`_schur_core`,
+    and only the core is eigendecomposed, so a step costs
+    O(n r m + n r^2 + m^2 r + m^3 + r^3), not O(n^3). The rank decision is
+    the one the dense n x n posterior would get: default cutoff from n,
+    threshold floored at the prior's largest eigenvalue. The factored form
+    stays closed under conditioning and the posterior rank never exceeds
+    the prior rank. With zero observations the prior is returned unchanged.
     """
     _check_compatible(prior, obs)
     y = _check_data(obs, y)
     if obs.n_obs == 0:
         return prior
-    a = prior.cov_factor.factor
-    ha = obs.H @ a
-    chol = _spd_chol(ha @ ha.T + obs.R, _INNOVATION)
-    w = _tril_solve(chol, ha)
-    mean = prior.mean + a @ (w.T @ _tril_solve(chol, y - obs.H @ prior.mean))
-    w *= np.sqrt(prior.cov_factor.eigenvalues)  # W S
-    core = np.diag(prior.cov_factor.eigenvalues) - w.T @ w
+    mean, core = _schur_core(prior, obs, y)
     # round-off in the update lives at the prior's scale, so the
     # re-factoring threshold is floored there
     scale = float(prior.cov_factor.eigenvalues[0]) if prior.rank else 0.0
@@ -243,18 +270,20 @@ def _restricted_hessian(factor: PsdFactor, obs: ObservationModel) -> np.ndarray:
 
 def posterior_cov_via_hessian(prior: GaussianLaw, obs: ObservationModel, *,
                               hessian_chol: np.ndarray | None = None) -> np.ndarray:
-    """Posterior covariance as the inverse Hessian on Range(K).
+    """Posterior covariance core as the inverse Hessian on Range(K).
 
     With the restricted Hessian U_r^T (K^+ + H^T R^(-1) H) U_r = L L^T (see
-    :func:`_restricted_hessian`), the inverse re-embedded in R^n is
-    U_r (L L^T)^(-1) U_r^T = X^T X with X = L^(-1) U_r^T, one triangular
-    solve; X^T X is exactly symmetric. Must equal the Schur-complement
-    covariance of :func:`condition`. ``hessian_chol`` is L as
-    :func:`_restricted_hessian` returns it for this prior and model, for a
-    caller that already holds it; by default it is computed here.
+    :func:`_restricted_hessian`), the core is (L L^T)^(-1) = X^T X with
+    X = L^(-1), one triangular solve; X^T X is r x r and exactly symmetric.
+    It is a core in the prior's range basis U_r: the posterior covariance is
+    U_r X^T X U_r^T, and it must equal the Schur-complement core of
+    :func:`_schur_core`, whose canonical square root :func:`condition`
+    returns. ``hessian_chol`` is L as :func:`_restricted_hessian` returns it
+    for this prior and model, for a caller that already holds it; by default
+    it is computed here.
     """
     _check_compatible(prior, obs)
     if hessian_chol is None:
         hessian_chol = _restricted_hessian(prior.cov_factor, obs)
-    x = _tril_solve(hessian_chol, prior.cov_factor.basis().T)
+    x = _tril_solve(hessian_chol, np.eye(prior.rank))
     return x.T @ x

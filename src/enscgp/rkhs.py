@@ -8,9 +8,10 @@ normal equations diag(1/lambda) + (H U_r)^T R^(-1) (H U_r) never form K^+.
 That system is a diag(lambda^(1/2)) rescaling of the quadratic program's
 I + (H A)^T R^(-1) (H A), so the two routes are close relatives rather
 than independent computations. It is also the restricted Hessian whose
-inverse is the posterior covariance
+inverse is the posterior covariance's r x r core in U_r
 (:func:`enscgp.gaussian.posterior_cov_via_hessian`), so one audit factors
-it once, with R whitened, and passes the factor to both.
+it once, with R whitened, and passes the factor to both; the audit compares
+that core with the Schur core and holds no n x n array.
 """
 
 from __future__ import annotations

@@ -12,10 +12,10 @@ import pytest
 from enscgp import (Ensemble, GaussianLaw, NormalStream, ObservationModel,
                     canonicalize_factor, condition, enkf_perturbed_obs,
                     ensemble_stats, gradient, hessian, kalman_gain, kl_truncate,
-                    matio, objective,
+                    matio, objective, posterior_cov_via_hessian,
                     repeated_reuse, sample_kl, solve_qp)
 from enscgp.cli import main
-from enscgp.experiments import equivalence_corpus, make_instance
+from enscgp.experiments import equivalence_corpus, make_instance, rel_vec_diff
 from enscgp.quadprog import build_qp
 
 MEAN_TOL = 1e-8
@@ -53,6 +53,22 @@ def test_covariance_equivalence(corpus):
     assert worst <= COV_TOL, \
         f"worst Schur-vs-Hessian covariance discrepancy {worst:.3e} exceeds {COV_TOL}"
     _announce(f"PASS covariance equivalence: 100/100 <= {COV_TOL} (worst {worst:.2e})")
+
+
+def test_condition_covariance_matches_hessian_core():
+    """condition's canonical covariance (rank decision, pinning, embedding)
+    against U (L L^T)^(-1) U^T from the restricted-Hessian core; the audit
+    compares cores and so does not check that form."""
+    worst = 0.0
+    for index in range(100):
+        prior, obs, y = make_instance(index, base_seed=0)
+        u = prior.cov_factor.basis()
+        hessian = u @ posterior_cov_via_hessian(prior, obs) @ u.T
+        disc = rel_vec_diff(condition(prior, obs, y).covariance, hessian)
+        assert disc <= COV_TOL, f"instance {index}: covariance discrepancy {disc:.3e}"
+        worst = max(worst, disc)
+    _announce(f"PASS canonical covariance vs Hessian core: 100/100 <= {COV_TOL} "
+              f"(worst {worst:.2e})")
 
 
 def test_range_confinement():

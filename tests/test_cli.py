@@ -135,6 +135,25 @@ class TestExitCodes:
         assert code == 1
         assert "computation error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["condition", "ens-cgp", "enkf"])
+    def test_overflowing_innovation_is_one_named_computation_error(self, command,
+                                                                   tmp_path, capsys):
+        # H and the prior are finite, but (H A)(H A)^T and H K H^T overflow
+        inputs = {"mean": np.zeros(2), "cov": np.eye(2),
+                  "members": [[0.0, 1.0, 2.0, 3.0], [1.0, 0.0, 3.0, 2.0]],
+                  "H": [[1e300, 1e300]], "R": [[1.0]], "y": [[1.0]]}
+        for name, value in inputs.items():
+            inputs[name] = str(tmp_path / f"{name}.txt")
+            matio.write_matrix(inputs[name], value)
+        prior = ([inputs["mean"], inputs["cov"]] if command == "condition"
+                 else [inputs["members"]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # nothing from numpy reaches stderr
+            assert main([command, *prior, inputs["H"], inputs["R"], inputs["y"]]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("computation error: innovation covariance")
+        assert err.count("\n") == 1 and "infs or NaNs" in err
+
     @pytest.mark.parametrize("argv, flag", [
         (["collapse", *("ghost.txt",) * 5, "--k-max", "0"], "--k-max"),
         (["collapse", *("ghost.txt",) * 5, "--k-max", "1000001"], "--k-max"),

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from enscgp import (GaussianLaw, KernelSpec, NormalStream, NotSpdError,
-                    ObservationModel, condition, experiments, gaussian, gram_matrix,
-                    posterior_cov_via_hessian, psd, quadprog, repeated_reuse, rkhs,
-                    run_equivalence)
-from enscgp.experiments import (COV_KINDS, MEAN_PAIRS, MEAN_ROUTES, MEAN_TOL,
+from enscgp import (Ensemble, GaussianLaw, KernelSpec, NormalStream, NotSpdError,
+                    ObservationModel, condition, ensemble_stats, experiments, gaussian,
+                    gram_matrix, posterior_cov_via_hessian, psd, quadprog,
+                    repeated_reuse, rkhs, run_equivalence)
+from enscgp.experiments import (COV_KINDS, COV_TOL, MEAN_PAIRS, MEAN_ROUTES, MEAN_TOL,
                                 OBS_KINDS, equivalence_corpus, make_instance)
 from enscgp.psd import PsdFactor
 
@@ -27,8 +27,11 @@ class TestRunEquivalence:
         report = run_equivalence(prior, obs, [2.0])
         for mean in report.means.values():
             assert mean[0] == pytest.approx(1.0, abs=1e-12)
+        # n = r = 1: the covariance and both r x r cores are the 1 x 1 posterior variance
         for cov in (condition(prior, obs, [2.0]).covariance,
+                    gaussian._schur_core(prior, obs, np.array([2.0]))[1],
                     posterior_cov_via_hessian(prior, obs)):
+            assert cov.shape == (1, 1)
             assert cov[0, 0] == pytest.approx(0.5, abs=1e-12)
         assert report.max_mean_discrepancy <= 1e-12
         assert report.cov_discrepancy <= 1e-12
@@ -274,8 +277,63 @@ class TestOneRestrictedHessianPerAudit:
         space = rkhs.DiscreteRkhs.from_factor(prior.cov_factor)
         assert (rkhs.rkhs_solve(space, prior.mean, obs, y, hessian_chol=chol).tobytes()
                 == rkhs.rkhs_solve(space, prior.mean, obs, y).tobytes())
-        assert (posterior_cov_via_hessian(prior, obs, hessian_chol=chol).tobytes()
-                == posterior_cov_via_hessian(prior, obs).tobytes())
+        core = posterior_cov_via_hessian(prior, obs, hessian_chol=chol)
+        assert core.shape == (prior.rank, prior.rank)
+        assert core.tobytes() == posterior_cov_via_hessian(prior, obs).tobytes()
+
+
+class TestCoreAudit:
+    """The audit compares the Schur and Hessian r x r cores in the prior's
+    range basis; it forms no n x n array and eigendecomposes nothing."""
+
+    def test_scaled_schur_core_fails_the_audit(self, monkeypatch):
+        schur_core = gaussian._schur_core
+
+        def scaled(prior, obs, y):
+            mean, core = schur_core(prior, obs, y)
+            return mean, core * (1.0 + 1e-6)
+
+        prior, obs, y = make_instance(0)
+        assert run_equivalence(prior, obs, y).passed
+        monkeypatch.setattr(gaussian, "_schur_core", scaled)
+        report = run_equivalence(prior, obs, y)
+        assert report.cov_discrepancy > COV_TOL
+        assert max(report.mean_discrepancies.values()) <= MEAN_TOL
+        assert not report.passed
+
+    def test_audit_runs_no_eigendecomposition_and_no_condition(self, monkeypatch):
+        def forbidden(name):
+            def fail(*args, **kwargs):
+                raise AssertionError(f"the audit called {name}")
+            return fail
+
+        instances = [make_instance(j) for j in range(9)]  # built with dsyevd
+        monkeypatch.setattr(psd, "dsyevd", forbidden("dsyevd"))
+        monkeypatch.setattr(gaussian, "condition", forbidden("condition"))
+        for instance in instances:
+            assert run_equivalence(*instance).passed
+
+    def test_peak_memory_is_a_multiple_of_n_times_r_plus_m(self):
+        # ensemble prior of rank r = E - 1 = 40, point observations, R = 0.1 I
+        n, members, m = 2000, 41, 50
+        stream = NormalStream(5)
+        prior = ensemble_stats(Ensemble(stream.normals((n, members))))
+        h = np.zeros((m, n))
+        h[np.arange(m), np.arange(0, n, n // m)] = 1.0
+        obs = ObservationModel(h, 0.1 * np.eye(m))
+        y = stream.normals(m)
+        r = prior.rank
+        assert r == members - 1
+        run_equivalence(prior, obs, y)  # first-call caches are not audit memory
+        tracemalloc.start()
+        try:
+            report = run_equivalence(prior, obs, y)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.passed
+        # one n x n array alone would be 32 MB
+        assert peak < 4 * 8 * n * (r + m), f"peak {peak / 2**20:.2f} MiB"
 
 
 class TestRepeatedReuse:

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -134,6 +135,18 @@ class TestNonFiniteInputs:
         for bad in (np.nan, -np.inf):
             with pytest.raises(ValueError, match="infs or NaNs"):
                 condition(prior, obs, [1.0, bad, 0.0])
+
+    def test_overflowing_innovation_is_named_without_a_warning(self):
+        # H and the prior are finite, but (H A)(H A)^T and H K H^T overflow
+        prior = GaussianLaw.from_moments(np.zeros(2), np.eye(2))
+        obs = ObservationModel([[1e300, 1e300]], [[1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for route in (lambda: condition(prior, obs, [1.0]),
+                          lambda: kalman_gain(prior, obs)):
+                with pytest.raises(ValueError,
+                                   match=r"innovation covariance .* infs or NaNs"):
+                    route()
 
 
 class TestKalmanGain:
@@ -326,7 +339,21 @@ class TestConditionInRangeBasis:
         assert peak < 4 * 8 * (n * r + m * m), f"peak {peak / 2**20:.2f} MiB"
 
 
+def assert_hessian_core_matches_schur(prior, obs, y):
+    """The Hessian core equals the Schur core, and U core U^T equals
+    condition's covariance, to a relative 1e-8."""
+    hess = posterior_cov_via_hessian(prior, obs)
+    assert hess.shape == (prior.rank, prior.rank)
+    schur_core = gaussian._schur_core(prior, obs, y)[1]
+    assert np.linalg.norm(schur_core - hess) <= 1e-8 * max(1.0, np.linalg.norm(hess))
+    u = prior.cov_factor.basis()
+    schur = condition(prior, obs, y).covariance
+    assert np.linalg.norm(schur - u @ hess @ u.T) <= 1e-8 * max(1.0, np.linalg.norm(schur))
+
+
 class TestPosteriorCovViaHessian:
+    """The Hessian route gives an r x r core in the prior's range basis U."""
+
     def test_scalar(self):
         prior, obs = scalar_instance()
         np.testing.assert_allclose(posterior_cov_via_hessian(prior, obs), [[0.5]])
@@ -334,21 +361,17 @@ class TestPosteriorCovViaHessian:
     def test_no_data_returns_prior_cov(self):
         prior = GaussianLaw.from_moments(np.zeros(2), np.eye(2))
         obs = ObservationModel(np.zeros((1, 2)), [[1.0]])
-        np.testing.assert_allclose(posterior_cov_via_hessian(prior, obs), np.eye(2),
-                                   atol=1e-12)
+        core = posterior_cov_via_hessian(prior, obs)
+        np.testing.assert_allclose(core, np.diag(prior.cov_factor.eigenvalues), atol=1e-12)
+        u = prior.cov_factor.basis()
+        np.testing.assert_allclose(u @ core @ u.T, np.eye(2), atol=1e-12)
 
     def test_rank1_matches_schur(self):
-        prior, obs = rank1_instance()
-        schur = condition(prior, obs, np.array([1.0, 0.0, 2.0])).covariance
-        hess = posterior_cov_via_hessian(prior, obs)
-        assert np.linalg.norm(schur - hess) <= 1e-8 * max(1.0, np.linalg.norm(schur))
+        assert_hessian_core_matches_schur(*rank1_instance(), np.array([1.0, 0.0, 2.0]))
 
     def test_matches_schur_on_random_instances(self):
         for i in range(15):
-            prior, obs, y = make_instance(i, base_seed=7)
-            schur = condition(prior, obs, y).covariance
-            hess = posterior_cov_via_hessian(prior, obs)
-            assert np.linalg.norm(schur - hess) <= 1e-8 * max(1.0, np.linalg.norm(schur))
+            assert_hessian_core_matches_schur(*make_instance(i, base_seed=7))
 
 
 class TestMarginalConsistency:
@@ -401,12 +424,13 @@ class TestDegenerateShapes:
     BY_M = {0: (np.zeros((3, 3)), np.zeros(0), [0.0, 0.0, 0.0], 0.0),
             1: (np.full((3, 3), 0.25), [0.75], [-0.5, -0.5, -0.5], 0.5),
             3: (0.25 * np.eye(3), [0.25, 0.75, -0.5], [-0.25, -0.5, 0.5], 1.125)}
-    # per (m, rank) with m > 0 and rank > 0: reduced Gram, Hessian covariance,
+    # per (m, rank) with m > 0 and rank > 0: reduced Gram, Hessian covariance
+    # core (in the range basis, which is e_1 at rank 1 and I at rank 3),
     # posterior mean (RKHS and Schur agree bitwise here), posterior eigenvalues
     SOLVED = {
-        (1, 1): ([[1.0]], np.diag([1.9999999999999996, 0.0, 0.0]),
+        (1, 1): ([[1.0]], [[1.9999999999999996]],
                  [0.9999999999999998, 1.0, 0.0], [2.0000000000000004]),
-        (3, 1): ([[1.0]], np.diag([1.9999999999999996, 0.0, 0.0]),
+        (3, 1): ([[1.0]], [[1.9999999999999996]],
                  [0.4999999999999999, 1.0, 0.0], [2.0000000000000004]),
         (3, 3): (np.diag([1.0, 0.25, 0.0625]),
                  np.diag([1.9999999999999996, 0.7999999999999999, 0.23529411764705882]),
@@ -429,25 +453,25 @@ class TestDegenerateShapes:
         qp = build_qp(prior, obs, y)
         assert_bits(qp.q, q)
         assert qp.c == c and not np.signbit(qp.c)
-        hess_cov = posterior_cov_via_hessian(prior, obs)
+        hess_core = posterior_cov_via_hessian(prior, obs)
         rkhs_mean = rkhs_solve(DiscreteRkhs.from_factor(prior.cov_factor), self.MEAN, obs, y)
         post = condition(prior, obs, y)
         if m == 0:
             assert_bits(qp.reduced_gram, np.zeros((rank, rank)))
-            assert_bits(hess_cov, self.FACTORS[rank] @ self.FACTORS[rank].T)
+            assert_bits(hess_core, np.diag(prior.cov_factor.eigenvalues))
             assert_bits(rkhs_mean, self.MEAN)
             assert post is prior
         elif rank == 0:
             assert_bits(qp.reduced_gram, np.zeros((0, 0)))
-            assert_bits(hess_cov, np.zeros((3, 3)))
+            assert_bits(hess_core, np.zeros((0, 0)))
             assert_bits(rkhs_mean, self.MEAN)
             # the gain-form update adds a +0.0 shift to the -0.0 entries
             assert_bits(post.mean, [0.0, 1.0, 0.0])
             assert post.rank == 0
         elif (m, rank) in self.SOLVED:
-            gram, cov, mean, eigenvalues = self.SOLVED[m, rank]
+            gram, core, mean, eigenvalues = self.SOLVED[m, rank]
             assert_bits(qp.reduced_gram, gram)
-            assert_bits(hess_cov, cov)
+            assert_bits(hess_core, core)
             assert_bits(rkhs_mean, mean)
             assert_bits(post.mean, mean)
             assert_bits(post.cov_factor.eigenvalues, eigenvalues)
@@ -460,7 +484,8 @@ class TestDegenerateShapes:
                             [-0.4324324324324324, 0.8918918918918921, -0.027027027027027046],
                             [-0.1081081081081081, -0.027027027027027046, 0.2432432432432433]]
             expected_mean = [0.8648648648648649, 1.2162162162162162, 0.05405405405405406]
-            np.testing.assert_allclose(hess_cov, expected_cov, rtol=1e-13)
+            # the range basis is I, so the core is the covariance
+            np.testing.assert_allclose(hess_core, expected_cov, rtol=1e-13)
             np.testing.assert_allclose(post.covariance, expected_cov, rtol=1e-13)
             np.testing.assert_allclose(rkhs_mean, expected_mean, rtol=1e-13)
             np.testing.assert_allclose(post.mean, expected_mean, rtol=1e-13)
