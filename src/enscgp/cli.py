@@ -30,7 +30,7 @@ from . import experiments, kernels, matio
 from .errors import DegenerateModelError, DimensionError
 from .gaussian import GaussianLaw, ObservationModel, condition, kalman_gain
 from .matio import format_float
-from .psd import _norm, _norms
+from .psd import _norm
 
 COMMANDS = ("condition", "ens-cgp", "equivalence", "collapse", "kl-sample", "enkf")
 
@@ -51,7 +51,8 @@ def _fmt_value(value) -> str:
         return value
     arr = np.asarray(value)
     if arr.dtype.kind == "f" and arr.ndim in (1, 2):
-        rows = "".join(f"[{row}]" for row in matio._format_rows(np.atleast_2d(arr)))
+        # each row ends in a line feed, which becomes "]["
+        rows = ("[" + "".join(matio._format_text(np.atleast_2d(arr))).replace("\n", "]["))[:-1]
         return rows if arr.ndim == 1 else f"[{rows}]"
     if arr.ndim == 1:
         return "[" + " ".join(_fmt_value(v) for v in arr) + "]"
@@ -180,11 +181,9 @@ def _run_collapse(args: argparse.Namespace):
                  ("final_mean", trace.final_mean),
                  ("final_cov", trace.final_cov),
                  ("final_spectral_norm", trace.spectral_norms[-1])]
-        trace_lines = ["# k  cov_spectral_norm  mean_shift_norm"]
-        for k in trace.ks:
-            trace_lines.append(f"{k} {format_float(trace.spectral_norms[k])} "
-                               f"{format_float(trace.mean_shift_norms[k])}")
-        return _render(pairs, args.format), _trace_file(args, trace_lines)
+        table = np.column_stack([trace.ks, trace.spectral_norms, trace.mean_shift_norms])
+        return _render(pairs, args.format), _trace_file(
+            args, "# k  cov_spectral_norm  mean_shift_norm", table)
 
     return compute
 
@@ -253,7 +252,10 @@ def _run_enkf(args: argparse.Namespace):
         # perturbed member update
         prior = ens_mod.ensemble_stats(members, args.rank_tol)
         gain = kalman_gain(prior, obs)
-        exact = prior.mean + gain @ (y - obs.H @ prior.mean)
+        with np.errstate(over="ignore", invalid="ignore"):
+            exact = prior.mean + gain @ (y - obs.H @ prior.mean)
+        if not np.isfinite(exact).all():
+            raise ValueError("exact mean update must not contain infs or NaNs")
         updated = ens_mod.enkf_perturbed_obs(members, obs, y, gain, args.seed, perturb,
                                              args.center_perturbations)
         sample_mean = updated.members.mean(axis=1)
@@ -267,14 +269,11 @@ def _run_enkf(args: argparse.Namespace):
                  ("updated_sample_mean", sample_mean),
                  ("sample_mean_discrepancy",
                   experiments.rel_vec_diff(sample_mean, exact))]
-        prior_dev = _norms(members.members - prior.mean[:, None])
-        post_dev = _norms(updated.members - sample_mean[:, None])
-        trace_lines = ["# member  prior_deviation  posterior_deviation"]
-        for e in range(members.size):
-            trace_lines.append(
-                f"{e} {format_float(prior_dev[e])} {format_float(post_dev[e])}"
-            )
-        side_files = _trace_file(args, trace_lines)
+        table = np.array([(e, _norm(f - prior.mean), _norm(g - sample_mean))
+                          for e, (f, g) in enumerate(zip(members.members.T,
+                                                         updated.members.T))])
+        side_files = _trace_file(
+            args, "# member  prior_deviation  posterior_deviation", table)
         if args.save_members:
             side_files[args.save_members] = matio.dumps_matrix(
                 updated.members,
@@ -289,9 +288,12 @@ def _tol_value(args: argparse.Namespace):
     return "default" if args.rank_tol is None else args.rank_tol
 
 
-def _trace_file(args: argparse.Namespace, lines: list[str]) -> dict[str, str]:
-    """The plot-ready trace, written next to the report when it goes to --out."""
-    return {f"{args.out}.trace": "\n".join(lines) + "\n"} if args.out else {}
+def _trace_file(args: argparse.Namespace, header: str, table: np.ndarray) -> dict[str, str]:
+    """The plot-ready trace, written next to the report when it goes to --out:
+    the header line, then the table by the matrix writer, whose %.17g prints
+    an integral k or member index as that integer."""
+    return ({f"{args.out}.trace": f"{header}\n" + "".join(matio._format_text(table))}
+            if args.out else {})
 
 
 _RUNNERS = {"condition": _run_condition, "ens-cgp": _run_ens_cgp,

@@ -102,5 +102,10 @@ def enkf_perturbed_obs(ens: Ensemble, obs: ObservationModel, y, gain, seed: int,
             eta = eta - eta.mean(axis=1, keepdims=True)
     else:
         eta = np.zeros((m, ens.size))
-    innovations = y[:, None] + eta - obs.H @ ens.members
-    return Ensemble(ens.members + gain @ innovations)
+    with np.errstate(over="ignore", invalid="ignore"):
+        innovations = y[:, None] + eta - obs.H @ ens.members
+        updated = ens.members + gain @ innovations
+    try:
+        return Ensemble(updated)
+    except ValueError:  # raised by Ensemble's finiteness check
+        raise ValueError("updated ensemble must not contain infs or NaNs") from None

@@ -16,11 +16,12 @@ priors against tall, wide, and zero observation operators.
 
 ``repeated_reuse`` traces what happens when one realized observation is
 (incorrectly) treated as k independent ones: the covariance follows
-K_k = (K_0^(-1) + k H^T R^(-1) H)^(-1) and collapses as k grows. It makes
-one pass over k and keeps per-k norms and the final law, so its memory is
-O(n^2 + k_max). The trace is labeled a double-counting demonstration
-because that collapse is a property of data reuse, not of correct
-single-observation inference.
+K_k = (K_0^(-1) + k H^T R^(-1) H)^(-1) and collapses as k grows, while
+the mean moves by K_k (k H^T R^(-1) (y - H m_0)). It makes one pass over k
+and keeps per-k norms and the final law, so its memory is O(n^2 + k_max).
+The trace is labeled a double-counting demonstration because that
+collapse is a property of data reuse, not of correct single-observation
+inference.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import numpy as np
 from . import ensemble, gaussian, psd, quadprog, rkhs
 from .errors import NotSpdError
 from .gaussian import GaussianLaw, ObservationModel
-from .psd import _chol_lower, _chol_solve, _norm, _norms, symmetrize
+from .psd import _chol_solve, _norm, symmetrize
 from .rng import NormalStream
 
 MEAN_TOL = 1e-8
@@ -188,16 +189,18 @@ class CollapseTrace:
     label: str = "double-counting demonstration"
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is named, not warned about
 def repeated_reuse(prior: GaussianLaw, obs: ObservationModel, y,
                    k_max: int) -> CollapseTrace:
     """Trace K_k = (K_0^(-1) + k H^T R^(-1) H)^(-1) and the matching means.
 
     Requires an SPD prior covariance. One pass over k computes each K_k and
-    m_k and keeps only their norms, so memory is O(n^2 + k_max). For k up to
+    the shift m_k - m_0 = K_k (k H^T R^(-1) (y - H m_0)), and keeps only
+    their norms, so memory is O(n^2 + k_max). For k up to
     ``RECURSION_LIMIT`` the closed form is cross-checked, in the same pass,
     against literally conditioning k times; the largest relative discrepancy
-    observed is recorded in the trace. A mean or a discrepancy that overflows
-    raises ``ValueError``.
+    observed is recorded in the trace. A data shift, precision, mean or
+    discrepancy that overflows raises ``ValueError``.
     """
     if prior.rank != prior.dim:
         raise NotSpdError(
@@ -210,8 +213,10 @@ def repeated_reuse(prior: GaussianLaw, obs: ObservationModel, y,
 
     k0_inv = prior.cov_factor.pinv()  # full rank, so this is the inverse
     info = obs.information()
-    b0 = k0_inv @ prior.mean
-    pulled_data = obs.H.T @ obs.noise_solve(y)
+    try:
+        pulled_data = obs.H.T @ obs.noise_solve(y - obs.H @ prior.mean)
+    except ValueError:  # raised by noise_solve's finiteness check
+        raise ValueError("data shift y - H m_0 must not contain infs or NaNs") from None
 
     ks = np.arange(k_max + 1)
     spectral_norms = np.empty(k_max + 1)
@@ -221,23 +226,21 @@ def repeated_reuse(prior: GaussianLaw, obs: ObservationModel, y,
     law = prior
     for k in ks:
         precision = k0_inv + k * info
-        cov_k = symmetrize(_chol_solve(_chol_lower(precision), identity))
-        mean_k = cov_k @ (b0 + k * pulled_data)
-        if k == 0:
-            mean_0 = mean_k
-        # _norms sums as norm(..., axis=...) does, which the reported digits
-        # follow; _norm sums through a dot product instead
-        mean_shift_norms[k] = _norms(mean_k - mean_0)[0]
+        chol = gaussian._spd_chol(precision, "precision K_0^(-1) + k H^T R^(-1) H")
+        cov_k = symmetrize(_chol_solve(chol, identity))
+        shift = cov_k @ (k * pulled_data)
+        mean_k = prior.mean + shift
+        mean_shift_norms[k] = _norm(shift)
         spectral_norms[k] = float(np.max(np.abs(np.linalg.eigvalsh(cov_k))))
         if 1 <= k <= RECURSION_LIMIT:
             law = gaussian.condition(law, obs, y)
             # np.max keeps a NaN, which the builtin max would drop
             worst = float(np.max([worst, rel_vec_diff(law.mean, mean_k),
                                   rel_vec_diff(law.covariance, cov_k)]))
-    # a shift norm is finite only when both of its means are
-    if not (np.isfinite(mean_shift_norms).all() and np.isfinite(worst)):
-        raise ValueError("the collapse trace is not finite: K_0^(-1) m_0 + k H^T R^(-1) y "
-                         "or the recursive cross-check overflows")
+    if not (np.isfinite(mean_shift_norms).all() and np.isfinite(mean_k).all()
+            and np.isfinite(worst)):
+        raise ValueError("the collapse trace is not finite: a posterior mean m_0 + K_k "
+                         "(k H^T R^(-1) (y - H m_0)) or the recursive cross-check overflows")
     return CollapseTrace(ks=ks, spectral_norms=spectral_norms,
                          mean_shift_norms=mean_shift_norms, final_mean=mean_k,
                          final_cov=cov_k, recursive_max_discrepancy=worst)

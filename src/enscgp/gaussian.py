@@ -209,15 +209,19 @@ def _schur_core(prior: GaussianLaw, obs: ObservationModel,
     W = L^(-1) H A; the mean is m + A W^T L^(-1) (y - H m) and the core
     S (I - W^T W) S, so the posterior covariance is U core U^T (see the
     module docstring) and no n x n array is formed. ``y`` must be checked
-    data.
+    data; a data shift y - H m that overflows raises ``ValueError``, without
+    a numpy warning.
     """
     a = prior.cov_factor.factor
     with np.errstate(over="ignore", invalid="ignore"):
         ha = obs.H @ a
         innovation = ha @ ha.T + obs.R
-    chol = _spd_chol(innovation, _INNOVATION)
-    w = _tril_solve(chol, ha)
-    mean = prior.mean + a @ (w.T @ _tril_solve(chol, y - obs.H @ prior.mean))
+        chol = _spd_chol(innovation, _INNOVATION)
+        w = _tril_solve(chol, ha)
+        try:
+            mean = prior.mean + a @ (w.T @ _tril_solve(chol, y - obs.H @ prior.mean))
+        except ValueError:  # raised by _tril_solve's finiteness check
+            raise ValueError("data shift y - H m must not contain infs or NaNs") from None
     w *= np.sqrt(prior.cov_factor.eigenvalues)  # W S
     return mean, np.diag(prior.cov_factor.eigenvalues) - w.T @ w
 
@@ -242,8 +246,12 @@ def condition(prior: GaussianLaw, obs: ObservationModel, y,
     # round-off in the update lives at the prior's scale, so the
     # re-factoring threshold is floored there
     scale = float(prior.cov_factor.eigenvalues[0]) if prior.rank else 0.0
-    return GaussianLaw(mean, psd.canonical_sqrt_in_basis(
-        prior.cov_factor.basis(), core, rank_tol, scale_floor=scale))
+    factor = psd.canonical_sqrt_in_basis(prior.cov_factor.basis(), core, rank_tol,
+                                         scale_floor=scale)
+    try:
+        return GaussianLaw(mean, factor)
+    except ValueError:  # raised by GaussianLaw's finiteness check
+        raise ValueError("posterior mean must not contain infs or NaNs") from None
 
 
 def _restricted_hessian(factor: PsdFactor, obs: ObservationModel) -> np.ndarray:

@@ -30,11 +30,12 @@ the package is :func:`eig_psd`'s. The one exception is a check, not a rank
 decision: ``experiments.repeated_reuse`` takes spectral norms with
 ``np.linalg.eigvalsh``.
 
-The package's vector norms are :func:`_norm` (np.linalg.norm's) and
-:func:`_norms` (its ``axis=0`` form): where the sum of squares is a finite
-normal number they are numpy's formula, bit for bit, and where it is not,
-the entries are rescaled by a power of two, so a norm is in range whenever
-it is itself a finite double, and a NaN entry gives NaN.
+Every norm in the package is :func:`_norm` (np.linalg.norm's, of a vector
+or a whole matrix; a caller that wants column norms takes one per column):
+where the sum of squares is a finite normal number it is numpy's formula,
+bit for bit, and where it is not, the entries are rescaled by a power of
+two, so a norm is in range whenever it is itself a finite double, and a
+NaN entry gives NaN.
 
 This module is also the package's only caller of LAPACK's symmetric
 eigensolver, Cholesky and triangular-solve kernels (``dsyevd``, ``dpotrf``,
@@ -121,23 +122,6 @@ def _check_finite(*arrays: np.ndarray) -> None:
             raise ValueError("array must not contain infs or NaNs")
 
 
-def _rescaled_norm(x: np.ndarray, sum_sq) -> float:
-    """Norm of a 1-D x whose ``sum_sq(x)`` is not a finite normal number.
-
-    x is scaled by the power of two nearest above its largest magnitude,
-    which is exact (Blue 1978; LAPACK's ``dnrm2``), and the norm scaled
-    back: inf only when the norm itself overflows, NaN for a NaN entry.
-    """
-    big = float(np.max(np.abs(x), initial=0.0))
-    if not 0.0 < big < math.inf:
-        return big  # all zeros, an infinite entry or a NaN
-    exponent = math.frexp(big)[1]
-    try:
-        return math.ldexp(math.sqrt(sum_sq(np.ldexp(x, -exponent))), exponent)
-    except OverflowError:
-        return math.inf
-
-
 def _dot_sq(x: np.ndarray) -> float:
     # np.vdot is the ddot np.linalg.norm takes, so the same bits, but it
     # does not warn on overflow
@@ -148,32 +132,23 @@ def _norm(x: np.ndarray) -> float:
     """np.linalg.norm(x) (Frobenius for a matrix), in range at any scale.
 
     Where the sum of squares is a finite normal number the result has
-    np.linalg.norm's bits; only otherwise is x rescaled
-    (:func:`_rescaled_norm`).
+    np.linalg.norm's bits. Otherwise x is scaled by the power of two
+    nearest above its largest magnitude, which is exact (Blue 1978;
+    LAPACK's ``dnrm2``), and the norm scaled back: inf only when the norm
+    itself overflows, NaN for a NaN entry.
     """
     x = x.ravel(order="K")
     sq = _dot_sq(x)
     if _TINY <= sq < math.inf:
         return math.sqrt(sq)
-    return _rescaled_norm(x, _dot_sq)
-
-
-def _norms(x: np.ndarray) -> np.ndarray:
-    """np.linalg.norm(x, axis=0), each norm in range at any scale.
-
-    The column norms of a 2-D x, or the norm of a 1-D x as a 1-element
-    array, with the squares summed by ``np.add.reduce`` as numpy's ``axis``
-    form sums them. A norm whose sum of squares is not a finite normal
-    number is taken again by :func:`_rescaled_norm`; every other keeps
-    numpy's bits.
-    """
-    with np.errstate(over="ignore"):
-        sq = np.atleast_1d(np.add.reduce(x * x, axis=0))
-    norms = np.sqrt(sq)
-    lines = x.T if x.ndim == 2 else x[None, :]
-    for j in np.flatnonzero(~((sq >= _TINY) & (sq < math.inf))).tolist():
-        norms[j] = _rescaled_norm(lines[j], lambda y: float(np.add.reduce(y * y)))
-    return norms
+    big = float(np.max(np.abs(x), initial=0.0))
+    if not 0.0 < big < math.inf:
+        return big  # all zeros, an infinite entry or a NaN
+    exponent = math.frexp(big)[1]
+    try:
+        return math.ldexp(math.sqrt(_dot_sq(np.ldexp(x, -exponent))), exponent)
+    except OverflowError:
+        return math.inf
 
 
 def _lapack_info(info: int, routine: str) -> None:

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import DegenerateModelError, DimensionError, InfeasiblePointError
 from .gaussian import GaussianLaw, ObservationModel, _check_compatible, _check_data
-from .psd import PsdFactor, _chol_lower, _chol_solve
+from .psd import PsdFactor, _chol_lower, _chol_solve, _norm
 
 FEASIBILITY_TOL = 1e-8
 
@@ -100,8 +100,8 @@ def _feasible_point(obj: QuadraticObjective, x) -> np.ndarray:
     if x.shape != (obj.dim,):
         raise DimensionError(f"point must have shape ({obj.dim},), got {x.shape}")
     u = obj.cov_factor.basis()
-    residual = float(np.linalg.norm(x - u @ (u.T @ x)))
-    if residual > FEASIBILITY_TOL * (1.0 + float(np.linalg.norm(x))):
+    residual = _norm(x - u @ (u.T @ x))
+    if residual > FEASIBILITY_TOL * (1.0 + _norm(x)):
         raise InfeasiblePointError(
             f"point lies off Range(K): projection residual {residual:.3e}; "
             "the objective is infinite there"

@@ -1,3 +1,4 @@
+import argparse
 import os
 import subprocess
 import sys
@@ -154,6 +155,37 @@ class TestExitCodes:
         assert err.startswith("computation error: innovation covariance")
         assert err.count("\n") == 1 and "infs or NaNs" in err
 
+    @pytest.mark.parametrize("command, inputs, quantity", [
+        # H m overflows while H K H^T + R is finite (_schur_core's mean line)
+        ("condition", {"mean": [1e308, 1e308], "cov": 1e-300 * np.eye(2),
+                       "H": [[10.0, 10.0]], "R": [[1.0]], "y": [1.0]},
+         "data shift y - H m"),
+        # y - H m is finite but the shift K H^T (H K H^T + R)^(-1) (y - H m) is not
+        ("condition", {"mean": [0.0], "cov": [[1.0]], "H": [[1e-10]], "R": [[1e-300]],
+                       "y": [1e300]}, "posterior mean"),
+        # zero spread, so a zero gain meets H m = inf (cli's exact mean; the
+        # perturbed update after it overflows the same way)
+        ("enkf", {"members": [[1e300, 1e300]], "H": [[1e10]], "R": [[1.0]], "y": [1.0]},
+         "exact mean update"),
+        ("collapse", {"mean": [1e308], "cov": [[1.0]], "H": [[10.0]], "R": [[1.0]],
+                      "y": [1.0]}, "data shift y - H m_0"),
+        # the means move toward y / H = 3.4e308
+        ("collapse", {"mean": [0.0], "cov": [[1.0]], "H": [[0.5]], "R": [[1.0]],
+                      "y": [1.7e308]}, "posterior mean"),
+    ])
+    def test_overflow_is_one_named_computation_error(self, command, inputs, quantity,
+                                                     tmp_path, capsys):
+        paths = []
+        for name, value in inputs.items():
+            paths.append(str(tmp_path / f"{name}.txt"))
+            matio.write_matrix(paths[-1], value)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # nothing from numpy reaches stderr
+            assert main([command, *paths]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("computation error: ") and err.count("\n") == 1
+        assert quantity in err
+
     @pytest.mark.parametrize("argv, flag", [
         (["collapse", *("ghost.txt",) * 5, "--k-max", "0"], "--k-max"),
         (["collapse", *("ghost.txt",) * 5, "--k-max", "1000001"], "--k-max"),
@@ -274,6 +306,26 @@ class TestCollapse:
         shifts = [float(row.split()[2]) for row in rows]
         np.testing.assert_allclose(shifts, [0.0, 1e200, 1e200, 1e200], rtol=1e-12)
 
+    def test_tiny_prior_with_a_large_mean(self, tmp_path):
+        # K_0^(-1) m_0 = 1e300 * 1e9 overflows; the mean shifts do not
+        files = []
+        for name, value in [("mean", [1e9]), ("cov", [[1e-300]]), ("H", np.zeros((0, 1))),
+                            ("R", np.zeros((0, 0))), ("y", np.zeros((0, 1)))]:
+            matio.write_matrix(tmp_path / name, value)
+            files.append(str(tmp_path / name))
+        out = tmp_path / "collapse.txt"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["collapse", *files, "--format", "structured", "--out", str(out)])
+        assert code == 0
+        pairs = parse_structured(out.read_text())
+        assert pairs["final_mean"] == "[1000000000]"
+        assert pairs["final_cov"] == "[[1e-300]]"
+        trace = np.loadtxt(tmp_path / "collapse.txt.trace", ndmin=2)
+        assert trace.shape == (101, 3) and np.isfinite(trace).all()
+        np.testing.assert_array_equal(trace[:, 0], np.arange(101))
+        assert (trace[:, 2] == 0.0).all()
+
 
 class TestEquivalence:
     def test_small_corpus_summary(self, capsys):
@@ -304,6 +356,40 @@ class TestReportValues:
         assert _fmt_value(values) == "[" + row(values[0]) + row(values[1]) + "]"
         assert _fmt_value(np.zeros(0)) == "[]"
         assert _fmt_value(np.zeros((2, 0))) == "[[][]]"
+
+    @pytest.mark.parametrize("shape", [(1000, 39), (1000,), (0, 3), (3, 0), (0,), (0, 0),
+                                       (1, 1), "edges"])
+    def test_float_arrays_render_as_split_rows(self, shape):
+        """The writer's text with each row's line feed made "][" is the
+        text split into rows and each row bracketed."""
+        def split_and_join(arr):
+            text = "".join(matio._format_text(np.atleast_2d(arr)))
+            rows = "".join(f"[{row}]" for row in text.split("\n")[:-1])
+            return rows if arr.ndim == 1 else f"[{rows}]"
+
+        if shape == "edges":
+            values = np.array([-0.0, 1e300, 5e-324])
+            assert _fmt_value(values) == "[-0 1.0000000000000001e+300 4.9406564584124654e-324]"
+        else:
+            rng = np.random.default_rng(sum(shape))
+            values = rng.normal(size=shape) * 10.0 ** rng.integers(-300, 300, size=shape)
+        assert _fmt_value(values) == split_and_join(values)
+
+    def test_trace_table_prints_the_per_value_lines(self):
+        """An integral k prints as that integer, up to k = 10^6, and each norm
+        as its format_float form: the lines a per-value loop printed."""
+        rng = np.random.default_rng(6)
+        ks = np.unique(np.r_[np.arange(1200), np.geomspace(1, 1e6, 600).round(), 1e6])
+        a, b = (rng.normal(size=ks.size) ** 2 * 10.0 ** rng.integers(-300, 300, ks.size)
+                for _ in range(2))
+        b[:3] = 0.0
+        text = cli._trace_file(argparse.Namespace(out="t"), "# header",
+                               np.column_stack([ks, a, b]))["t.trace"]
+        lines = ["# header"] + [f"{int(k)} {matio.format_float(x)} {matio.format_float(y)}"
+                                for k, x, y in zip(ks, a, b)]
+        assert text == "\n".join(lines) + "\n"
+        assert cli._trace_file(argparse.Namespace(out=None), "# header",
+                               np.column_stack([ks, a, b])) == {}
 
     def test_integer_and_bool_arrays_keep_their_text(self):
         assert _fmt_value(np.array([7, 0, -3])) == "[7 0 -3]"

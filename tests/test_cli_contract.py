@@ -10,7 +10,8 @@ and zero-row H among them) exits 0, unless its rank tolerance is one of
 ``LOOSE_TOLS``. In the other half each matrix file and
 each kernel parameter is scaled by its own power of ten from 1e-300 to
 1e300; such a run may also stop with exit 1 or 2, but a run that exits 0
-writes no ``nan`` or ``inf`` in its report or any side file. The examples
+writes no ``nan`` or ``inf`` in its report or any side file. No run raises
+a numpy ``RuntimeWarning``: an overflow ends in a named error. The examples
 are derandomized and bounded, so the test is deterministic and short.
 """
 
@@ -18,6 +19,7 @@ import contextlib
 import io
 import re
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -194,7 +196,10 @@ def test_exit_code_contract(problem):
         argv = [str(Path(tmp, a)) if a in texts else a for a in argv]
         report = Path(tmp, "report.txt")
         save = ["--save-members", str(Path(tmp, "members.out"))] if argv[0] == "enkf" else []
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        # a numpy warning is a failure: every overflow must end in a named error
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
             code = main([*argv, "--out", str(report), *save])
         written = {p.name: p.read_text() for p in Path(tmp).iterdir()
                    if p.name not in texts}

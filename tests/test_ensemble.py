@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -218,6 +220,17 @@ class TestPerturbedObs:
         obs = ObservationModel(np.eye(3), np.eye(3))
         with pytest.raises(DimensionError):
             enkf_perturbed_obs(ens, obs, np.zeros(3), np.zeros((2, 3)), 0)
+
+    @pytest.mark.parametrize("perturb", [True, False])
+    def test_overflowing_update_is_named_without_a_warning(self, perturb):
+        # zero spread and zero gain, but H f = 1e310 for every member
+        ens = Ensemble(np.full((1, 3), 1e300))
+        obs = ObservationModel([[1e10]], [[1.0]])
+        gain = kalman_gain(ensemble_stats(ens), obs)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="updated ensemble must not contain"):
+                enkf_perturbed_obs(ens, obs, [1.0], gain, 0, perturb)
 
 
 class TestFactorRouteIndependence:

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -415,12 +416,20 @@ class TestRepeatedReuse:
         with pytest.raises(ValueError, match="not finite"):
             repeated_reuse(prior, obs, [1.0], k_max=3)
 
-    def test_overflowing_mean_raises(self):
-        # K_0^(-1) m_0 = 1e300 * 1e9 overflows
+    def test_tiny_prior_with_a_large_mean(self):
+        # K_0^(-1) m_0 = 1e300 * 1e9 would overflow; the means come from the
+        # data shift alone, which is empty here, and k runs past the
+        # recursive cross-check
         prior = GaussianLaw.from_moments([1e9], [[1e-300]])
         obs = ObservationModel(np.zeros((0, 1)), np.zeros((0, 0)))
-        with pytest.raises(ValueError, match="not finite"):
-            repeated_reuse(prior, obs, np.zeros(0), k_max=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            trace = repeated_reuse(prior, obs, np.zeros(0), k_max=150)
+        assert trace.final_mean.tolist() == [1e9]
+        assert trace.final_cov.tolist() == prior.covariance.tolist()
+        assert (trace.mean_shift_norms == 0.0).all()
+        assert (trace.spectral_norms == prior.covariance[0, 0]).all()
+        assert trace.recursive_max_discrepancy == 0.0
 
     def test_memory_does_not_grow_with_k_max_times_n_squared(self, rng):
         n, m, k_max = 20, 5, 20_000

@@ -18,9 +18,10 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from enscgp import matio
+from enscgp.cli import _fmt_value
 from enscgp.errors import MatrixParseError
-from enscgp.matio import (_BLOCK_VALUES, _format_rows, _format_text, dumps_matrix,
-                          format_float, loads_matrix, read_matrix, read_vector, write_matrix)
+from enscgp.matio import (_BLOCK_VALUES, _format_text, dumps_matrix, format_float,
+                          loads_matrix, read_matrix, read_vector, write_matrix)
 
 EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308,
                -1.7976931348623157e308, 1.0, -3.0, 2.0**53, 1e22)
@@ -29,6 +30,15 @@ FLOAT_MATRICES = hnp.arrays(
     elements=st.one_of(st.sampled_from(EDGE_FLOATS),
                        st.floats(allow_nan=False, allow_infinity=False),
                        st.integers(-10**6, 10**6).map(float)))
+
+
+def assert_rows_print_as_format_float(matrix):
+    """The writer's text is each row's values' format_float forms joined by
+    single spaces, a line feed after each row, and a report value prints the
+    same rows, each in brackets."""
+    rows = [" ".join(format_float(v) for v in row) for row in matrix]
+    assert "".join(_format_text(matrix)) == "".join(f"{row}\n" for row in rows)
+    assert _fmt_value(matrix) == "[" + "".join(f"[{row}]" for row in rows) + "]"
 
 
 class TestFormat:
@@ -94,16 +104,14 @@ class TestRoundTrip:
         assert np.array_equal(np.signbit(back), np.signbit(matrix))
         np.testing.assert_array_equal(back, matrix)
         assert dumps_matrix(back) == text
-        assert list(_format_rows(matrix)) == [
-            " ".join(format_float(v) for v in row) for row in matrix]
+        assert_rows_print_as_format_float(matrix)
 
     @settings(max_examples=200, deadline=None)
     @given(FLOAT_MATRICES)
     def test_batch_path_property(self, matrix):
         """The same, with every block through the batch formatter."""
         with mock.patch.object(matio, "_BATCH_MIN", 0):
-            assert _format_rows(matrix) == [
-                " ".join(format_float(v) for v in row) for row in matrix]
+            assert_rows_print_as_format_float(matrix)
 
 
 def percent_text(values):
@@ -208,7 +216,7 @@ def test_block_edges_match_reference(shape):
 
 def test_float32_arrays_format_as_their_doubles():
     matrix = np.random.default_rng(3).normal(size=(30, 40)).astype(np.float32)
-    assert _format_rows(matrix) == [" ".join(format_float(v) for v in row) for row in matrix]
+    assert_rows_print_as_format_float(matrix)
 
 
 def test_forced_fallback_gives_the_same_text():
