@@ -258,7 +258,10 @@ def _run_enkf(args: argparse.Namespace):
             raise ValueError("exact mean update must not contain infs or NaNs")
         updated = ens_mod.enkf_perturbed_obs(members, obs, y, gain, args.seed, perturb,
                                              args.center_perturbations)
-        sample_mean = updated.members.mean(axis=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            sample_mean = updated.members.mean(axis=1)
+        if not np.isfinite(sample_mean).all():
+            raise ValueError("updated sample mean must not contain infs or NaNs")
         pairs = [("command", "enkf"), ("seed", args.seed),
                  ("rank_tol", _tol_value(args)), ("n", members.dim),
                  ("m", obs.n_obs), ("ensemble_size", members.size),

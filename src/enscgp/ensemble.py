@@ -50,8 +50,15 @@ class Ensemble:
 
 
 def ensemble_stats(ens: Ensemble, rank_tol: float | None = None) -> GaussianLaw:
-    """Empirical law N(mean, A A^T) with the divisor-(E-1) convention."""
-    mean = ens.members.mean(axis=1)
+    """Empirical law N(mean, A A^T) with the divisor-(E-1) convention.
+
+    Members whose sum overflows raise ``ValueError`` naming the ensemble
+    mean, without a numpy warning.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = ens.members.mean(axis=1)
+    if not np.isfinite(mean).all():
+        raise ValueError("ensemble mean must not contain infs or NaNs")
     anomaly = (ens.members - mean[:, None]) / np.sqrt(ens.size - 1)
     return GaussianLaw(mean, psd.canonicalize_factor(anomaly, rank_tol))
 

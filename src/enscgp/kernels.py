@@ -117,8 +117,11 @@ def kl_truncate(cov, r, rank_tol: float | None = None) -> KlModes:
     (0, 1] is rejected before the matrix is eigendecomposed; a count is
     checked against the rank that the eigendecomposition finds. The kept
     modes are F_1 = F[:, :count] of :func:`psd.canonical_sqrt`'s factor F,
-    pinned before the cut, so a tie block across it is settled as in F. F
-    is released before K is symmetrized again for the residual
+    pinned before the cut, so a tie block across it is settled as in F.
+    When the caller still holds F (the prior of the same K, say, from
+    ``GaussianLaw.from_moments``), :func:`psd.canonical_sqrt` returns it
+    without a second eigendecomposition. F is released, unless such a
+    caller still holds it, before K is symmetrized again for the residual
     |K - F_1 F_1^T|_F / |K|_F, with the kept factor's exactly symmetric
     ``gram()`` and :func:`psd._norm`, in range at any scale of K; it is
     nonincreasing in the kept count.

@@ -11,6 +11,17 @@ runs. ``kernels.kl_truncate`` keeps the leading columns of
 :func:`canonical_sqrt`'s factor, so the KL modes are pinned here too, over
 the whole kept spectrum before the cut.
 
+:func:`canonical_sqrt` keeps a one-entry memo, so a workflow that factors
+a prior K and then cuts its KL modes eigendecomposes K once: a call whose
+input is bitwise equal to the last call's (compared as int64, so a -0.0
+for a +0.0 is another matrix), with the same resolved ``rank_tol``,
+returns that call's factor itself while the factor is alive. The memo
+holds a copy of the input, taken after the factor is built, and a weak
+reference to the factor; both go when the factor is collected, so nothing
+outlives the caller's own reference. The arrays of a factor that
+:func:`canonical_sqrt` returns are read-only, like :meth:`PsdFactor.basis`,
+since callers may share it.
+
 The work is split once: :func:`eig_psd` decides the rank and returns the
 kept columns unpinned, so its columns' signs, and their order within a
 block of equal eigenvalues, are those of the LAPACK build. Each
@@ -63,6 +74,7 @@ import importlib.util
 import math
 import os
 import sys
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -329,13 +341,66 @@ class PsdFactor:
         return symmetrize((u / self.eigenvalues) @ u.T)
 
 
+# canonical_sqrt's one-entry memo: (bits of its last input, resolved
+# rank_tol, weakref to the factor returned), or None
+_memo: tuple[np.ndarray, float, weakref.ref] | None = None
+
+
+def _forget(ref: weakref.ref) -> None:
+    """Weakref callback: drop the memo once its factor is collected."""
+    global _memo
+    if _memo is not None and _memo[2] is ref:
+        _memo = None
+
+
+def _memo_hit(matrix, rank_tol: float | None) -> PsdFactor | None:
+    """The memoized factor, if ``matrix`` has the snapshot's bits, the
+    cutoff resolves to the memo's and the factor is still alive."""
+    memo = _memo
+    if memo is None:
+        return None
+    bits, cutoff, ref = memo
+    factor = ref()
+    if factor is None:
+        return None
+    m = np.asarray(matrix, dtype=float)
+    # int64 views, so a -0.0 where the snapshot has +0.0 is a miss
+    if (m.shape != bits.shape or _rank_tol(rank_tol, m.shape[0]) != cutoff
+            or not np.array_equal(m.view(np.int64), bits)):
+        return None
+    return factor
+
+
 def canonical_sqrt(matrix, rank_tol: float | None = None) -> PsdFactor:
-    """Canonical square root A = U_r diag(sqrt(lambda_r)) of a PSD matrix."""
+    """Canonical square root A = U_r diag(sqrt(lambda_r)) of a PSD matrix.
+
+    A call whose input is bitwise equal to the previous call's (a -0.0 for
+    a +0.0, or an entry one ulp away, is another input), with the same
+    resolved ``rank_tol``, returns the previous call's factor itself,
+    without an eigendecomposition, as long as that factor is alive. The memo
+    holds one entry: a copy of the input, taken after the factor is built
+    so that no call's peak memory grows, the cutoff, and a weak reference
+    to the factor. A miss drops the old entry before it eigendecomposes,
+    and the weak reference's callback drops the entry when the factor is
+    collected. The factor's arrays are read-only, since callers may share
+    it.
+    """
+    global _memo
+    factor = _memo_hit(matrix, rank_tol)
+    if factor is not None:
+        return factor
+    _memo = None  # the old snapshot is not held through the eigendecomposition
     values, vectors = eig_psd(matrix, rank_tol)
     _pin(values, vectors)
     # scaled into a new array: scaling eig_psd's vectors in place ran slightly
     # faster but raised kernel-dense's peak RSS by 1.8 MiB (2%)
-    return PsdFactor(factor=vectors * np.sqrt(values), eigenvalues=values)
+    factor = PsdFactor(factor=vectors * np.sqrt(values), eigenvalues=values)
+    del vectors
+    factor.factor.flags.writeable = False
+    values.flags.writeable = False
+    bits = np.array(matrix, dtype=float).view(np.int64)
+    _memo = (bits, _rank_tol(rank_tol, bits.shape[0]), weakref.ref(factor, _forget))
+    return factor
 
 
 def canonical_sqrt_in_basis(basis, core, rank_tol: float | None = None,

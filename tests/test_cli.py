@@ -172,6 +172,15 @@ class TestExitCodes:
         # the means move toward y / H = 3.4e308
         ("collapse", {"mean": [0.0], "cov": [[1.0]], "H": [[0.5]], "R": [[1.0]],
                       "y": [1.7e308]}, "posterior mean"),
+        # every member is finite but their sum is not
+        ("ens-cgp", {"members": [[1.5e308, 1.5e308]], "H": [[1.0]], "R": [[1.0]],
+                     "y": [1.0]}, "ensemble mean"),
+        ("enkf", {"members": [[1.5e308, 1.5e308]], "H": [[1.0]], "R": [[1.0]],
+                  "y": [1.0]}, "ensemble mean"),
+        # a unit gain moves both members to about y = 1.7e308: the exact mean
+        # is finite, the updated members' sum is not
+        ("enkf", {"members": [[0.0, 1.0]], "H": [[1e-300]], "R": [[5e-301]],
+                  "y": [1.7e308]}, "updated sample mean"),
     ])
     def test_overflow_is_one_named_computation_error(self, command, inputs, quantity,
                                                      tmp_path, capsys):

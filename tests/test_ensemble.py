@@ -58,6 +58,13 @@ class TestEnsembleStats:
             members = rng.normal(size=(8, n_members))
             assert ensemble_stats(Ensemble(members)).rank <= n_members - 1
 
+    def test_overflowing_mean_is_named_without_a_warning(self):
+        ens = Ensemble(np.array([[1.5e308, 1.5e308], [0.0, 1.0]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="ensemble mean must not contain"):
+                ensemble_stats(ens)
+
     def test_monte_carlo_recovers_generating_covariance(self):
         k0 = np.array([[2.0, 0.6], [0.6, 1.0]])
         chol = np.linalg.cholesky(k0)

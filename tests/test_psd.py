@@ -1,4 +1,6 @@
+import gc
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -139,7 +141,9 @@ class TestOneEigenPath:
     @pytest.mark.parametrize("case", ["from_moments", "condition", "kl_count", "kl_energy"])
     def test_every_eigh_runs_inside_eig_psd(self, case, rng, monkeypatch):
         k = random_psd(rng, 12, rank=7)
-        prior = GaussianLaw.from_moments(np.zeros(12), k)
+        # the prior factors another matrix: canonical_sqrt returns a live
+        # factor of k itself without an eigendecomposition
+        prior = GaussianLaw.from_moments(np.zeros(12), random_psd(rng, 12, rank=7))
         obs = ObservationModel(rng.normal(size=(3, 12)), np.eye(3))
         run = {"from_moments": lambda: GaussianLaw.from_moments(np.zeros(12), k),
                "condition": lambda: condition(prior, obs, np.ones(3)),
@@ -232,6 +236,105 @@ class TestCanonicalSqrt:
         factor = canonical_sqrt(random_psd(rng, 5, rank=2))
         again = canonical_sqrt(factor.gram())
         assert np.linalg.norm(again.gram() - factor.gram()) <= 1e-10
+
+
+class TestCanonicalSqrtMemo:
+    """canonical_sqrt returns its live factor of a bitwise-equal matrix
+    without an eigendecomposition, and holds nothing once it is collected."""
+
+    @pytest.fixture(autouse=True)
+    def empty_memo(self, monkeypatch):
+        monkeypatch.setattr(psd, "_memo", None)
+
+    @pytest.fixture
+    def dsyevd_calls(self, monkeypatch):
+        calls = []
+        real = psd.dsyevd
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(psd, "dsyevd", counted)
+        return calls
+
+    def test_repeat_call_returns_the_same_factor(self, rng, dsyevd_calls):
+        k = random_psd(rng, 9, rank=5)
+        first = canonical_sqrt(k)
+        assert canonical_sqrt(k.copy()) is first
+        assert canonical_sqrt(k, psd.default_rank_tol(9)) is first  # same cutoff
+        assert len(dsyevd_calls) == 1
+
+    @pytest.mark.parametrize("change", ["negative_zero", "one_ulp", "rank_tol"])
+    def test_any_other_bits_or_cutoff_recompute(self, change, rng, dsyevd_calls):
+        k = np.zeros((9, 9))  # two blocks, so k[0, 8] is an exact +0.0
+        k[:5, :5], k[5:, 5:] = random_psd(rng, 5, rank=3), random_psd(rng, 4, rank=2)
+        first = canonical_sqrt(k)
+        other, rank_tol = k.copy(), None
+        if change == "negative_zero":
+            other[0, 8] = -0.0
+        elif change == "one_ulp":
+            other[2, 3] = np.nextafter(other[2, 3], np.inf)
+        else:
+            rank_tol = 1e-6
+        again = canonical_sqrt(other, rank_tol)
+        assert again is not first and len(dsyevd_calls) == 2
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_input_still_raises(self, bad, rng):
+        k = random_psd(rng, 6)
+        factor = canonical_sqrt(k)
+        k[1, 1] = bad
+        for _ in range(2):
+            with pytest.raises(ValueError, match="infs or NaNs"):
+                canonical_sqrt(k)
+        # a miss drops the entry before it eigendecomposes, though the
+        # factor is alive
+        assert psd._memo is None and factor.rank == 6
+
+    def test_collected_factor_leaves_no_snapshot(self, rng):
+        factor = canonical_sqrt(random_psd(rng, 7))
+        assert psd._memo is not None
+        del factor
+        gc.collect()
+        assert psd._memo is None
+
+    def test_factor_arrays_are_read_only(self, rng):
+        factor = canonical_sqrt(random_psd(rng, 5, rank=3))
+        for array in (factor.factor, factor.eigenvalues, factor.basis()):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
+
+    def test_recomputed_factor_has_the_memoized_bits(self, rng, dsyevd_calls):
+        k = random_psd(rng, 30, rank=20)
+        first = canonical_sqrt(k)
+        canonical_sqrt(random_psd(rng, 30))  # evicts k's entry
+        again = canonical_sqrt(k)
+        assert again is not first and len(dsyevd_calls) == 3
+        assert again.factor.tobytes() == first.factor.tobytes()
+        assert again.eigenvalues.tobytes() == first.eigenvalues.tobytes()
+
+    def test_peak_memory_is_no_higher_than_without_the_memo(self, rng):
+        def unmemoized(matrix):
+            values, vectors = eig_psd(matrix)
+            psd._pin(values, vectors)
+            return PsdFactor(vectors * np.sqrt(values), values)
+
+        def peak(fn, matrix):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                result = fn(matrix)
+                return tracemalloc.get_traced_memory()[1] - base, result
+            finally:
+                tracemalloc.stop()
+
+        k = random_psd(rng, 400)
+        held = canonical_sqrt(random_psd(rng, 400))  # a live entry for another matrix
+        baseline, expected = peak(unmemoized, k)
+        memoized, factor = peak(canonical_sqrt, k)
+        assert memoized <= baseline
+        assert factor.factor.tobytes() == expected.factor.tobytes()
 
 
 class TestCanonicalizeFactor:
