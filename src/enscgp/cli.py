@@ -18,10 +18,10 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import math
 import os
 import sys
-from pathlib import Path
 
 import numpy as np
 
@@ -40,30 +40,43 @@ _INPUT_ERRORS = (OSError, ValueError)
 _COMPUTE_ERRORS = (ValueError, DegenerateModelError)
 
 
-def _fmt_value(value) -> str:
+def _fmt_value(value):
+    """Yield the report text of one value: a float vector as ``[a b c]``
+    and a float matrix as ``[[a b][c d]]``, printed by the matrix writer in
+    its pieces, so no whole text of an array is held."""
     if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return format_float(value)
-    if isinstance(value, str):
-        return value
-    arr = np.asarray(value)
-    if arr.dtype.kind == "f" and arr.ndim in (1, 2):
-        # each row ends in a line feed, which becomes "]["
-        rows = ("[" + "".join(matio._format_text(np.atleast_2d(arr))).replace("\n", "]["))[:-1]
-        return rows if arr.ndim == 1 else f"[{rows}]"
-    if arr.ndim == 1:
-        return "[" + " ".join(_fmt_value(v) for v in arr) + "]"
-    raise ValueError(f"cannot format value of shape {arr.shape}")
+        yield "true" if value else "false"
+    elif isinstance(value, (int, np.integer)):
+        yield str(int(value))
+    elif isinstance(value, (float, np.floating)):
+        yield format_float(value)
+    elif isinstance(value, str):
+        yield value
+    else:
+        arr = np.asarray(value)
+        if arr.dtype.kind == "f" and arr.ndim in (1, 2):
+            # each row ends in a line feed, which becomes "]["; the last
+            # piece's final "[" is dropped, so one piece is held back
+            piece = "[[" if arr.ndim == 2 else "["
+            for text in matio._format_text(np.atleast_2d(arr)):
+                if text:  # a 0 x 0 matrix's text is empty
+                    yield piece
+                    piece = text.replace("\n", "][")
+            yield piece[:-1] + ("]" if arr.ndim == 2 else "")
+        elif arr.ndim == 1:
+            yield "[" + " ".join("".join(_fmt_value(v)) for v in arr) + "]"
+        else:
+            raise ValueError(f"cannot format value of shape {arr.shape}")
 
 
-def _render(pairs: list[tuple[str, object]], fmt: str) -> str:
-    if fmt == "structured":
-        return "\n".join(f"{k} = {_fmt_value(v)}" for k, v in pairs) + "\n"
+def _render(pairs: list[tuple[str, object]], fmt: str):
+    """Yield the report's text in pieces, one line's key or scalar value, or
+    one writer block of an array, at a time."""
     width = max(len(k) for k, _ in pairs)
-    return "\n".join(f"{k.ljust(width)} : {_fmt_value(v)}" for k, v in pairs) + "\n"
+    for key, value in pairs:
+        yield f"{key} = " if fmt == "structured" else f"{key.ljust(width)} : "
+        yield from _fmt_value(value)
+        yield "\n"
 
 
 def _load_observation(h_path, r_path, state_dim: int | None):
@@ -214,7 +227,7 @@ def _run_kl_sample(args: argparse.Namespace):
             f" residual={format_float(modes.residual)}",
         )
         # the output is itself a matrix file, in either --format
-        return matio.dumps_matrix(samples, comments), {}
+        return matio._matrix_text(samples, comments), {}
 
     return compute
 
@@ -258,8 +271,7 @@ def _run_enkf(args: argparse.Namespace):
             raise ValueError("exact mean update must not contain infs or NaNs")
         updated = ens_mod.enkf_perturbed_obs(members, obs, y, gain, args.seed, perturb,
                                              args.center_perturbations)
-        with np.errstate(over="ignore", invalid="ignore"):
-            sample_mean = updated.members.mean(axis=1)
+        sample_mean = ens_mod._member_mean(updated.members)
         if not np.isfinite(sample_mean).all():
             raise ValueError("updated sample mean must not contain infs or NaNs")
         pairs = [("command", "enkf"), ("seed", args.seed),
@@ -278,7 +290,7 @@ def _run_enkf(args: argparse.Namespace):
         side_files = _trace_file(
             args, "# member  prior_deviation  posterior_deviation", table)
         if args.save_members:
-            side_files[args.save_members] = matio.dumps_matrix(
+            side_files[args.save_members] = matio._matrix_text(
                 updated.members,
                 (f"ensemble members={updated.size}",
                  f"enkf seed={args.seed} perturb={str(perturb).lower()}"))
@@ -291,11 +303,12 @@ def _tol_value(args: argparse.Namespace):
     return "default" if args.rank_tol is None else args.rank_tol
 
 
-def _trace_file(args: argparse.Namespace, header: str, table: np.ndarray) -> dict[str, str]:
-    """The plot-ready trace, written next to the report when it goes to --out:
-    the header line, then the table by the matrix writer, whose %.17g prints
-    an integral k or member index as that integer."""
-    return ({f"{args.out}.trace": f"{header}\n" + "".join(matio._format_text(table))}
+def _trace_file(args: argparse.Namespace, header: str, table: np.ndarray) -> dict:
+    """The plot-ready trace's text in pieces, written next to the report when
+    it goes to --out: the header line, then the table by the matrix writer,
+    whose %.17g prints an integral k or member index as that integer."""
+    return ({f"{args.out}.trace": itertools.chain([f"{header}\n"],
+                                                 matio._format_text(table))}
             if args.out else {})
 
 
@@ -313,18 +326,22 @@ def run(args: argparse.Namespace) -> int:
         return 2
 
     try:
-        text, side_files = compute()
+        report, side_files = compute()
     except _COMPUTE_ERRORS as exc:
         print(f"computation error: {exc}", file=sys.stderr)
         return 1
 
+    # each output is rendered as it is written, one piece at a time, so no
+    # whole text is held; rendering cannot fail, so every output is still
+    # written only after the computation succeeded
     if args.out:
-        side_files = {args.out: text, **side_files}
+        side_files = {args.out: report, **side_files}
     else:
-        sys.stdout.write(text)
-    for path, content in side_files.items():
+        sys.stdout.writelines(report)
+    for path, pieces in side_files.items():
         try:
-            Path(path).write_text(content)
+            with open(path, "w") as file:
+                file.writelines(pieces)
         except OSError as exc:
             print(f"output error: cannot write {path}: {exc.strerror or exc}",
                   file=sys.stderr)

@@ -49,14 +49,35 @@ class Ensemble:
         return self.members.shape[1]
 
 
+def _member_mean(members: np.ndarray) -> np.ndarray:
+    """Row means of a finite (n, E) matrix, in range whenever they are finite
+    doubles.
+
+    numpy sums before it divides, so a row of finite members can have an
+    infinite or NaN plain mean. Only such a row is averaged again, scaled
+    by the power of two just above its largest magnitude (exact, as
+    :func:`psd._norm` rescales), and its mean scaled back; every other row
+    keeps the plain mean's bits. No numpy warning is raised.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = members.mean(axis=1)
+        bad = np.flatnonzero(~np.isfinite(mean))
+        if bad.size:
+            rows = members[bad]
+            exponent = np.frexp(np.abs(rows).max(axis=1))[1]
+            mean[bad] = np.ldexp(np.ldexp(rows, -exponent[:, None]).mean(axis=1),
+                                 exponent)
+    return mean
+
+
 def ensemble_stats(ens: Ensemble, rank_tol: float | None = None) -> GaussianLaw:
     """Empirical law N(mean, A A^T) with the divisor-(E-1) convention.
 
-    Members whose sum overflows raise ``ValueError`` naming the ensemble
-    mean, without a numpy warning.
+    The mean is finite whenever it is a finite double, even where the
+    members' sum overflows (:func:`_member_mean`); one that is not raises
+    ``ValueError`` naming the ensemble mean, without a numpy warning.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        mean = ens.members.mean(axis=1)
+    mean = _member_mean(ens.members)
     if not np.isfinite(mean).all():
         raise ValueError("ensemble mean must not contain infs or NaNs")
     anomaly = (ens.members - mean[:, None]) / np.sqrt(ens.size - 1)

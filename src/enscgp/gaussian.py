@@ -32,12 +32,12 @@ with its own transpose. The Schur route keeps R itself: the innovation
 covariance is H K H^T + R, so a fault in the whitening cannot cancel out
 of the audit.
 
-Every Cholesky factorization and triangular solve here goes through the
-LAPACK helpers in :mod:`enscgp.psd`, which check every matrix they factor
-and every right-hand side for finiteness (a factor, made only by potrf, is
-not checked again). Non-finite values are also rejected with
-``ValueError`` where they enter: a law's mean, the model's H and R, and
-the data y.
+Every Cholesky factorization, Cholesky inverse and triangular solve here
+goes through the LAPACK helpers in :mod:`enscgp.psd`, which check every
+matrix they factor and every right-hand side for finiteness (a factor, made
+only by potrf, is not checked again). Non-finite values are also rejected
+with ``ValueError`` where they enter: a law's mean, the model's H and R,
+and the data y.
 """
 
 from __future__ import annotations
@@ -48,8 +48,8 @@ import numpy as np
 
 from . import psd
 from .errors import DegenerateModelError, DimensionError, NotSpdError
-from .psd import (PsdFactor, _check_finite, _chol_lower, _chol_solve,
-                  _tril_solve, symmetrize)
+from .psd import (PsdFactor, _check_finite, _chol_inverse, _chol_lower,
+                  _chol_solve, _tril_solve, symmetrize)
 
 
 @dataclass(frozen=True)
@@ -281,10 +281,12 @@ def posterior_cov_via_hessian(prior: GaussianLaw, obs: ObservationModel, *,
     """Posterior covariance core as the inverse Hessian on Range(K).
 
     With the restricted Hessian U_r^T (K^+ + H^T R^(-1) H) U_r = L L^T (see
-    :func:`_restricted_hessian`), the core is (L L^T)^(-1) = X^T X with
-    X = L^(-1), one triangular solve; X^T X is r x r and exactly symmetric.
-    It is a core in the prior's range basis U_r: the posterior covariance is
-    U_r X^T X U_r^T, and it must equal the Schur-complement core of
+    :func:`_restricted_hessian`), the core is (L L^T)^(-1), r x r and
+    exactly symmetric: X^T X with X = L^(-1) from one triangular solve
+    below r = 65, and one LAPACK Cholesky inverse (potri) of L, a third of
+    the flops, from there on (``psd._chol_inverse``). It is a core in the
+    prior's range basis U_r: the posterior covariance is
+    U_r (L L^T)^(-1) U_r^T, and it must equal the Schur-complement core of
     :func:`_schur_core`, whose canonical square root :func:`condition`
     returns. ``hessian_chol`` is L as :func:`_restricted_hessian` returns it
     for this prior and model, for a caller that already holds it; by default
@@ -293,5 +295,4 @@ def posterior_cov_via_hessian(prior: GaussianLaw, obs: ObservationModel, *,
     _check_compatible(prior, obs)
     if hessian_chol is None:
         hessian_chol = _restricted_hessian(prior.cov_factor, obs)
-    x = _tril_solve(hessian_chol, np.eye(prior.rank))
-    return x.T @ x
+    return _chol_inverse(hessian_chol)

@@ -37,6 +37,7 @@ Besides the text and the result, a read holds one chunk's work.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from pathlib import Path
 
@@ -252,20 +253,22 @@ def _format_text(matrix: np.ndarray):
         yield _format_values(block, start, cols)
 
 
-def _format_rows(matrix: np.ndarray) -> list[str]:
-    """Each row of a 2-D float array as its values' ``format_float`` forms
-    joined by single spaces."""
-    return "".join(_format_text(matrix)).split("\n")[:-1]
-
-
-def dumps_matrix(matrix, comments: tuple[str, ...] = ()) -> str:
+def _matrix_text(matrix, comments: tuple[str, ...] = ()):
+    """The text of a matrix file in pieces: the comment and header lines,
+    then the writer's blocks. A matrix or vector is checked here, before
+    any piece is taken."""
     m = np.asarray(matrix, dtype=float)
     if m.ndim == 1:
         m = m[:, None]
     if m.ndim != 2:
         raise ValueError(f"expected a matrix or vector, got shape {m.shape}")
-    text = "".join(f"# {c}\n" for c in comments) + f"{m.shape[0]} {m.shape[1]}\n"
-    for piece in _format_text(m):
+    head = "".join(f"# {c}\n" for c in comments) + f"{m.shape[0]} {m.shape[1]}\n"
+    return itertools.chain([head], _format_text(m))
+
+
+def dumps_matrix(matrix, comments: tuple[str, ...] = ()) -> str:
+    text = ""
+    for piece in _matrix_text(matrix, comments):
         # CPython extends text in place (its only reference): the pieces are
         # never all held beside the result
         text += piece

@@ -49,13 +49,13 @@ two, so a norm is in range whenever it is itself a finite double, and a
 NaN entry gives NaN.
 
 This module is also the package's only caller of LAPACK's symmetric
-eigensolver, Cholesky and triangular-solve kernels (``dsyevd``, ``dpotrf``,
-``dpotrs``, ``dtrtrs``): :func:`eig_psd` calls ``dsyevd`` (divide and
-conquer, the kernel behind ``np.linalg.eigh``), and three private helpers
-call the others, all with scipy.linalg's arguments but without its or
-numpy's per-call wrapper work. Like scipy's default, they reject
-non-finite input with ``ValueError``; so do :func:`eig_psd` and
-:func:`canonicalize_factor`.
+eigensolver, Cholesky, Cholesky-inverse and triangular-solve kernels
+(``dsyevd``, ``dpotrf``, ``dpotrs``, ``dpotri``, ``dtrtrs``): :func:`eig_psd`
+calls ``dsyevd`` (divide and conquer, the kernel behind
+``np.linalg.eigh``), and four private helpers call the others, all with
+scipy.linalg's arguments but without its or numpy's per-call wrapper work.
+Like scipy's default, they reject non-finite input with ``ValueError``; so
+do :func:`eig_psd` and :func:`canonicalize_factor`.
 
 The kernels are bound from scipy's compiled f2py module
 ``scipy.linalg._flapack``, loaded from its file without running the
@@ -88,8 +88,8 @@ _TINY = float(np.finfo(float).tiny)  # the smallest normal double
 
 
 def _flapack_kernels():
-    """(dsyevd, dpotrf, dpotrs, dtrtrs) of scipy.linalg._flapack, loaded by
-    file location."""
+    """(dsyevd, dpotrf, dpotrs, dpotri, dtrtrs) of scipy.linalg._flapack,
+    loaded by file location."""
     name = "scipy.linalg._flapack"
     module = sys.modules.get(name)
     if module is None:
@@ -98,10 +98,10 @@ def _flapack_kernels():
         module = importlib.util.module_from_spec(spec)
         sys.modules[name] = module
         spec.loader.exec_module(module)
-    return module.dsyevd, module.dpotrf, module.dpotrs, module.dtrtrs
+    return module.dsyevd, module.dpotrf, module.dpotrs, module.dpotri, module.dtrtrs
 
 
-dsyevd, dpotrf, dpotrs, dtrtrs = _flapack_kernels()
+dsyevd, dpotrf, dpotrs, dpotri, dtrtrs = _flapack_kernels()
 
 
 def default_rank_tol(n_rows: int, n_cols: int | None = None) -> float:
@@ -199,6 +199,35 @@ def _chol_solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:
     x, info = dpotrs(c, b, lower=1)
     _lapack_info(info, "potrs")
     return x
+
+
+# _chol_inverse's first rank taken by potri: OpenBLAS's potri rounds
+# differently at one and at two threads from r = 8, while solving L X = I
+# and forming X^T X keeps its bits at both up to r = 96
+_POTRI_MIN = 65
+
+
+def _chol_inverse(c: np.ndarray) -> np.ndarray:
+    """(L L^T)^(-1) for a lower factor from :func:`_chol_lower`, exactly
+    symmetric.
+
+    Below rank _POTRI_MIN it is X^T X with X = L^(-1) solved from
+    L X = I (2 r^3 flops; numpy's product of X^T with X is exactly
+    symmetric). From there on it is potri (2 r^3/3 flops), whose lower
+    triangle is mirrored into the upper one and whose zeros are made +0.0,
+    as in :func:`canonical_sqrt_in_basis` (OpenBLAS's unblocked potri
+    leaves -0.0 in a diagonal factor's inverse). As in :func:`_chol_solve`,
+    the factor is not checked again.
+    """
+    r = c.shape[0]
+    if r < _POTRI_MIN:
+        x = _tril_solve(c, np.eye(r))
+        return x.T @ x
+    inv, info = dpotri(c, lower=1)
+    _lapack_info(info, "potri")
+    core = np.where(np.tri(r, dtype=bool), inv, inv.T)
+    core += 0.0
+    return core
 
 
 def _tril_solve(c: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -2,6 +2,7 @@ import argparse
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -42,6 +43,11 @@ def parse_structured(text):
         key, _, value = line.partition(" = ")
         pairs[key] = value
     return pairs
+
+
+def fmt_value(value):
+    """A report value's whole text, joined from the pieces cli._fmt_value yields."""
+    return "".join(_fmt_value(value))
 
 
 class TestCondition:
@@ -172,15 +178,6 @@ class TestExitCodes:
         # the means move toward y / H = 3.4e308
         ("collapse", {"mean": [0.0], "cov": [[1.0]], "H": [[0.5]], "R": [[1.0]],
                       "y": [1.7e308]}, "posterior mean"),
-        # every member is finite but their sum is not
-        ("ens-cgp", {"members": [[1.5e308, 1.5e308]], "H": [[1.0]], "R": [[1.0]],
-                     "y": [1.0]}, "ensemble mean"),
-        ("enkf", {"members": [[1.5e308, 1.5e308]], "H": [[1.0]], "R": [[1.0]],
-                  "y": [1.0]}, "ensemble mean"),
-        # a unit gain moves both members to about y = 1.7e308: the exact mean
-        # is finite, the updated members' sum is not
-        ("enkf", {"members": [[0.0, 1.0]], "H": [[1e-300]], "R": [[5e-301]],
-                  "y": [1.7e308]}, "updated sample mean"),
     ])
     def test_overflow_is_one_named_computation_error(self, command, inputs, quantity,
                                                      tmp_path, capsys):
@@ -194,6 +191,27 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("computation error: ") and err.count("\n") == 1
         assert quantity in err
+
+    @pytest.mark.parametrize("command, members, y, key, mean", [
+        # every member is finite but their sum is not
+        ("ens-cgp", [[1.5e308, 1.5e308]], [1.0], "prior_mean", 1.5e308),
+        ("enkf", [[1.5e308, 1.5e308]], [1.0], "prior_mean", 1.5e308),
+        # a unit gain moves both members to about y = 1.7e308: the exact mean
+        # is finite, and so is the updated members' mean, though not their sum
+        ("enkf", [[0.0, 1.0]], [1.7e308], "updated_sample_mean", 1.7e308),
+    ])
+    def test_members_whose_sum_overflows_have_a_finite_mean(self, command, members, y,
+                                                            key, mean, tmp_path, capsys):
+        paths = []
+        for name, value in (("members", members), ("H", [[1e-300]]), ("R", [[5e-301]]),
+                            ("y", y)):
+            paths.append(str(tmp_path / f"{name}.txt"))
+            matio.write_matrix(paths[-1], value)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([command, *paths, "--format", "structured"]) == 0
+        pairs = parse_structured(capsys.readouterr().out)
+        assert float(pairs[key].strip("[]")) == pytest.approx(mean, rel=1e-15)
 
     @pytest.mark.parametrize("argv, flag", [
         (["collapse", *("ghost.txt",) * 5, "--k-max", "0"], "--k-max"),
@@ -361,10 +379,10 @@ class TestReportValues:
         def row(r):
             return "[" + " ".join(matio.format_float(v) for v in r) + "]"
 
-        assert _fmt_value(values[0]) == row(values[0])
-        assert _fmt_value(values) == "[" + row(values[0]) + row(values[1]) + "]"
-        assert _fmt_value(np.zeros(0)) == "[]"
-        assert _fmt_value(np.zeros((2, 0))) == "[[][]]"
+        assert fmt_value(values[0]) == row(values[0])
+        assert fmt_value(values) == "[" + row(values[0]) + row(values[1]) + "]"
+        assert fmt_value(np.zeros(0)) == "[]"
+        assert fmt_value(np.zeros((2, 0))) == "[[][]]"
 
     @pytest.mark.parametrize("shape", [(1000, 39), (1000,), (0, 3), (3, 0), (0,), (0, 0),
                                        (1, 1), "edges"])
@@ -378,11 +396,11 @@ class TestReportValues:
 
         if shape == "edges":
             values = np.array([-0.0, 1e300, 5e-324])
-            assert _fmt_value(values) == "[-0 1.0000000000000001e+300 4.9406564584124654e-324]"
+            assert fmt_value(values) == "[-0 1.0000000000000001e+300 4.9406564584124654e-324]"
         else:
             rng = np.random.default_rng(sum(shape))
             values = rng.normal(size=shape) * 10.0 ** rng.integers(-300, 300, size=shape)
-        assert _fmt_value(values) == split_and_join(values)
+        assert fmt_value(values) == split_and_join(values)
 
     def test_trace_table_prints_the_per_value_lines(self):
         """An integral k prints as that integer, up to k = 10^6, and each norm
@@ -392,20 +410,39 @@ class TestReportValues:
         a, b = (rng.normal(size=ks.size) ** 2 * 10.0 ** rng.integers(-300, 300, ks.size)
                 for _ in range(2))
         b[:3] = 0.0
-        text = cli._trace_file(argparse.Namespace(out="t"), "# header",
-                               np.column_stack([ks, a, b]))["t.trace"]
+        text = "".join(cli._trace_file(argparse.Namespace(out="t"), "# header",
+                                       np.column_stack([ks, a, b]))["t.trace"])
         lines = ["# header"] + [f"{int(k)} {matio.format_float(x)} {matio.format_float(y)}"
                                 for k, x, y in zip(ks, a, b)]
         assert text == "\n".join(lines) + "\n"
         assert cli._trace_file(argparse.Namespace(out=None), "# header",
                                np.column_stack([ks, a, b])) == {}
 
+    def test_rendering_holds_one_block_not_the_text(self):
+        """A report is rendered in the writer's blocks: the tracemalloc peak
+        while its pieces are consumed does not grow from a 1000 x 40 factor
+        to an 8000 x 40 one, and stays far below the text's size."""
+        peaks = []
+        for rows in (1000, 8000):
+            factor = np.random.default_rng(rows).normal(size=(rows, 40))
+            pairs = [("command", "ens-cgp"), ("posterior_mean", factor[:, 0]),
+                     ("posterior_cov_factor", factor)]
+            fmt_value(factor[:200])  # tables built before measuring
+            tracemalloc.start()
+            try:
+                size = sum(len(piece) for piece in cli._render(pairs, "text"))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # the 8000-row text is over 6 MB; one block's work is about 1.4 MB
+        assert peaks[1] < 1.25 * peaks[0] and peaks[1] < size / 4
+
     def test_integer_and_bool_arrays_keep_their_text(self):
-        assert _fmt_value(np.array([7, 0, -3])) == "[7 0 -3]"
+        assert fmt_value(np.array([7, 0, -3])) == "[7 0 -3]"
         # no report carries an integer or boolean matrix
         with pytest.raises(ValueError, match="cannot format"):
-            _fmt_value(np.array([[1, 2], [3, 4]]))
-        assert _fmt_value(np.array([True, False])) == "[true false]"
+            fmt_value(np.array([[1, 2], [3, 4]]))
+        assert fmt_value(np.array([True, False])) == "[true false]"
 
 
 class TestKlSample:

@@ -58,12 +58,15 @@ class TestEnsembleStats:
             members = rng.normal(size=(8, n_members))
             assert ensemble_stats(Ensemble(members)).rank <= n_members - 1
 
-    def test_overflowing_mean_is_named_without_a_warning(self):
-        ens = Ensemble(np.array([[1.5e308, 1.5e308], [0.0, 1.0]]))
+    def test_mean_of_members_whose_sum_overflows_is_finite(self):
+        """A row whose sum overflows is averaged scaled by a power of two; the
+        other rows keep the plain mean's bits, and numpy raises no warning."""
+        members = np.array([[1.5e308, 1.5e308], [-1.7e308, -1.7e308], [0.1, 0.7]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="ensemble mean must not contain"):
-                ensemble_stats(ens)
+            law = ensemble_stats(Ensemble(members))
+        assert law.mean.tolist() == [1.5e308, -1.7e308, members[2].mean()]
+        assert law.rank == 1
 
     def test_monte_carlo_recovers_generating_covariance(self):
         k0 = np.array([[2.0, 0.6], [0.6, 1.0]])

@@ -13,7 +13,7 @@ from enscgp.experiments import (COV_KINDS, COV_TOL, MEAN_PAIRS, MEAN_ROUTES, MEA
                                 OBS_KINDS, equivalence_corpus, make_instance)
 from enscgp.psd import PsdFactor
 
-from conftest import random_psd
+from conftest import chol_inverse_reference, random_psd
 
 
 def scalar_setup():
@@ -231,7 +231,7 @@ class TestLapackHelpersInAudit:
     def test_audit_bits_match_scipy_wrappers(self, shipped_audit, monkeypatch):
         """The audit gives the same bits through the LAPACK helpers as through
         the scipy.linalg wrappers they replace, on this machine's BLAS."""
-        calls = {"_chol_lower": 0, "_chol_solve": 0, "_tril_solve": 0}
+        calls = {"_chol_lower": 0, "_chol_solve": 0, "_tril_solve": 0, "_chol_inverse": 0}
 
         def chol_lower(a):
             calls["_chol_lower"] += 1
@@ -245,8 +245,13 @@ class TestLapackHelpersInAudit:
             calls["_tril_solve"] += 1
             return scipy.linalg.solve_triangular(c, b, lower=True)
 
+        def chol_inverse(c):
+            # trtri and potri have no scipy.linalg wrapper but their kernels
+            calls["_chol_inverse"] += 1
+            return chol_inverse_reference(c)
+
         wrappers = {"_chol_lower": chol_lower, "_chol_solve": chol_solve,
-                    "_tril_solve": tril_solve}
+                    "_tril_solve": tril_solve, "_chol_inverse": chol_inverse}
         for module in (gaussian, quadprog, rkhs, experiments):
             for name, fn in wrappers.items():
                 if hasattr(module, name):

@@ -8,7 +8,7 @@ from enscgp import (DimensionError, DiscreteRkhs, Ensemble, GaussianLaw, NotSpdE
                     ObservationModel, PsdFactor, build_qp, canonical_sqrt,
                     canonicalize_factor, condition, default_rank_tol, eig_psd,
                     enkf_mean_update, ens_cgp, ensemble_stats, kalman_gain,
-                    gaussian, posterior_cov_via_hessian, psd, rkhs_solve)
+                    gaussian, kernels, posterior_cov_via_hessian, psd, rkhs_solve)
 from enscgp.experiments import make_instance
 from enscgp.psd import _tril_solve
 
@@ -372,6 +372,28 @@ class TestPosteriorCovViaHessian:
     def test_matches_schur_on_random_instances(self):
         for i in range(15):
             assert_hessian_core_matches_schur(*make_instance(i, base_seed=7))
+
+    def test_matches_the_inverse_factors_gram_product(self):
+        """The core is X^T X, X = L^(-1) from a triangular solve: bitwise
+        below psd._POTRI_MIN (the 300 corpus instances and a low-rank
+        squared-exponential prior), and to a relative 1e-14 from potri on a
+        full-rank exponential kernel prior."""
+        instances = [make_instance(i) for i in range(300)]
+        points = np.linspace(0.0, 1.0, 300)
+        observed = np.eye(300)[::10]
+        for family, lengthscale in (("exponential", 0.3), ("squared-exponential", 0.2)):
+            gram = kernels.gram_matrix(kernels.KernelSpec(family, 1.0, lengthscale), points)
+            instances.append((GaussianLaw.from_moments(np.zeros(300), gram),
+                              ObservationModel(observed, 0.01 * np.eye(30)), None))
+        assert max(prior.rank for prior, _, _ in instances) >= psd._POTRI_MIN
+        for prior, obs, _ in instances:
+            chol = gaussian._restricted_hessian(prior.cov_factor, obs)
+            x = _tril_solve(chol, np.eye(prior.rank))
+            core = posterior_cov_via_hessian(prior, obs, hessian_chol=chol)
+            if prior.rank < psd._POTRI_MIN:
+                assert core.tobytes() == (x.T @ x).tobytes()
+            else:
+                assert psd._norm(core - x.T @ x) <= 1e-14 * psd._norm(x.T @ x)
 
 
 class TestMarginalConsistency:

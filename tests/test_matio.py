@@ -38,7 +38,7 @@ def assert_rows_print_as_format_float(matrix):
     same rows, each in brackets."""
     rows = [" ".join(format_float(v) for v in row) for row in matrix]
     assert "".join(_format_text(matrix)) == "".join(f"{row}\n" for row in rows)
-    assert _fmt_value(matrix) == "[" + "".join(f"[{row}]" for row in rows) + "]"
+    assert "".join(_fmt_value(matrix)) == "[" + "".join(f"[{row}]" for row in rows) + "]"
 
 
 class TestFormat:

@@ -45,7 +45,7 @@ KERNEL_IMPORT = textwrap.dedent("""
         "linalg_after_cli": linalg_after_cli,
         "flapack_registered": flapack_registered,
         "same_kernels": [getattr(scipy.linalg.lapack, k) is getattr(psd, k)
-                         for k in ("dsyevd", "dpotrf", "dpotrs", "dtrtrs")],
+                         for k in ("dsyevd", "dpotrf", "dpotrs", "dpotri", "dtrtrs")],
         "same_bits": (scipy.linalg.cho_factor(a, lower=True)[0].tobytes()
                       == psd._chol_lower(a).tobytes()),
     }}))
@@ -61,5 +61,5 @@ def test_lapack_kernels_bound_without_scipy_linalg(linalg_first):
     assert result.returncode == 0, result.stderr
     assert json.loads(result.stdout) == {"linalg_after_cli": linalg_first,
                                          "flapack_registered": True,
-                                         "same_kernels": [True] * 4,
+                                         "same_kernels": [True] * 5,
                                          "same_bits": True}

@@ -1,4 +1,6 @@
 import gc
+import os
+import subprocess
 import sys
 import tracemalloc
 import warnings
@@ -13,9 +15,9 @@ from enscgp import (DimensionError, GaussianLaw, NotPsdError, ObservationModel,
                     PsdFactor, canonical_sqrt, canonicalize_factor, condition, eig_psd,
                     gaussian, kl_truncate, psd, quadprog, run_equivalence, symmetrize)
 from enscgp.experiments import make_instance
-from enscgp.psd import _chol_lower, _chol_solve, _tril_solve
+from enscgp.psd import _chol_inverse, _chol_lower, _chol_solve, _tril_solve
 
-from conftest import random_orthogonal, random_psd
+from conftest import chol_inverse_reference, random_orthogonal, random_psd
 
 
 class TestSymmetrize:
@@ -582,6 +584,45 @@ class TestLapackHelpers:
             assert same_bits(_tril_solve(c, rhs),
                              scipy.linalg.solve_triangular(c, rhs, lower=True))
 
+    @pytest.mark.parametrize("n", LAPACK_SIZES + (psd._POTRI_MIN - 1, psd._POTRI_MIN, 100))
+    def test_chol_inverse_matches_scipy(self, n):
+        """solve_triangular's X^T X, or potri mirrored, through scipy.linalg;
+        exactly symmetric at every size."""
+        a, _, _ = spd_and_rhs(n)
+        c = _chol_lower(a)
+        inv = _chol_inverse(c)
+        assert inv.shape == (n, n) and same_bits(inv, inv.T)
+        assert same_bits(inv, chol_inverse_reference(c))
+
+    def test_small_chol_inverses_keep_their_bits_at_two_threads(self):
+        """Up to r = 64, beyond the corpus's and the CLI snapshot's ranks,
+        the inverse has the same bits at one and at two OpenBLAS threads
+        (potri's do not, from r = 8), so the audit's small cores do not
+        depend on the thread count."""
+        script = ("import hashlib, numpy as np\n"
+                  "from enscgp.psd import _chol_inverse, _chol_lower\n"
+                  "rng = np.random.default_rng(5)\n"
+                  "h = hashlib.sha256()\n"
+                  "for r in range(1, 65):\n"
+                  "    b = rng.normal(size=(r, r))\n"
+                  "    h.update(_chol_inverse(_chol_lower(b @ b.T / r + np.eye(r))).tobytes())\n"
+                  "print(h.hexdigest())\n")
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+            result = subprocess.run([sys.executable, "-c", script], env=env,
+                                    capture_output=True, text=True)
+            assert result.returncode == 0, result.stderr
+            digests.append(result.stdout)
+        assert digests[0] == digests[1]
+
+    @pytest.mark.parametrize("n", (3, psd._POTRI_MIN))
+    def test_chol_inverse_of_a_diagonal_factor(self, n):
+        # every off-diagonal zero is +0.0 (OpenBLAS's potri at n = 3 leaves
+        # -0.0 in the strict lower triangle)
+        d = np.resize([4.0, 1.0, 0.0625], n)
+        assert same_bits(_chol_inverse(_chol_lower(np.diag(d))), np.diag(1.0 / d))
+
     def test_triangular_solve_ignores_upper_triangle(self):
         # the factor keeps the input in its upper triangle
         a, rhs, _ = spd_and_rhs(5)
@@ -603,9 +644,10 @@ class TestLapackHelpers:
                     call()
 
     def test_every_tril_solve_factor_comes_from_chol_lower(self, rng, monkeypatch):
-        # _tril_solve leaves its factor unchecked; that is safe only while
-        # every factor it is given is one _chol_lower returned
-        factors, solved_with = [], []
+        # _tril_solve and _chol_inverse leave their factor unchecked; that is
+        # safe only while every factor they are given is one _chol_lower
+        # returned
+        factors, solved_with, inverted = [], [], []
 
         def chol_lower(a):
             factors.append(_chol_lower(a))
@@ -615,15 +657,20 @@ class TestLapackHelpers:
             solved_with.append(c)
             return _tril_solve(c, b)
 
+        def chol_inverse(c):
+            inverted.append(c)
+            return _chol_inverse(c)
+
         for module in (gaussian, quadprog):
             monkeypatch.setattr(module, "_chol_lower", chol_lower)
         monkeypatch.setattr(gaussian, "_tril_solve", tril_solve)
+        monkeypatch.setattr(gaussian, "_chol_inverse", chol_inverse)
         for index in range(9):  # every prior kind against every operator kind
             prior, obs, y = make_instance(index)
             assert run_equivalence(prior, obs, y).passed
             obs.whiten(rng.normal(size=(obs.n_obs, 2)))
-        assert solved_with
-        assert all(any(c is f for f in factors) for c in solved_with)
+        assert solved_with and inverted
+        assert all(any(c is f for f in factors) for c in solved_with + inverted)
 
     def test_indefinite_and_singular_raise_linalg_error(self):
         with pytest.raises(np.linalg.LinAlgError):
