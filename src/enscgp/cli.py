@@ -11,7 +11,8 @@ files are only written after the computation succeeds.
 
 The environment variable ENSCGP_RANK_TOL supplies a default relative rank
 tolerance; ``--rank-tol`` overrides it per run. A tolerance that is not
-finite or is negative is an input error.
+finite or is negative is an input error. ``equivalence`` takes neither: its
+seeded corpus is the acceptance gate, audited under the default rank rule.
 """
 
 from __future__ import annotations
@@ -63,10 +64,8 @@ def _fmt_value(value):
                     yield piece
                     piece = text.replace("\n", "][")
             yield piece[:-1] + ("]" if arr.ndim == 2 else "")
-        elif arr.ndim == 1:
-            yield "[" + " ".join("".join(_fmt_value(v)) for v in arr) + "]"
         else:
-            raise ValueError(f"cannot format value of shape {arr.shape}")
+            raise ValueError(f"cannot format {arr.dtype} value of shape {arr.shape}")
 
 
 def _render(pairs: list[tuple[str, object]], fmt: str):
@@ -164,7 +163,7 @@ def _run_equivalence(args: argparse.Namespace):
         for i, rep in enumerate(experiments.equivalence_corpus(args.count, args.seed)):
             tag = f"instance_{i:03d}"
             instances += [
-                (f"{tag}_descriptor", np.array([rep.seed, rep.n, rep.m, rep.rank])),
+                (f"{tag}_descriptor", np.array([rep.seed, rep.n, rep.m, rep.rank], float)),
                 (f"{tag}_mean_discrepancies",
                  np.array([rep.mean_discrepancies[p] for p in experiments.MEAN_PAIRS])),
                 (f"{tag}_cov_discrepancy", rep.cov_discrepancy),
@@ -357,11 +356,12 @@ def _build_parser() -> argparse.ArgumentParser:
                     "RKHS equivalents, and ensemble analysis updates.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--rank-tol", type=float, default=None,
-                       help="relative eigenvalue cutoff for numerical rank "
-                            "(default: dimension * machine epsilon, or "
-                            "ENSCGP_RANK_TOL if set)")
+    def common(p, rank_tol=True):
+        if rank_tol:
+            p.add_argument("--rank-tol", type=float, default=None,
+                           help="relative eigenvalue cutoff for numerical rank "
+                                "(default: dimension * machine epsilon, or "
+                                "ENSCGP_RANK_TOL if set)")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=None, help="report file (default: stdout)")
         p.add_argument("--format", choices=("text", "structured"), default="text")
@@ -377,7 +377,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("equivalence", help="four-route agreement audit on a seeded corpus")
     p.add_argument("--count", type=int, default=100)
-    common(p)
+    common(p, rank_tol=False)  # the corpus keeps the default rank rule
 
     p = sub.add_parser("collapse", help="posterior collapse under k-fold data reuse")
     p.add_argument("inputs", nargs=5, help="MEAN COV H R Y matrix files")
@@ -414,9 +414,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _check_flags(args: argparse.Namespace) -> None:
     """Reject out-of-range flag values before any file is read."""
-    if args.rank_tol is not None and not 0 <= args.rank_tol < math.inf:
+    rank_tol = getattr(args, "rank_tol", None)  # equivalence has none
+    if rank_tol is not None and not 0 <= rank_tol < math.inf:
         raise ValueError(
-            f"rank tolerance must be finite and nonnegative, got {args.rank_tol}")
+            f"rank tolerance must be finite and nonnegative, got {rank_tol}")
     if args.seed < 0:
         raise ValueError(f"--seed must be nonnegative, got {args.seed}")
     if args.command == "collapse" and not 1 <= args.k_max <= experiments.K_MAX_CAP:
@@ -440,7 +441,8 @@ def _check_flags(args: argparse.Namespace) -> None:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.rank_tol is None and "ENSCGP_RANK_TOL" in os.environ:
+        # a command without --rank-tol (equivalence) reads no ENSCGP_RANK_TOL
+        if getattr(args, "rank_tol", 0) is None and "ENSCGP_RANK_TOL" in os.environ:
             args.rank_tol = float(os.environ["ENSCGP_RANK_TOL"])
         _check_flags(args)
     except ValueError as exc:

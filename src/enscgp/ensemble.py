@@ -75,12 +75,24 @@ def ensemble_stats(ens: Ensemble, rank_tol: float | None = None) -> GaussianLaw:
 
     The mean is finite whenever it is a finite double, even where the
     members' sum overflows (:func:`_member_mean`); one that is not raises
-    ``ValueError`` naming the ensemble mean, without a numpy warning.
+    ``ValueError`` naming the ensemble mean, without a numpy warning. Only
+    a row whose f_e - mean overflows (seen from the floating-point flags,
+    not by another pass) is recomputed scaled, as in :func:`_member_mean`.
     """
     mean = _member_mean(ens.members)
     if not np.isfinite(mean).all():
         raise ValueError("ensemble mean must not contain infs or NaNs")
-    anomaly = (ens.members - mean[:, None]) / np.sqrt(ens.size - 1)
+    scale = np.sqrt(ens.size - 1)
+    try:
+        with np.errstate(over="raise"):
+            anomaly = (ens.members - mean[:, None]) / scale
+    except FloatingPointError:
+        with np.errstate(over="ignore"):
+            anomaly = (ens.members - mean[:, None]) / scale
+        bad = np.flatnonzero(~np.isfinite(anomaly).all(axis=1))
+        exponent = np.frexp(np.abs(ens.members[bad]).max(axis=1))[1][:, None]
+        anomaly[bad] = np.ldexp((np.ldexp(ens.members[bad], -exponent)
+                                 - np.ldexp(mean[bad, None], -exponent)) / scale, exponent)
     return GaussianLaw(mean, psd.canonicalize_factor(anomaly, rank_tol))
 
 

@@ -5,23 +5,22 @@ repeated-reuse posterior-collapse demonstration.
 quadratic-program normal equations, RKHS-regularized regression, the
 ensemble gain-form update) plus the covariance two ways (Schur,
 restricted-Hessian inverse) and reports every pairwise discrepancy. The
-two covariances are compared as r x r cores in the prior's range basis U,
-which equals the n x n comparison because U has orthonormal columns, so
-the audit holds no n x n array and eigendecomposes nothing; the canonical
-form that ``condition`` builds from the Schur core is checked by tier-1
-tests, not by the audit.
+two covariances are compared as r x r cores in the prior's range basis U
+(see :mod:`enscgp.gaussian`), so the audit holds no n x n array.
 ``equivalence_corpus`` runs it, one report at a time, over the seeded
 instance family: full-rank, rank-1, and ensemble (``ensemble_stats``)
 priors against tall, wide, and zero observation operators.
 
 ``repeated_reuse`` traces what happens when one realized observation is
 (incorrectly) treated as k independent ones: the covariance follows
-K_k = (K_0^(-1) + k H^T R^(-1) H)^(-1) and collapses as k grows, while
-the mean moves by K_k (k H^T R^(-1) (y - H m_0)). It makes one pass over k
-and keeps per-k norms and the final law, so its memory is O(n^2 + k_max).
-The trace is labeled a double-counting demonstration because that
-collapse is a property of data reuse, not of correct single-observation
-inference.
+K_k = (K_0^+ + k H^T R^(-1) H)^(-1) on Range(K_0) and collapses as k grows,
+while the mean moves by K_k (k H^T R^(-1) (y - H m_0)). In the prior's
+range basis U, K_k = U C_k U^T with C_k the inverse of the r x r
+restricted precision diag(1/lambda) + k (H U)^T R^(-1) (H U), SPD for
+every prior and every k. One pass over k keeps per-k norms and the final
+law, so a step costs O(r^3) and the memory is O(n^2 + k_max). The trace is
+labeled a double-counting demonstration: that collapse is a property of
+data reuse, not of correct single-observation inference.
 """
 
 from __future__ import annotations
@@ -32,9 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ensemble, gaussian, psd, quadprog, rkhs
-from .errors import NotSpdError
 from .gaussian import GaussianLaw, ObservationModel
-from .psd import _chol_solve, _norm, symmetrize
+from .psd import _chol_inverse, _norm, _tril_solve
 from .rng import NormalStream
 
 MEAN_TOL = 1e-8
@@ -192,46 +190,48 @@ class CollapseTrace:
 @np.errstate(over="ignore", invalid="ignore")  # an overflow is named, not warned about
 def repeated_reuse(prior: GaussianLaw, obs: ObservationModel, y,
                    k_max: int) -> CollapseTrace:
-    """Trace K_k = (K_0^(-1) + k H^T R^(-1) H)^(-1) and the matching means.
+    """Trace K_k and m_k for k = 0..k_max for any prior (module docstring).
 
-    Requires an SPD prior covariance. One pass over k computes each K_k and
-    the shift m_k - m_0 = K_k (k H^T R^(-1) (y - H m_0)), and keeps only
-    their norms, so memory is O(n^2 + k_max). For k up to
-    ``RECURSION_LIMIT`` the closed form is cross-checked, in the same pass,
-    against literally conditioning k times; the largest relative discrepancy
-    observed is recorded in the trace. A data shift, precision, mean or
-    discrepancy that overflows raises ``ValueError``.
+    Each k factors P_k = diag(1/lambda) + k G, G = (H U)^T R^(-1) (H U), and
+    inverts it to the core C_k, so ||K_k||_2 = lambda_max(C_k) and
+    ||m_k - m_0||_2 = ||C_k (k p)||_2, p = (H U)^T R^(-1) (y - H m_0). The
+    n x n K_k and m_k are formed only for k = k_max and for k up to
+    ``RECURSION_LIMIT``, where they are cross-checked against literally
+    conditioning k times (the largest relative discrepancy is recorded). A
+    data shift, precision, mean or discrepancy that overflows raises
+    ``ValueError``.
     """
-    if prior.rank != prior.dim:
-        raise NotSpdError(
-            f"prior covariance has rank {prior.rank} < dim {prior.dim}; "
-            "the collapse formula needs an SPD prior"
-        )
     if not 1 <= k_max <= K_MAX_CAP:
         raise ValueError(f"k_max must be in [1, {K_MAX_CAP}], got {k_max}")
+    gaussian._check_compatible(prior, obs)
     y = gaussian._check_data(obs, y)
 
-    k0_inv = prior.cov_factor.pinv()  # full rank, so this is the inverse
-    info = obs.information()
+    basis = prior.cov_factor.basis()
+    hu = obs.H @ basis
+    gram = obs.weighted_gram(hu)
+    prior_precision = np.diag(1.0 / prior.cov_factor.eigenvalues)
     try:
-        pulled_data = obs.H.T @ obs.noise_solve(y - obs.H @ prior.mean)
+        pulled_data = hu.T @ obs.noise_solve(y - obs.H @ prior.mean)
     except ValueError:  # raised by noise_solve's finiteness check
         raise ValueError("data shift y - H m_0 must not contain infs or NaNs") from None
 
     ks = np.arange(k_max + 1)
     spectral_norms = np.empty(k_max + 1)
     mean_shift_norms = np.empty(k_max + 1)
-    identity = np.eye(prior.dim)
     worst = 0.0
     law = prior
     for k in ks:
-        precision = k0_inv + k * info
-        chol = gaussian._spd_chol(precision, "precision K_0^(-1) + k H^T R^(-1) H")
-        cov_k = symmetrize(_chol_solve(chol, identity))
-        shift = cov_k @ (k * pulled_data)
-        mean_k = prior.mean + shift
+        chol = gaussian._spd_chol(prior_precision + k * gram,
+                                  "restricted precision diag(1/lambda) + k G")
+        core = _chol_inverse(chol)
+        shift = core @ (k * pulled_data)
         mean_shift_norms[k] = _norm(shift)
-        spectral_norms[k] = float(np.max(np.abs(np.linalg.eigvalsh(cov_k))))
+        spectral_norms[k] = np.linalg.eigvalsh(core).max(initial=0.0)
+        if k <= RECURSION_LIMIT or k == k_max:
+            mean_k = prior.mean + basis @ shift
+            # (L^(-1) U^T)^T (L^(-1) U^T) = U C_k U^T, exactly symmetric
+            root = _tril_solve(chol, basis.T)
+            cov_k = root.T @ root
         if 1 <= k <= RECURSION_LIMIT:
             law = gaussian.condition(law, obs, y)
             # np.max keeps a NaN, which the builtin max would drop

@@ -11,24 +11,14 @@ runs. ``kernels.kl_truncate`` keeps the leading columns of
 :func:`canonical_sqrt`'s factor, so the KL modes are pinned here too, over
 the whole kept spectrum before the cut.
 
-:func:`canonical_sqrt` keeps a one-entry memo, so a workflow that factors
-a prior K and then cuts its KL modes eigendecomposes K once: a call whose
-input is bitwise equal to the last call's (compared as int64, so a -0.0
-for a +0.0 is another matrix), with the same resolved ``rank_tol``,
-returns that call's factor itself while the factor is alive. The memo
-holds a copy of the input, taken after the factor is built, and a weak
-reference to the factor; both go when the factor is collected, so nothing
-outlives the caller's own reference. The arrays of a factor that
-:func:`canonical_sqrt` returns are read-only, like :meth:`PsdFactor.basis`,
-since callers may share it.
+:func:`canonical_sqrt` keeps a one-entry memo of its last input and
+(weakly) its factor, so a workflow that factors a prior K and then cuts its
+KL modes eigendecomposes K once; its factors' arrays are read-only.
 
 The work is split once: :func:`eig_psd` decides the rank and returns the
-kept columns unpinned, so its columns' signs, and their order within a
-block of equal eigenvalues, are those of the LAPACK build. Each
-constructor that keeps columns pins them once: each column's
-largest-magnitude entry positive, and columns of exactly equal eigenvalues
-in ascending order of their entries. :func:`canonical_sqrt_in_basis` pins
-only the embedded columns and makes every zero of its factor +0.0.
+kept columns unpinned (as the LAPACK build signs and orders them), and each
+constructor that keeps columns pins them once (:func:`_pin`);
+:func:`canonical_sqrt_in_basis` pins only the embedded columns.
 
 Rank convention: an eigenvalue (or singular value) counts toward the rank
 when it exceeds ``rank_tol * largest_magnitude_eigenvalue``. The default
@@ -38,15 +28,11 @@ relative cutoff, and every rank decision is made here: one private rule
 resolves ``rank_tol`` for :func:`eig_psd`, :func:`canonical_sqrt_in_basis`
 and :func:`canonicalize_factor`, and every symmetric eigendecomposition in
 the package is :func:`eig_psd`'s. The one exception is a check, not a rank
-decision: ``experiments.repeated_reuse`` takes spectral norms with
-``np.linalg.eigvalsh``.
+decision: ``experiments.repeated_reuse`` takes the spectral norm of each
+r x r covariance core with ``np.linalg.eigvalsh``.
 
-Every norm in the package is :func:`_norm` (np.linalg.norm's, of a vector
-or a whole matrix; a caller that wants column norms takes one per column):
-where the sum of squares is a finite normal number it is numpy's formula,
-bit for bit, and where it is not, the entries are rescaled by a power of
-two, so a norm is in range whenever it is itself a finite double, and a
-NaN entry gives NaN.
+Every norm in the package, of a vector or a whole matrix, is
+:func:`_norm`: np.linalg.norm's bits, but in range at any scale.
 
 This module is also the package's only caller of LAPACK's symmetric
 eigensolver, Cholesky, Cholesky-inverse and triangular-solve kernels

@@ -126,21 +126,18 @@ class TestExitCodes:
         assert code == 2
 
     def test_computation_error_exit_one(self, scalar_files, tmp_path, capsys):
-        # collapse demands an SPD prior; a singular one parses fine but fails later
-        singular = tmp_path / "singular.txt"
-        matio.write_matrix(singular, np.diag([1.0, 0.0]))
-        mean2 = tmp_path / "mean2.txt"
-        matio.write_matrix(mean2, np.zeros(2))
-        h2 = tmp_path / "h2.txt"
-        matio.write_matrix(h2, np.eye(2))
-        r2 = tmp_path / "r2.txt"
-        matio.write_matrix(r2, np.eye(2))
-        y2 = tmp_path / "y2.txt"
-        matio.write_matrix(y2, np.ones(2))
-        code = main(["collapse", str(mean2), str(singular), str(h2), str(r2),
-                     str(y2), "--k-max", "3"])
+        # the inputs parse fine, but collapse's restricted precision
+        # diag(1/lambda) + k (H U)^T R^(-1) (H U) overflows: (1e200)^2
+        h = tmp_path / "H_huge.txt"
+        matio.write_matrix(h, [[1e200]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["collapse", scalar_files["mean"], scalar_files["cov"], str(h),
+                         scalar_files["R"], scalar_files["y"], "--k-max", "3"])
         assert code == 1
-        assert "computation error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("computation error: restricted precision")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("command", ["condition", "ens-cgp", "enkf"])
     def test_overflowing_innovation_is_one_named_computation_error(self, command,
@@ -178,6 +175,12 @@ class TestExitCodes:
         # the means move toward y / H = 3.4e308
         ("collapse", {"mean": [0.0], "cov": [[1.0]], "H": [[0.5]], "R": [[1.0]],
                       "y": [1.7e308]}, "posterior mean"),
+        # the mean -5.7e307 is finite and so is each anomaly entry, but
+        # 1.7e308 - (-5.7e307) is not; the anomaly's Gram matrix overflows
+        ("ens-cgp", {"members": [[1.7e308, -1.7e308, -1.7e308]], "H": [[1.0]],
+                     "R": [[1.0]], "y": [1.0]}, "Gram matrix overflows"),
+        ("enkf", {"members": [[1.7e308, -1.7e308, -1.7e308]], "H": [[1.0]],
+                  "R": [[1.0]], "y": [1.0]}, "Gram matrix overflows"),
     ])
     def test_overflow_is_one_named_computation_error(self, command, inputs, quantity,
                                                      tmp_path, capsys):
@@ -333,6 +336,35 @@ class TestCollapse:
         shifts = [float(row.split()[2]) for row in rows]
         np.testing.assert_allclose(shifts, [0.0, 1e200, 1e200, 1e200], rtol=1e-12)
 
+    @pytest.mark.parametrize("kind", ["rank-deficient", "ensemble", "zero"])
+    def test_singular_prior_runs(self, kind, tmp_path):
+        rng = np.random.default_rng(5)
+        n, m = 6, 2
+        if kind == "rank-deficient":
+            b = rng.normal(size=(n, 2))
+            cov = b @ b.T
+        elif kind == "ensemble":
+            cov = ensemble.ensemble_stats(ensemble.Ensemble(rng.normal(size=(n, 4)))).covariance
+        else:
+            cov = np.zeros((n, n))
+        files = []
+        for name, value in [("mean", rng.normal(size=n)), ("cov", cov),
+                            ("H", rng.normal(size=(m, n))), ("R", np.eye(m)),
+                            ("y", rng.normal(size=m))]:
+            matio.write_matrix(tmp_path / name, value)
+            files.append(str(tmp_path / name))
+        out = tmp_path / "collapse.txt"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["collapse", *files, "--k-max", "150", "--format", "structured",
+                         "--out", str(out)])
+        assert code == 0
+        pairs = parse_structured(out.read_text())
+        assert 0.0 <= float(pairs["recursive_max_discrepancy"]) <= 1e-8
+        trace = np.loadtxt(tmp_path / "collapse.txt.trace", ndmin=2)
+        assert trace.shape == (151, 3) and np.isfinite(trace).all()
+        assert np.all(np.diff(trace[:, 1]) <= 0)
+
     def test_tiny_prior_with_a_large_mean(self, tmp_path):
         # K_0^(-1) m_0 = 1e300 * 1e9 overflows; the mean shifts do not
         files = []
@@ -361,6 +393,17 @@ class TestEquivalence:
         pairs = parse_structured(capsys.readouterr().out)
         assert pairs["summary"] == "6/6 pass"
         assert pairs["instance_005_pass"] == "true"
+
+    def test_takes_no_rank_tolerance(self, capsys, monkeypatch):
+        """The corpus keeps the default rank rule: --rank-tol is an unknown
+        option, and ENSCGP_RANK_TOL, even an invalid one, is not read."""
+        with pytest.raises(SystemExit) as exc:
+            main(["equivalence", "--count", "1", "--rank-tol", "1e-6"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --rank-tol" in capsys.readouterr().err
+        monkeypatch.setenv("ENSCGP_RANK_TOL", "nan")
+        assert main(["equivalence", "--count", "1", "--format", "structured"]) == 0
+        assert parse_structured(capsys.readouterr().out)["summary"] == "1/1 pass"
 
     def test_count_cap_checked_before_any_instance(self, monkeypatch):
         started = []
@@ -437,12 +480,14 @@ class TestReportValues:
         # the 8000-row text is over 6 MB; one block's work is about 1.4 MB
         assert peaks[1] < 1.25 * peaks[0] and peaks[1] < size / 4
 
-    def test_integer_and_bool_arrays_keep_their_text(self):
-        assert fmt_value(np.array([7, 0, -3])) == "[7 0 -3]"
-        # no report carries an integer or boolean matrix
-        with pytest.raises(ValueError, match="cannot format"):
-            fmt_value(np.array([[1, 2], [3, 4]]))
-        assert fmt_value(np.array([True, False])) == "[true false]"
+    def test_only_float_arrays_are_rendered(self):
+        # every array a report carries is a float array: equivalence's
+        # descriptor too, whose integers %.17g prints as the same digits
+        assert fmt_value(np.array([7.0, 0.0, 100000.0, 42.0])) == "[7 0 100000 42]"
+        for values in (np.array([7, 0, -3]), np.array([[1, 2], [3, 4]]),
+                       np.array([True, False]), np.zeros((1, 1, 1))):
+            with pytest.raises(ValueError, match="cannot format"):
+                fmt_value(values)
 
 
 class TestKlSample:

@@ -4,7 +4,8 @@ Whatever files and flags any of the six commands is given, the run ends in
 exit 0, 1 or 2 and never in a traceback, and a fault on the input side
 (mismatched shapes, a non-SPD R, an indefinite covariance, fewer than two
 members, a non-finite token, POINTS without rows, a flag out of range, a
-negative seed or rank tolerance) exits 2. Half the examples are at unit
+negative seed or rank tolerance) exits 2. ``equivalence`` takes no rank
+tolerance, so none is drawn for it. Half the examples are at unit
 scale, where every well-posed input (rank-deficient and zero-spread priors
 and zero-row H among them) exits 0, unless its rank tolerance is one of
 ``LOOSE_TOLS``. In the other half each matrix file and
@@ -55,7 +56,7 @@ FAULTS = {"condition": ["indefinite covariance", "covariance size", *COMMON_FAUL
           "kl-sample": ["no points", "non-finite token", "variance", "lengthscale",
                         "members", "modes", "energy", "modes and energy", "seed",
                         "rank tolerance"],
-          "equivalence": ["count", "seed", "rank tolerance"]}
+          "equivalence": ["count", "seed"]}
 # flag values out of range, one of which a fault of that name draws
 BAD_FLAGS = {"k-max": ["--k-max", ["0", "-1", str(K_MAX_CAP + 1)]],
              "variance": ["--variance", ["0", "-1", "inf", "nan"]],
@@ -68,17 +69,16 @@ BAD_FLAGS = {"k-max": ["--k-max", ["0", "-1", str(K_MAX_CAP + 1)]],
 
 # tolerances with which a well-posed unit-scale run may stop: 0 makes a
 # rank-deficient covariance (an input error) or Gram matrix (a computation
-# error) indefinite by round-off, and 0.5 can make collapse's SPD prior singular
-LOOSE_TOLS = {"condition": {"0"}, "kl-sample": {"0"}, "collapse": {"0.5"}}
+# error) indefinite by round-off
+LOOSE_TOLS = {"condition": {"0"}, "kl-sample": {"0"}, "collapse": {"0"}}
 
 
-def _moments_arrays(draw, command, fault, n):
+def _moments_arrays(draw, fault, n):
     mean = draw(matrices(1, n))
     size = n + 1 if fault == "covariance size" else n
     b = draw(matrices(size, draw(st.integers(0, size))))
     cov = b @ b.T  # rank-deficient when b has fewer columns than rows
-    # collapse needs an SPD prior
-    if command == "collapse" or draw(st.booleans()):
+    if draw(st.booleans()):
         cov += np.eye(size)
     if fault == "indefinite covariance":
         cov = -cov - np.eye(size)
@@ -131,7 +131,7 @@ def problems(draw):
     n = draw(st.integers(1, 4))
     arrays = {}
     if command in ("condition", "collapse"):
-        arrays |= _moments_arrays(draw, command, fault, n)
+        arrays |= _moments_arrays(draw, fault, n)
     elif command in ("ens-cgp", "enkf"):
         members = 1 if fault == "one member" else draw(st.integers(2, 5))
         spread = draw(matrices(n, members))
@@ -177,7 +177,7 @@ def problems(draw):
     strict = not scaled
     if fault == "rank tolerance":
         argv.append("--rank-tol=" + draw(st.sampled_from(["-1", "-1e-300", "nan", "inf"])))
-    elif draw(st.booleans()):
+    elif command != "equivalence" and draw(st.booleans()):
         tol = draw(st.sampled_from(["0", "1e-6", "0.5"]))
         argv.append("--rank-tol=" + tol)
         strict = strict and tol not in LOOSE_TOLS.get(command, ())

@@ -6,7 +6,7 @@ import pytest
 from enscgp import (DimensionError, Ensemble, GaussianLaw, NormalStream,
                     ObservationModel, canonicalize_factor, condition,
                     enkf_mean_update, enkf_perturbed_obs, ens_cgp, ensemble_stats,
-                    kalman_gain)
+                    kalman_gain, psd)
 from enscgp.rng import blocked_normals
 
 from conftest import random_orthogonal, random_psd
@@ -67,6 +67,29 @@ class TestEnsembleStats:
             law = ensemble_stats(Ensemble(members))
         assert law.mean.tolist() == [1.5e308, -1.7e308, members[2].mean()]
         assert law.rank == 1
+
+    def test_anomaly_whose_difference_overflows_is_scaled(self, monkeypatch):
+        """A row whose f_e - mean overflows, though its anomaly does not, is
+        recomputed scaled by a power of two; the other rows keep the plain
+        formula's bits, numpy raises no warning, and the anomaly's
+        overflowing Gram matrix is the named error."""
+        members = np.array([[1.4e308, -1.4e308, -1.4e308], [0.1, 0.7, -0.3]])
+        factored = []
+        real = psd.canonicalize_factor
+        monkeypatch.setattr(psd, "canonicalize_factor",
+                            lambda a, tol=None: factored.append(a.copy()) or real(a, tol))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="Gram matrix overflows"):
+                ensemble_stats(Ensemble(members))
+        (anomaly,) = factored
+        mean = members.mean(axis=1)
+        mean[0] = -members[0, 0] / 3.0  # the mean of 1.4e308 and twice -1.4e308
+        assert anomaly[1].tobytes() == ((members[1] - mean[1]) / np.sqrt(2)).tobytes()
+        # halving is exact, so this is the anomaly row in range
+        expected = (members[0] / 2 - mean[0] / 2) / np.sqrt(2) * 2
+        np.testing.assert_allclose(anomaly[0], expected, rtol=2e-16)
+        assert np.isfinite(anomaly).all()
 
     def test_monte_carlo_recovers_generating_covariance(self):
         k0 = np.array([[2.0, 0.6], [0.6, 1.0]])

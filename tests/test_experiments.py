@@ -1,14 +1,15 @@
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from enscgp import (Ensemble, GaussianLaw, KernelSpec, NormalStream, NotSpdError,
-                    ObservationModel, condition, ensemble_stats, experiments, gaussian,
-                    gram_matrix, posterior_cov_via_hessian, psd, quadprog,
-                    repeated_reuse, rkhs, run_equivalence)
+from enscgp import (Ensemble, GaussianLaw, KernelSpec, NormalStream, ObservationModel,
+                    condition, ensemble_stats, experiments, gaussian, gram_matrix,
+                    posterior_cov_via_hessian, psd, quadprog, repeated_reuse, rkhs,
+                    run_equivalence)
 from enscgp.experiments import (COV_KINDS, COV_TOL, MEAN_PAIRS, MEAN_ROUTES, MEAN_TOL,
                                 OBS_KINDS, equivalence_corpus, make_instance)
 from enscgp.psd import PsdFactor
@@ -342,6 +343,30 @@ class TestCoreAudit:
         assert peak < 4 * 8 * n * (r + m), f"peak {peak / 2**20:.2f} MiB"
 
 
+def _transpose(a):
+    return [list(col) for col in zip(*a)]
+
+
+def _matmul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def _exact_inverse(a):
+    """Inverse of a small nonsingular matrix of Fractions, by Gauss-Jordan
+    elimination."""
+    n = len(a)
+    rows = [row[:] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(a)]
+    for col in range(n):
+        pivot = next(i for i in range(col, n) if rows[i][col] != 0)
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        rows[col] = [v / rows[col][col] for v in rows[col]]
+        for i in range(n):
+            if i != col and rows[i][col] != 0:
+                factor = rows[i][col]
+                rows[i] = [v - factor * w for v, w in zip(rows[i], rows[col])]
+    return [row[n:] for row in rows]
+
+
 class TestRepeatedReuse:
     def test_scalar_closed_form(self):
         prior, obs = scalar_setup()
@@ -376,11 +401,89 @@ class TestRepeatedReuse:
         assert trace.spectral_norms[-1] <= bound
         np.testing.assert_allclose(trace.final_mean, y, atol=1e-3)
 
-    def test_rejects_singular_prior(self):
+    def test_singular_prior_collapses_within_its_range(self):
+        # K_0 = diag(1, 0) and H = R = I: K_k = diag(1 / (1 + k), 0), and the
+        # mean moves toward y only in the first coordinate
         prior = GaussianLaw.from_moments(np.zeros(2), np.diag([1.0, 0.0]))
         obs = ObservationModel(np.eye(2), np.eye(2))
-        with pytest.raises(NotSpdError):
-            repeated_reuse(prior, obs, np.zeros(2), k_max=3)
+        trace = repeated_reuse(prior, obs, np.ones(2), k_max=150)
+        ks = np.arange(151)
+        np.testing.assert_allclose(trace.spectral_norms, 1.0 / (1.0 + ks), rtol=1e-14)
+        np.testing.assert_allclose(trace.mean_shift_norms, ks / (1.0 + ks), rtol=1e-14)
+        assert trace.final_cov.tolist() == [[trace.spectral_norms[-1], 0.0], [0.0, 0.0]]
+        assert trace.final_mean[1] == 0.0
+        assert trace.recursive_max_discrepancy <= 1e-14
+
+    @pytest.mark.parametrize("kind", ["rank-deficient", "ensemble", "zero"])
+    def test_singular_priors_match_the_recursion(self, kind, rng):
+        n, m = 7, 3
+        if kind == "rank-deficient":
+            prior = GaussianLaw.from_moments(rng.normal(size=n),
+                                             random_psd(rng, n, rank=3))
+        elif kind == "ensemble":
+            prior = ensemble_stats(Ensemble(rng.normal(size=(n, 4))))
+        else:
+            prior = GaussianLaw.from_moments(rng.normal(size=n), np.zeros((n, n)))
+        obs = ObservationModel(rng.normal(size=(m, n)), random_psd(rng, m) + np.eye(m))
+        y = rng.normal(size=m)
+        trace = repeated_reuse(prior, obs, y, k_max=120)
+        assert trace.recursive_max_discrepancy <= 1e-8
+        # K_k and m_k - m_0 stay in Range(K_0)
+        u = prior.cov_factor.basis()
+        np.testing.assert_allclose(u @ (u.T @ trace.final_cov), trace.final_cov,
+                                   atol=1e-12)
+        shift = trace.final_mean - prior.mean
+        np.testing.assert_allclose(u @ (u.T @ shift), shift, atol=1e-12)
+        if kind == "zero":
+            assert trace.final_mean.tolist() == prior.mean.tolist()
+            assert not trace.spectral_norms.any() and not trace.mean_shift_norms.any()
+            assert not trace.final_cov.any()
+        else:
+            assert np.all(np.diff(trace.spectral_norms) <= 0)
+
+    def test_matches_an_exact_reference_on_an_ill_conditioned_prior(self, rng):
+        """K_k = (K_0^(-1) + k H^T R^(-1) H)^(-1) and the mean shift, in exact
+        rational arithmetic on the law's own floats (K_0 = A A^T of its
+        factor A), then rounded once: at cond(K_0) = 1e9 the range-basis
+        trace is within 1e-12 of both norms, where inverting the dense n x n
+        precision K_0^(-1) + k H^T R^(-1) H loses about 1e-8."""
+        n, m = 3, 2
+        q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        prior = GaussianLaw.from_moments(rng.normal(size=n),
+                                         (q * [1.0, 1e-4, 1e-9]) @ q.T)
+        b = rng.normal(size=(m, m))
+        obs = ObservationModel(rng.normal(size=(m, n)), b @ b.T + np.eye(m))
+        y = rng.normal(size=m)
+        trace = repeated_reuse(prior, obs, y, k_max=1000)
+
+        def exact(a):
+            return [[Fraction(float(v)) for v in row] for row in np.atleast_2d(a)]
+
+        a, h = exact(prior.cov_factor.factor), exact(obs.H)
+        k0 = _matmul(a, _transpose(a))
+        info = _matmul(_transpose(h), _matmul(_exact_inverse(exact(obs.R)), h))
+        data = exact(y - obs.H @ prior.mean)  # exact: one rounding here is also the code's
+        pulled = _matmul(_transpose(h), _matmul(_exact_inverse(exact(obs.R)),
+                                                _transpose(data)))
+        k0_inv = _exact_inverse(k0)
+        for k in (0, 1, 7, 100, 1000):
+            cov = _exact_inverse([[p + k * q for p, q in zip(row_p, row_q)]
+                                  for row_p, row_q in zip(k0_inv, info)])
+            shift = np.array(_matmul(cov, pulled), dtype=float).ravel() * k
+            spectral = np.linalg.eigvalsh(np.array(cov, dtype=float))[-1]
+            assert abs(trace.spectral_norms[k] - spectral) <= 1e-12 * spectral, k
+            if k:
+                reference = np.linalg.norm(shift)
+                assert abs(trace.mean_shift_norms[k] - reference) <= 1e-12 * reference, k
+
+    def test_overflowing_precision_is_named(self):
+        # k (H U)^T R^(-1) (H U) = k 1e400
+        prior = GaussianLaw.from_moments([0.0], [[1.0]])
+        obs = ObservationModel([[1e200]], [[1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="restricted precision .* infs or NaNs"):
+                repeated_reuse(prior, obs, [1.0], k_max=3)
 
     @pytest.mark.parametrize("k_max", [0, -2, 10**6 + 1])
     def test_rejects_bad_k_max(self, k_max):
