@@ -31,7 +31,7 @@ from . import experiments, kernels, matio
 from .errors import DegenerateModelError, DimensionError
 from .gaussian import GaussianLaw, ObservationModel, condition, kalman_gain
 from .matio import format_float
-from .psd import _norm
+from .psd import _all_finite, _norm
 
 COMMANDS = ("condition", "ens-cgp", "equivalence", "collapse", "kl-sample", "enkf")
 
@@ -266,12 +266,12 @@ def _run_enkf(args: argparse.Namespace):
         gain = kalman_gain(prior, obs)
         with np.errstate(over="ignore", invalid="ignore"):
             exact = prior.mean + gain @ (y - obs.H @ prior.mean)
-        if not np.isfinite(exact).all():
+        if not _all_finite(exact):
             raise ValueError("exact mean update must not contain infs or NaNs")
         updated = ens_mod.enkf_perturbed_obs(members, obs, y, gain, args.seed, perturb,
                                              args.center_perturbations)
         sample_mean = ens_mod._member_mean(updated.members)
-        if not np.isfinite(sample_mean).all():
+        if not _all_finite(sample_mean):
             raise ValueError("updated sample mean must not contain infs or NaNs")
         pairs = [("command", "enkf"), ("seed", args.seed),
                  ("rank_tol", _tol_value(args)), ("n", members.dim),

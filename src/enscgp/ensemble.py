@@ -36,7 +36,7 @@ class Ensemble:
             raise DimensionError(f"members must be an (n, E) matrix, got shape {members.shape}")
         if members.shape[1] < 2:
             raise ValueError(f"need at least 2 members, got {members.shape[1]}")
-        if not np.all(np.isfinite(members)):
+        if not psd._all_finite(members):
             raise ValueError("ensemble contains non-finite entries")
         object.__setattr__(self, "members", members)
 
@@ -80,7 +80,7 @@ def ensemble_stats(ens: Ensemble, rank_tol: float | None = None) -> GaussianLaw:
     not by another pass) is recomputed scaled, as in :func:`_member_mean`.
     """
     mean = _member_mean(ens.members)
-    if not np.isfinite(mean).all():
+    if not psd._all_finite(mean):
         raise ValueError("ensemble mean must not contain infs or NaNs")
     scale = np.sqrt(ens.size - 1)
     try:

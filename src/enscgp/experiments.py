@@ -32,7 +32,7 @@ import numpy as np
 
 from . import ensemble, gaussian, psd, quadprog, rkhs
 from .gaussian import GaussianLaw, ObservationModel
-from .psd import _chol_inverse, _norm, _tril_solve
+from .psd import _all_finite, _chol_inverse, _norm, _tril_solve
 from .rng import NormalStream
 
 MEAN_TOL = 1e-8
@@ -237,8 +237,8 @@ def repeated_reuse(prior: GaussianLaw, obs: ObservationModel, y,
             # np.max keeps a NaN, which the builtin max would drop
             worst = float(np.max([worst, rel_vec_diff(law.mean, mean_k),
                                   rel_vec_diff(law.covariance, cov_k)]))
-    if not (np.isfinite(mean_shift_norms).all() and np.isfinite(mean_k).all()
-            and np.isfinite(worst)):
+    if not (_all_finite(mean_shift_norms) and _all_finite(mean_k)
+            and _all_finite(np.float64(worst))):
         raise ValueError("the collapse trace is not finite: a posterior mean m_0 + K_k "
                          "(k H^T R^(-1) (y - H m_0)) or the recursive cross-check overflows")
     return CollapseTrace(ks=ks, spectral_norms=spectral_norms,

@@ -32,7 +32,13 @@ decision: ``experiments.repeated_reuse`` takes the spectral norm of each
 r x r covariance core with ``np.linalg.eigvalsh``.
 
 Every norm in the package, of a vector or a whole matrix, is
-:func:`_norm`: np.linalg.norm's bits, but in range at any scale.
+:func:`_norm`: np.linalg.norm's bits, but in range at any scale. Every
+finiteness test of a whole array in the package is :func:`_all_finite`
+(the exceptions: ``ensemble``'s per-row masks and ``matio``'s reader, which
+imports only numpy). One BLAS dot of the array with itself decides, exactly:
+a finite sum of squares has no inf or NaN term, and the elementwise pass runs
+only on a sum that is not finite (an inf or NaN entry, or finite squares
+that overflow).
 
 This module is also the package's only caller of LAPACK's symmetric
 eigensolver, Cholesky, Cholesky-inverse and triangular-solve kernels
@@ -114,10 +120,16 @@ def symmetrize(matrix) -> np.ndarray:
     return (m + m.T) / 2.0
 
 
-def _check_finite(*arrays: np.ndarray) -> None:
-    for x in arrays:
-        if not np.isfinite(x).all():
-            raise ValueError("array must not contain infs or NaNs")
+def _all_finite(x: np.ndarray) -> bool:
+    """True when no entry of x is inf or NaN: one dot decides (module
+    docstring), and like :func:`_dot_sq` it warns on no overflow."""
+    x = x.ravel(order="K")  # a view of a C- or F-ordered array
+    return math.isfinite(np.vdot(x, x)) or bool(np.isfinite(x).all())
+
+
+def _check_finite(x: np.ndarray) -> None:
+    if not _all_finite(x):
+        raise ValueError("array must not contain infs or NaNs")
 
 
 def _dot_sq(x: np.ndarray) -> float:

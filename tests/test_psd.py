@@ -84,6 +84,94 @@ class TestNorm:
             assert (column_norms(np.full((3, 2), 1e200)) > 0).all()
 
 
+FINITE_DTYPES = (np.float64, np.float32, np.int64)
+
+
+def layouts(dtype, fill=1):
+    """C-ordered, F-ordered, strided and 0-size arrays of one dtype."""
+    base = np.full((12, 24), fill, dtype=dtype)
+    return {"C": base[:6, :8].copy(), "F": np.asfortranarray(base[:6, :8]),
+            "strided": base[::2, ::3], "1-D strided": base[0, ::5],
+            "0x5": np.zeros((0, 5), dtype=dtype), "4x0": np.zeros((4, 0), dtype=dtype)}
+
+
+def plant(x, position, value):
+    """Set x's first, middle or last entry (in index order) to value."""
+    index = {"first": 0, "middle": x.size // 2, "last": x.size - 1}[position]
+    x[np.unravel_index(index, x.shape)] = value
+
+
+class TestAllFinite:
+    """psd._all_finite, the package's finiteness test: one dot of the array
+    with itself, and the elementwise pass only when that sum is not finite."""
+
+    @pytest.fixture
+    def isfinite_calls(self, monkeypatch):
+        calls = []
+        isfinite = np.isfinite
+
+        def spy(x, *args, **kwargs):
+            calls.append(np.shape(x))
+            return isfinite(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "isfinite", spy)
+        return calls
+
+    @pytest.mark.parametrize("dtype", FINITE_DTYPES)
+    def test_finite_layouts_pass_without_the_elementwise_pass(self, dtype, isfinite_calls):
+        for name, x in layouts(dtype, fill=3).items():
+            assert psd._all_finite(x) is True, name
+            psd._check_finite(x)
+        assert isfinite_calls == []
+
+    @pytest.mark.parametrize("scale", [1e200, -1e200, 1e300, -1e300, 1e-200, 1e-300])
+    def test_extreme_finite_values_pass(self, scale):
+        x = np.linspace(1.0, 2.0, 30).reshape(5, 6) * scale
+        for view in (x, np.asfortranarray(x), x[::2, ::3], x.ravel()):
+            assert psd._all_finite(view) is True
+            psd._check_finite(view)
+
+    def test_the_elementwise_pass_runs_only_on_a_non_finite_dot(self, isfinite_calls):
+        assert psd._all_finite(np.full((3, 4), 1e100))
+        assert isfinite_calls == []
+        # 1e200 squared overflows: the dot is inf, the entries are finite
+        assert psd._all_finite(np.full((3, 4), 1e200))
+        assert psd._all_finite(np.full(7, 1e30, dtype=np.float32))
+        assert isfinite_calls == [(12,), (7,)]
+
+    @pytest.mark.parametrize("dtype", (np.float64, np.float32))
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("position", ["first", "middle", "last"])
+    def test_one_non_finite_entry_raises(self, dtype, value, position):
+        for scale in (1.0, 1e300 if dtype is np.float64 else 1e30):
+            for name, x in layouts(dtype, fill=scale).items():
+                if x.size == 0:
+                    continue
+                plant(x, position, value)
+                assert psd._all_finite(x) is False, name
+                with pytest.raises(ValueError) as info:
+                    psd._check_finite(x)
+                assert str(info.value) == "array must not contain infs or NaNs"
+
+    def test_no_runtime_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for x in (np.full(5, 1e300), np.full(5, 1e-300), np.array([1e300, np.inf]),
+                      np.array([np.nan, np.inf, -np.inf]), np.full(5, 1e30, dtype=np.float32),
+                      np.array([np.inf, 1.0], dtype=np.float32)):
+                psd._all_finite(x)
+
+    def test_an_f_ordered_input_is_not_copied(self):
+        x = np.asfortranarray(np.random.default_rng(3).normal(size=(400, 400)))
+        tracemalloc.start()
+        try:
+            assert psd._all_finite(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < x.nbytes / 100
+
+
 class TestEigPsd:
     def test_diagonal(self):
         values, vectors = eig_psd(np.diag([4.0, 1.0, 0.0]))
